@@ -79,6 +79,7 @@ class KalikowReport:
     The criterion asks for sup_n witnesses[n] = infinity, which forces
     arbitrarily long spacer runs in the blocks.  The verdict is decided
     exactly on periodic tails and is unknown-at-depth otherwise.
+    Spacer runs are nonnegative, so m = 0 always attains the maximum.
     """
 
     witnesses: tuple[int, ...]
@@ -88,18 +89,12 @@ class KalikowReport:
 def kalikow_sup_condition(schedule: ParamSchedule, depth: int) -> KalikowReport:
     """Witnesses for n = 0..depth (needs stages up to depth+1)."""
     witnesses = []
+    finals = 0  # a[0][q_0-1] + ... + a[n][q_n-1]
     for n in range(depth + 1):
         nxt = schedule.stage(n + 1)
-        best = None
-        for m in range(n + 1):
-            run = sum(
-                schedule.stage(k).a[schedule.stage(k).q - 1] for k in range(m, n + 1)
-            )
-            for i in range(nxt.q):
-                val = run + nxt.a[i]
-                if best is None or val > best:
-                    best = val
-        witnesses.append(best)
+        st = schedule.stage(n)
+        finals += st.a[st.q - 1]
+        witnesses.append(finals + max(nxt.a))
     tail = schedule.tail_stages()
     if not tail:
         verdict = UNKNOWN_AT_DEPTH

@@ -4,7 +4,10 @@ Systems come from a JSON spec file or a named preset; subcommands cover
 heights, validation, blocks, telescoping, the expansive build and its
 one-tower variant, successor orbits, cylinder measures, DOT export,
 isomorphism verification, and the period-doubling gap check.  Output is
-deterministic: identical spec, config, and seed give identical bytes.
+deterministic: identical spec, flags, and seed give identical bytes.
+
+Each subcommand accepts only the flags its handler reads (see
+``COMMANDS``); any other flag is an argparse error.
 
 Exit codes: 0 success, 1 a verification found violations, 2 bad input
 or an unsatisfiable request.
@@ -19,14 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import (
-    DEFAULT_SYMBOL_BUDGET,
     BlockBudgetError,
     build_block,
     occurrence_spacing,
     period_doubling_prefix,
 )
 from .diagram import (
-    Overflow,
     code_orbit,
     cylinder_measure_bounds,
     export_dot,
@@ -44,6 +45,7 @@ from .schedules import (
     validate,
 )
 from .telescoping import (
+    ExpansiveModel,
     SpacerReplacementError,
     build_expansive,
     expansive_replace,
@@ -51,9 +53,12 @@ from .telescoping import (
     telescope,
 )
 
+ODOMETER = ParamSchedule((Stage(2, (0, 0)),), tail_period=1)
+CHACON = ParamSchedule((Stage(3, (0, 1, 0)),), tail_period=1)
+
 PRESET_SCHEDULES: dict[str, ParamSchedule | None] = {
-    "dyadic-odometer": ParamSchedule((Stage(2, (0, 0)),), tail_period=1),
-    "chacon": ParamSchedule((Stage(3, (0, 1, 0)),), tail_period=1),
+    "dyadic-odometer": ODOMETER,
+    "chacon": CHACON,
     # the period-doubling subshift admits no stage description of this
     # form (its 0100-gaps are all multiples of 4, which block recursion
     # cannot produce); only sequence-level commands accept it
@@ -72,31 +77,8 @@ class SystemSpec:
     preset: str | None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options; all bounds must be positive.
-
-    Defaults: depth 4, stages 3, length 64, samples 200, seed 0, symbol
-    budget 2**26, format chosen per subcommand, output to stdout.
-    """
-
-    depth: int | None = None
-    stages: int | None = None
-    length: int | None = None
-    seed: int = 0
-    samples: int | None = None
-    exhaustive: bool = False
-    out: str | None = None
-    fmt: str | None = None
-    budget: int = DEFAULT_SYMBOL_BUDGET
-
-    def __post_init__(self):
-        for name in ("depth", "stages", "length", "samples"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be positive, got {self.budget}")
+def _preset_spec(name: str, levels: tuple[int, ...] | None = None) -> SystemSpec:
+    return SystemSpec(schedule=PRESET_SCHEDULES[name], telescope_levels=levels, preset=name)
 
 
 def parse_spec(text: str) -> SystemSpec:
@@ -117,14 +99,12 @@ def parse_spec(text: str) -> SystemSpec:
     has_preset = "preset" in doc
     if has_schedule == has_preset:
         raise SpecFileError("exactly one of 'schedule' and 'preset' is required at $")
-    schedule = None
-    preset = None
     if has_preset:
-        preset = doc["preset"]
-        if preset not in PRESET_SCHEDULES:
+        if doc["preset"] not in PRESET_SCHEDULES:
             known = ", ".join(sorted(PRESET_SCHEDULES))
-            raise SpecFileError(f"unknown preset {preset!r} at $.preset (known: {known})")
-        schedule = PRESET_SCHEDULES[preset]
+            raise SpecFileError(
+                f"unknown preset {doc['preset']!r} at $.preset (known: {known})"
+            )
     else:
         try:
             schedule = ParamSchedule.from_json_dict(doc["schedule"], where="$.schedule")
@@ -138,16 +118,9 @@ def parse_spec(text: str) -> SystemSpec:
         ):
             raise SpecFileError("expected an array of integers at $.telescope_levels")
         levels = tuple(raw)
-    return SystemSpec(schedule=schedule, telescope_levels=levels, preset=preset)
-
-
-def _require_schedule(spec: SystemSpec) -> ParamSchedule:
-    if spec.schedule is None:
-        raise SpecFileError(
-            f"preset {spec.preset!r} names a sequence, not a stage schedule; "
-            "this command needs stages (sequence checks live under pd-check)"
-        )
-    return spec.schedule
+    if has_preset:
+        return _preset_spec(doc["preset"], levels)
+    return SystemSpec(schedule=schedule, telescope_levels=levels, preset=None)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -164,113 +137,101 @@ def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _cmd_heights(spec: SystemSpec, cfg: RunConfig) -> int:
-    schedule = _require_schedule(spec)
-    depth = cfg.depth if cfg.depth is not None else 4
-    hs = heights(schedule, depth)
-    if cfg.fmt == "text":
-        _emit(" ".join(str(h) for h in hs), cfg.out)
+def _levels_for(spec: SystemSpec, stages: int) -> list[int]:
+    if spec.telescope_levels is not None:
+        return list(spec.telescope_levels)
+    return choose_telescoping_levels(spec.schedule, stages)
+
+
+def _expansive_model(spec: SystemSpec, stages: int) -> ExpansiveModel:
+    if spec.telescope_levels is not None:
+        return expansive_replace(telescope(spec.schedule, spec.telescope_levels))
+    return build_expansive(spec.schedule, stages)
+
+
+def _cmd_heights(spec: SystemSpec, args: argparse.Namespace) -> int:
+    hs = heights(spec.schedule, args.depth)
+    if args.format == "text":
+        _emit(" ".join(str(h) for h in hs), args.out)
     else:
-        _emit(_dumps({"h": hs}), cfg.out)
+        _emit(_dumps({"h": hs}), args.out)
     return 0
 
 
-def _cmd_validate(spec: SystemSpec, cfg: RunConfig) -> int:
-    schedule = _require_schedule(spec)
-    depth = cfg.depth if cfg.depth is not None else 8
-    report = validate(schedule, depth)
-    ratio = spacer_ratio_sum(schedule, depth) if report.ok else None
+def _cmd_validate(spec: SystemSpec, args: argparse.Namespace) -> int:
+    report = validate(spec.schedule, args.depth)
     doc = report.to_json_dict()
-    if ratio is not None:
+    if report.ok:
+        # no ratio means the series could not be summed; redoing it raises why
+        ratio = report.ratio or spacer_ratio_sum(spec.schedule, args.depth)
         doc["ratio_partial_sum"] = str(ratio.partial)
         doc["ratio_total_bound"] = None if ratio.total_bound is None else str(ratio.total_bound)
-    if cfg.fmt == "text":
+    if args.format == "text":
         lines = [f"ok: {report.ok}"]
         lines += [f"structural: {msg}" for msg in report.structural_issues]
         lines.append(f"q>1 infinitely often: {report.q_gt1_infinitely_often}")
         lines.append(f"tail verdict: {report.tail_verdict}")
         if report.not_defined_everywhere_risk:
             lines.append("risk: the map is not defined almost everywhere")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     else:
-        _emit(_dumps(doc), cfg.out)
+        _emit(_dumps(doc), args.out)
     return 0
 
 
-def _cmd_block(spec: SystemSpec, cfg: RunConfig) -> int:
-    schedule = _require_schedule(spec)
-    depth = cfg.depth if cfg.depth is not None else 4
-    word = build_block(schedule, depth, budget=cfg.budget)
-    if cfg.fmt == "json":
-        _emit(_dumps({"block": word, "length": len(word)}), cfg.out)
+def _cmd_block(spec: SystemSpec, args: argparse.Namespace) -> int:
+    word = build_block(spec.schedule, args.depth)
+    if args.format == "json":
+        _emit(_dumps({"block": word, "length": len(word)}), args.out)
     else:
-        _emit(word, cfg.out)
+        _emit(word, args.out)
     return 0
 
 
-def _levels_for(spec: SystemSpec, cfg: RunConfig, schedule: ParamSchedule) -> list[int]:
-    if spec.telescope_levels is not None:
-        return list(spec.telescope_levels)
-    stages = cfg.stages if cfg.stages is not None else 3
-    return choose_telescoping_levels(schedule, stages)
-
-
-def _cmd_telescope(spec: SystemSpec, cfg: RunConfig) -> int:
-    schedule = _require_schedule(spec)
-    tele = telescope(schedule, _levels_for(spec, cfg, schedule))
-    _emit(_dumps(tele.to_json_dict()), cfg.out)
+def _cmd_telescope(spec: SystemSpec, args: argparse.Namespace) -> int:
+    tele = telescope(spec.schedule, _levels_for(spec, args.stages))
+    _emit(_dumps(tele.to_json_dict()), args.out)
     return 0
 
 
-def _cmd_expand(spec: SystemSpec, cfg: RunConfig, emit_blocks: bool) -> int:
-    schedule = _require_schedule(spec)
-    stages = cfg.stages if cfg.stages is not None else 3
-    if spec.telescope_levels is not None:
-        model = expansive_replace(telescope(schedule, spec.telescope_levels))
-    else:
-        model = build_expansive(schedule, stages)
-    if emit_blocks:
+def _cmd_expand(spec: SystemSpec, args: argparse.Namespace) -> int:
+    model = _expansive_model(spec, args.stages)
+    if args.emit_blocks:
         rep = model.replaced_schedule()
-        words = [
-            build_block(rep, n, budget=cfg.budget)
-            for n in range(1, model.telescoped.num_stages + 1)
-        ]
-        _emit("\n".join(words), cfg.out)
+        words = [build_block(rep, n) for n in range(1, model.telescoped.num_stages + 1)]
+        _emit("\n".join(words), args.out)
     else:
-        _emit(_dumps(model.to_json_dict()), cfg.out)
+        _emit(_dumps(model.to_json_dict()), args.out)
     return 0
 
 
-def _cmd_variant(spec: SystemSpec, cfg: RunConfig, picks: str | None) -> int:
-    schedule = _require_schedule(spec)
-    tele = telescope(schedule, _levels_for(spec, cfg, schedule))
-    if picks is None:
+def _cmd_variant(spec: SystemSpec, args: argparse.Namespace) -> int:
+    tele = telescope(spec.schedule, _levels_for(spec, args.stages))
+    if args.picks is None:
         chosen = [st.q - 1 for st in tele.stages]
     else:
-        chosen = [int(p) for p in picks.split(",")]
+        chosen = [int(p) for p in args.picks.split(",")]
     modified = one_tower_variant(tele, chosen)
     doc = {
         "m": list(tele.levels),
         "picks": chosen,
         "schedule": modified.to_json_dict(),
     }
-    _emit(_dumps(doc), cfg.out)
+    _emit(_dumps(doc), args.out)
     return 0
 
 
-def _cmd_vershik(spec: SystemSpec, cfg: RunConfig) -> int:
-    schedule = _require_schedule(spec)
-    depth = cfg.depth if cfg.depth is not None else 4
-    length = cfg.length if cfg.length is not None else 64
-    coding = code_orbit(schedule, minimal_path(schedule, depth), length)
-    if cfg.fmt == "json":
+def _cmd_vershik(spec: SystemSpec, args: argparse.Namespace) -> int:
+    schedule = spec.schedule
+    coding = code_orbit(schedule, minimal_path(schedule, args.depth), args.length)
+    if args.format == "json":
         doc = {
             "word": coding.word,
             "overflow": None if coding.overflow is None else coding.overflow.depth,
         }
-        _emit(_dumps(doc), cfg.out)
+        _emit(_dumps(doc), args.out)
     else:
-        _emit(coding.word, cfg.out)
+        _emit(coding.word, args.out)
     if coding.overflow is not None:
         sys.stderr.write(
             f"orbit overflowed depth {coding.overflow.depth} after "
@@ -280,11 +241,10 @@ def _cmd_vershik(spec: SystemSpec, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_measure(spec: SystemSpec, cfg: RunConfig) -> int:
-    schedule = _require_schedule(spec)
-    level = cfg.stages if cfg.stages is not None else 1
-    depth = cfg.depth if cfg.depth is not None else max(level, 8)
-    bracket = cylinder_measure_bounds(schedule, level, depth)
+def _cmd_measure(spec: SystemSpec, args: argparse.Namespace) -> int:
+    level = args.stages
+    depth = args.depth if args.depth is not None else max(level, 8)
+    bracket = cylinder_measure_bounds(spec.schedule, level, depth)
     doc = {
         "level": level,
         "depth": depth,
@@ -293,36 +253,27 @@ def _cmd_measure(spec: SystemSpec, cfg: RunConfig) -> int:
         "width": str(bracket.width),
         "tail_bounded": bracket.tail_bounded,
     }
-    if cfg.fmt == "text":
+    if args.format == "text":
         _emit(
             f"base cylinder at level {level}: mass in [{bracket.lo}, {bracket.hi}]"
             + ("" if bracket.tail_bounded else " (no tail bound, lo pinned to 0)"),
-            cfg.out,
+            args.out,
         )
     else:
-        _emit(_dumps(doc), cfg.out)
+        _emit(_dumps(doc), args.out)
     return 0
 
 
-def _cmd_dot(spec: SystemSpec, cfg: RunConfig) -> int:
-    schedule = _require_schedule(spec)
-    depth = cfg.depth if cfg.depth is not None else 3
-    _emit(export_dot(schedule, depth), cfg.out)
+def _cmd_dot(spec: SystemSpec, args: argparse.Namespace) -> int:
+    _emit(export_dot(spec.schedule, args.depth), args.out)
     return 0
 
 
-def _cmd_verify(spec: SystemSpec, cfg: RunConfig) -> int:
-    schedule = _require_schedule(spec)
-    depth = cfg.depth if cfg.depth is not None else 3
-    if spec.telescope_levels is not None:
-        model = expansive_replace(telescope(schedule, spec.telescope_levels))
-    else:
-        model = build_expansive(schedule, depth)
-    ctx = IsoContext.from_model(model)
-    samples = None if cfg.exhaustive or cfg.samples is None else cfg.samples
-    report = verify_isomorphism(ctx, depth, samples=samples, seed=cfg.seed)
-    if cfg.fmt == "json":
-        _emit(_dumps(report.to_json_dict()), cfg.out)
+def _cmd_verify(spec: SystemSpec, args: argparse.Namespace) -> int:
+    ctx = IsoContext.from_model(_expansive_model(spec, args.depth))
+    report = verify_isomorphism(ctx, args.depth, samples=args.samples, seed=args.seed)
+    if args.format == "json":
+        _emit(_dumps(report.to_json_dict()), args.out)
     else:
         lines = [
             f"depth {report.depth}: tested {report.paths_tested} paths, "
@@ -337,31 +288,66 @@ def _cmd_verify(spec: SystemSpec, cfg: RunConfig) -> int:
             + str(sum(report.exceptional_mass_terms, start=Fraction(0)))
         )
         lines.append("PASS" if report.passed else "FAIL")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return 0 if report.passed else 1
 
 
-def _cmd_pd_check(cfg: RunConfig) -> int:
-    length = cfg.length if cfg.length is not None else 1 << 14
-    word = period_doubling_prefix(length)
+def _cmd_pd_check(args: argparse.Namespace) -> int:
+    word = period_doubling_prefix(args.length)
     occ = occurrence_spacing(word, "0100")
     bad = [g for g in occ.gaps if g % 4 != 0]
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {
-            "length": length,
+            "length": args.length,
             "occurrences": len(occ.positions),
             "gaps_all_multiples_of_4": not bad,
             "distinct_gaps": sorted(set(occ.gaps)),
         }
-        _emit(_dumps(doc), cfg.out)
+        _emit(_dumps(doc), args.out)
     elif not bad:
         _emit(
-            f"all gaps ≡ 0 mod 4 ({len(occ.positions)} occurrences in {length} symbols)",
-            cfg.out,
+            f"all gaps ≡ 0 mod 4 ({len(occ.positions)} occurrences in {args.length} symbols)",
+            args.out,
         )
     else:
-        _emit(f"violations: {sorted(set(bad))}", cfg.out)
+        _emit(f"violations: {sorted(set(bad))}", args.out)
     return 0 if not bad else 1
+
+
+# argparse keywords of each flag a subcommand may read
+_FLAGS = {
+    "depth": {"type": int, "metavar": "N"},
+    "stages": {"type": int, "metavar": "N"},
+    "length": {"type": int, "metavar": "L"},
+    "seed": {"type": int, "metavar": "S"},
+    "samples": {"type": int, "metavar": "K"},
+    "exhaustive": {"action": "store_true"},
+    "emit_blocks": {"action": "store_true"},
+    "picks": {"metavar": "I0,I1,..."},
+    "format": {"choices": ["json", "text"]},
+}
+_POSITIVE = ("depth", "stages", "length", "samples")
+
+# subcommand -> (handler, takes --spec/--preset, {flag it reads: default});
+# every subcommand also takes --out.  measure's depth default is computed
+# from its level (--stages): max(level, 8).
+COMMANDS = {
+    "heights": (_cmd_heights, True, {"depth": 4, "format": "json"}),
+    "validate": (_cmd_validate, True, {"depth": 8, "format": "json"}),
+    "block": (_cmd_block, True, {"depth": 4, "format": "text"}),
+    "telescope": (_cmd_telescope, True, {"stages": 3}),
+    "expand": (_cmd_expand, True, {"stages": 3, "emit_blocks": False}),
+    "variant": (_cmd_variant, True, {"stages": 3, "picks": None}),
+    "vershik": (_cmd_vershik, True, {"depth": 4, "length": 64, "format": "text"}),
+    "measure": (_cmd_measure, True, {"stages": 1, "depth": None, "format": "json"}),
+    "dot": (_cmd_dot, True, {"depth": 3}),
+    "verify": (
+        _cmd_verify,
+        True,
+        {"depth": 3, "samples": None, "exhaustive": False, "seed": 0, "format": "text"},
+    ),
+    "pd-check": (_cmd_pd_check, False, {"length": 1 << 14, "format": "text"}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -370,76 +356,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="rank-one cutting-and-stacking toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = [
-        "heights", "validate", "block", "telescope", "expand", "variant",
-        "vershik", "measure", "dot", "verify", "pd-check",
-    ]
-    for name in names:
+    for name, (_, takes_system, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        if name != "pd-check":
+        if takes_system:
             group = p.add_mutually_exclusive_group(required=True)
             group.add_argument("--spec", metavar="FILE", help="JSON system spec file")
             group.add_argument("--preset", choices=sorted(PRESET_SCHEDULES))
-        p.add_argument("--depth", type=int, metavar="N")
-        p.add_argument("--stages", type=int, metavar="N")
-        p.add_argument("--length", type=int, metavar="L")
-        p.add_argument("--seed", type=int, default=0, metavar="S")
-        p.add_argument("--samples", type=int, metavar="K")
-        p.add_argument("--exhaustive", action="store_true")
+        # verify tests a seeded sample or the whole fiber, never both
+        paths = p.add_mutually_exclusive_group() if "exhaustive" in flags else p
+        for flag, default in flags.items():
+            target = paths if flag in ("samples", "exhaustive") else p
+            target.add_argument(
+                "--" + flag.replace("_", "-"), default=default, **_FLAGS[flag]
+            )
         p.add_argument("--out", metavar="PATH")
-        p.add_argument("--format", dest="fmt", choices=["json", "text", "dot"])
-        if name == "expand":
-            p.add_argument("--emit-blocks", action="store_true")
-        if name == "variant":
-            p.add_argument("--picks", metavar="I0,I1,...")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, takes_system, _ = COMMANDS[args.command]
     try:
-        cfg = RunConfig(
-            depth=args.depth,
-            stages=args.stages,
-            length=args.length,
-            seed=args.seed,
-            samples=args.samples,
-            exhaustive=args.exhaustive,
-            out=args.out,
-            fmt=args.fmt,
-        )
-        if args.command == "pd-check":
-            return _cmd_pd_check(cfg)
+        for name in _POSITIVE:
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not takes_system:
+            return handler(args)
         if args.spec is not None:
             with open(args.spec) as fh:
                 spec = parse_spec(fh.read())
         else:
-            spec = SystemSpec(
-                schedule=PRESET_SCHEDULES[args.preset],
-                telescope_levels=None,
-                preset=args.preset,
+            spec = _preset_spec(args.preset)
+        if spec.schedule is None:
+            raise SpecFileError(
+                f"preset {spec.preset!r} names a sequence, not a stage schedule; "
+                "this command needs stages (sequence checks live under pd-check)"
             )
-        if args.command == "heights":
-            return _cmd_heights(spec, cfg)
-        if args.command == "validate":
-            return _cmd_validate(spec, cfg)
-        if args.command == "block":
-            return _cmd_block(spec, cfg)
-        if args.command == "telescope":
-            return _cmd_telescope(spec, cfg)
-        if args.command == "expand":
-            return _cmd_expand(spec, cfg, args.emit_blocks)
-        if args.command == "variant":
-            return _cmd_variant(spec, cfg, args.picks)
-        if args.command == "vershik":
-            return _cmd_vershik(spec, cfg)
-        if args.command == "measure":
-            return _cmd_measure(spec, cfg)
-        if args.command == "dot":
-            return _cmd_dot(spec, cfg)
-        if args.command == "verify":
-            return _cmd_verify(spec, cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return handler(spec, args)
     except (
         SpecFileError,
         ScheduleError,

@@ -393,12 +393,21 @@ def path_to_json_dict(path: AdicPath) -> dict:
     return {"root": path.root, "edges": edges}
 
 
+def _edge_int(raw: dict, key: str, n: int) -> int:
+    value = raw.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PathError(f"edge {n}: expected an integer {key!r}")
+    return value
+
+
 def path_from_json_dict(doc: dict, schedule: ParamSchedule | None = None) -> AdicPath:
     if not isinstance(doc, dict) or set(doc) != {"root", "edges"}:
         raise PathError("expected an object with 'root' and 'edges'")
     root = doc["root"]
     if root not in (ROOT_NONSPACER, ROOT_SPACER):
         raise PathError(f"root must be 'nonspacer' or 'spacer', got {root!r}")
+    if not isinstance(doc["edges"], list):
+        raise PathError("'edges' must be an array")
     edges = []
     for n, raw in enumerate(doc["edges"]):
         if not isinstance(raw, dict) or "kind" not in raw:
@@ -407,9 +416,9 @@ def path_from_json_dict(doc: dict, schedule: ParamSchedule | None = None) -> Adi
             raise PathError(f"edge {n}: level field says {raw['level']}")
         kind = raw["kind"]
         if kind == TOWER:
-            edges.append(Edge(TOWER, raw["i"]))
+            edges.append(Edge(TOWER, _edge_int(raw, "i", n)))
         elif kind == SPACER:
-            edges.append(Edge(SPACER, raw["i"], raw["j"]))
+            edges.append(Edge(SPACER, _edge_int(raw, "i", n), _edge_int(raw, "j", n)))
         elif kind == DOWN:
             edges.append(Edge(DOWN))
         else:

@@ -18,8 +18,10 @@ All arithmetic here is exact: heights are Python ints, ratios are
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 PROVED_CONVERGENT = "proved-convergent"
 PROVED_DIVERGENT = "proved-divergent"
@@ -268,11 +270,16 @@ class RatioSumReport:
 
 def spacer_ratio_sum(schedule: ParamSchedule, n: int) -> RatioSumReport:
     """Exact partial sum sum_{k<n} spacers_k / h_{k+1} with a tail verdict."""
+    return _ratio_report(schedule, n, sum(_ratio_terms(schedule, n), Fraction(0)))
+
+
+def _ratio_terms(schedule: ParamSchedule, n: int) -> Iterator[Fraction]:
+    """The terms spacers_k / h_{k+1} for k < n."""
     hs = heights(schedule, n)
-    partial = sum(
-        (Fraction(schedule.stage(k).spacer_sum, hs[k + 1]) for k in range(n)),
-        Fraction(0),
-    )
+    return (Fraction(schedule.stage(k).spacer_sum, hs[k + 1]) for k in range(n))
+
+
+def _ratio_report(schedule: ParamSchedule, n: int, partial: Fraction) -> RatioSumReport:
     if schedule.tail_period is None:
         return RatioSumReport(partial, UNKNOWN_AT_DEPTH, None)
     if tail_diverges(schedule):
@@ -297,8 +304,12 @@ class ValidityReport:
     q_gt1_stages: tuple[int, ...]
     q_gt1_infinitely_often: bool | None
     partial_sums: tuple[Fraction, ...]
-    tail_verdict: str
+    ratio: RatioSumReport | None      # None when the series cannot be summed
     not_defined_everywhere_risk: bool
+
+    @property
+    def tail_verdict(self) -> str:
+        return UNKNOWN_AT_DEPTH if self.ratio is None else self.ratio.verdict
 
     @property
     def ok(self) -> bool:
@@ -335,21 +346,16 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
 
     infinitely_often: bool | None = None
     risk = False
-    tail_verdict = UNKNOWN_AT_DEPTH
     partials: tuple[Fraction, ...] = ()
+    ratio = None
     try:
         profile = _tail_profile(schedule)
         if profile is not None:
             infinitely_often = profile.any_q_gt1
             risk = profile.q_product == 1 and profile.all_spacers_zero
-        sums = []
-        total = Fraction(0)
-        hs = heights(schedule, depth)
-        for k in range(depth):
-            total += Fraction(schedule.stage(k).spacer_sum, hs[k + 1])
-            sums.append(total)
-        partials = tuple(sums)
-        tail_verdict = spacer_ratio_sum(schedule, depth).verdict
+        sums = list(accumulate(_ratio_terms(schedule, depth), initial=Fraction(0)))
+        partials = tuple(sums[1:])
+        ratio = _ratio_report(schedule, depth, sums[-1])
     except (ScheduleError, DepthError):
         pass  # partial sums only make sense on resolvable, well-formed stages
     return ValidityReport(
@@ -357,7 +363,7 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
         q_gt1_stages=q_gt1,
         q_gt1_infinitely_often=infinitely_often,
         partial_sums=partials,
-        tail_verdict=tail_verdict,
+        ratio=ratio,
         not_defined_everywhere_risk=risk,
     )
 

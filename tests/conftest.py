@@ -6,9 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rankone import ParamSchedule, Stage
-
-ODOMETER = ParamSchedule((Stage(2, (0, 0)),), tail_period=1)
-CHACON = ParamSchedule((Stage(3, (0, 1, 0)),), tail_period=1)
+from rankone.cli import CHACON, ODOMETER
 # q = 1 forever with growing spacer runs: heights grow linearly and the
 # spacer-ratio series is provably divergent
 DIVERGENT = ParamSchedule(

@@ -100,6 +100,16 @@ def test_kalikow_verdicts():
     assert list(rep3.witnesses) == [2, 3, 4, 5, 6]
 
 
+@given(schedules(min_q=1, allow_bare=False), st.integers(0, 12))
+def test_kalikow_witnesses_match_brute_force(schedule, depth):
+    finals = [schedule.stage(k).a[-1] for k in range(depth + 1)]
+    brute = [
+        max(sum(finals[m : n + 1]) + x for m in range(n + 1) for x in schedule.stage(n + 1).a)
+        for n in range(depth + 1)
+    ]
+    assert list(kalikow_sup_condition(schedule, depth).witnesses) == brute
+
+
 def test_period_doubling_prefix():
     assert period_doubling_prefix(1) == "0"
     assert period_doubling_prefix(2) == "01"

@@ -1,10 +1,11 @@
 """End-to-end checks of the command-line entry point."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from rankone.cli import RunConfig, SpecFileError, main, parse_spec
+from rankone.cli import SpecFileError, _build_parser, main, parse_spec
 
 CHACON_DOC = {
     "stages": [{"q": 3, "a": [0, 1, 0]}],
@@ -45,15 +46,6 @@ def test_parse_spec_rejects(text, needle):
     with pytest.raises(SpecFileError) as err:
         parse_spec(text)
     assert needle in str(err.value)
-
-
-def test_run_config_bounds():
-    with pytest.raises(ValueError):
-        RunConfig(depth=0)
-    with pytest.raises(ValueError):
-        RunConfig(samples=-1)
-    with pytest.raises(ValueError):
-        RunConfig(budget=0)
 
 
 def test_heights_json_and_text(capsys):
@@ -178,3 +170,69 @@ def test_out_file(tmp_path, capsys):
 def test_bad_cli_bounds(capsys):
     assert main(["heights", "--preset", "chacon", "--depth", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["verify", "--preset", "chacon", "--samples", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+FLAG_VALUES = {
+    "--depth": ["3"], "--stages": ["2"], "--length": ["9"], "--seed": ["5"],
+    "--samples": ["3"], "--exhaustive": [], "--emit-blocks": [], "--picks": ["0"],
+    "--format": ["json"],
+}
+READS = {
+    "heights": {"--depth", "--format"},
+    "validate": {"--depth", "--format"},
+    "block": {"--depth", "--format"},
+    "telescope": {"--stages"},
+    "expand": {"--stages", "--emit-blocks"},
+    "variant": {"--stages", "--picks"},
+    "vershik": {"--depth", "--length", "--format"},
+    "measure": {"--stages", "--depth", "--format"},
+    "dot": {"--depth"},
+    "verify": {"--depth", "--seed", "--samples", "--exhaustive", "--format"},
+    "pd-check": {"--length", "--format"},
+}
+
+
+def _argv(command, *flags):
+    system = [] if command == "pd-check" else ["--preset", "chacon"]
+    return [command, *system, *flags]
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, reads in READS.items() for f in sorted(reads)]
+)
+def test_read_flags_accepted(command, flag):
+    args = _build_parser().parse_args(_argv(command, flag, *FLAG_VALUES[flag]))
+    assert args.command == command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _argv(c, f, *FLAG_VALUES[f])
+        for c, reads in READS.items()
+        for f in sorted(FLAG_VALUES.keys() - reads)
+    ]
+    + [
+        _argv("heights", "--format", "dot"),
+        _argv("dot", "--format", "dot"),
+        _argv("verify", "--samples", "5", "--exhaustive"),
+    ],
+    ids=" ".join,
+)
+def test_unread_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_readme_commands_run(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("rankone ")]
+    assert len(lines) == len(READS)
+    for argv in lines:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -210,3 +210,19 @@ def test_path_json_rejects():
         path_from_json_dict({"root": "nope", "edges": []})
     with pytest.raises(PathError):
         path_from_json_dict({"root": "nonspacer"})
+
+
+@pytest.mark.parametrize(
+    "edges, needle",
+    [
+        ({"level": 0}, "array"),
+        ([{"kind": TOWER}], "edge 0"),
+        ([{"kind": TOWER, "i": 0}, {"kind": SPACER, "i": 1}], "edge 1"),
+        ([{"kind": TOWER, "i": True}], "edge 0"),
+        ([{"kind": SPACER, "i": 1, "j": "0"}], "edge 0"),
+    ],
+)
+def test_path_json_rejects_bad_edges(edges, needle):
+    with pytest.raises(PathError) as err:
+        path_from_json_dict({"root": "nonspacer", "edges": edges})
+    assert needle in str(err.value)
