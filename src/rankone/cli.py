@@ -78,7 +78,11 @@ class SystemSpec:
 
 
 def _preset_spec(name: str, levels: tuple[int, ...] | None = None) -> SystemSpec:
-    return SystemSpec(schedule=PRESET_SCHEDULES[name], telescope_levels=levels, preset=name)
+    # a fresh schedule per spec, so what one command caches on it (heights,
+    # stage checks) does not outlive the command
+    preset = PRESET_SCHEDULES[name]
+    schedule = None if preset is None else ParamSchedule(preset.stages, preset.tail_period)
+    return SystemSpec(schedule=schedule, telescope_levels=levels, preset=name)
 
 
 def parse_spec(text: str) -> SystemSpec:
@@ -137,6 +141,18 @@ def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _stage_count(spec: SystemSpec, args: argparse.Namespace) -> int:
+    """--stages (default 3), which a spec's telescope_levels replace."""
+    if args.stages is None:
+        return 3
+    if spec.telescope_levels is not None:
+        raise SpecFileError(
+            f"--stages conflicts with $.telescope_levels in {args.spec}; "
+            "the levels fix the telescoping windows"
+        )
+    return args.stages
+
+
 def _levels_for(spec: SystemSpec, stages: int) -> list[int]:
     if spec.telescope_levels is not None:
         return list(spec.telescope_levels)
@@ -189,13 +205,13 @@ def _cmd_block(spec: SystemSpec, args: argparse.Namespace) -> int:
 
 
 def _cmd_telescope(spec: SystemSpec, args: argparse.Namespace) -> int:
-    tele = telescope(spec.schedule, _levels_for(spec, args.stages))
+    tele = telescope(spec.schedule, _levels_for(spec, _stage_count(spec, args)))
     _emit(_dumps(tele.to_json_dict()), args.out)
     return 0
 
 
 def _cmd_expand(spec: SystemSpec, args: argparse.Namespace) -> int:
-    model = _expansive_model(spec, args.stages)
+    model = _expansive_model(spec, _stage_count(spec, args))
     if args.emit_blocks:
         rep = model.replaced_schedule()
         words = [build_block(rep, n) for n in range(1, model.telescoped.num_stages + 1)]
@@ -206,7 +222,7 @@ def _cmd_expand(spec: SystemSpec, args: argparse.Namespace) -> int:
 
 
 def _cmd_variant(spec: SystemSpec, args: argparse.Namespace) -> int:
-    tele = telescope(spec.schedule, _levels_for(spec, args.stages))
+    tele = telescope(spec.schedule, _levels_for(spec, _stage_count(spec, args)))
     if args.picks is None:
         chosen = [st.q - 1 for st in tele.stages]
     else:
@@ -270,8 +286,10 @@ def _cmd_dot(spec: SystemSpec, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(spec: SystemSpec, args: argparse.Namespace) -> int:
+    if args.samples is None and args.seed is not None:
+        raise ValueError("--seed needs --samples: an exhaustive run uses no seed")
     ctx = IsoContext.from_model(_expansive_model(spec, args.depth))
-    report = verify_isomorphism(ctx, args.depth, samples=args.samples, seed=args.seed)
+    report = verify_isomorphism(ctx, args.depth, samples=args.samples, seed=args.seed or 0)
     if args.format == "json":
         _emit(_dumps(report.to_json_dict()), args.out)
     else:
@@ -330,21 +348,23 @@ _POSITIVE = ("depth", "stages", "length", "samples")
 
 # subcommand -> (handler, takes --spec/--preset, {flag it reads: default});
 # every subcommand also takes --out.  measure's depth default is computed
-# from its level (--stages): max(level, 8).
+# from its level (--stages): max(level, 8).  None marks a flag left out:
+# --stages (3) is refused next to a spec's telescope_levels, and verify's
+# --seed (0) without --samples.
 COMMANDS = {
     "heights": (_cmd_heights, True, {"depth": 4, "format": "json"}),
     "validate": (_cmd_validate, True, {"depth": 8, "format": "json"}),
     "block": (_cmd_block, True, {"depth": 4, "format": "text"}),
-    "telescope": (_cmd_telescope, True, {"stages": 3}),
-    "expand": (_cmd_expand, True, {"stages": 3, "emit_blocks": False}),
-    "variant": (_cmd_variant, True, {"stages": 3, "picks": None}),
+    "telescope": (_cmd_telescope, True, {"stages": None}),
+    "expand": (_cmd_expand, True, {"stages": None, "emit_blocks": False}),
+    "variant": (_cmd_variant, True, {"stages": None, "picks": None}),
     "vershik": (_cmd_vershik, True, {"depth": 4, "length": 64, "format": "text"}),
     "measure": (_cmd_measure, True, {"stages": 1, "depth": None, "format": "json"}),
     "dot": (_cmd_dot, True, {"depth": 3}),
     "verify": (
         _cmd_verify,
         True,
-        {"depth": 3, "samples": None, "exhaustive": False, "seed": 0, "format": "text"},
+        {"depth": 3, "samples": None, "exhaustive": False, "seed": None, "format": "text"},
     ),
     "pd-check": (_cmd_pd_check, False, {"length": 1 << 14, "format": "text"}),
 }

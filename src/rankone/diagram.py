@@ -106,9 +106,9 @@ def _edge_count(st: Stage) -> int:
 def _edge_rank(st: Stage, e: Edge) -> int:
     """Position of an edge in the order into the next column-0 vertex."""
     if e.kind == TOWER:
-        return e.i + sum(st.a[: e.i])
+        return e.i + st.offsets[e.i]
     if e.kind == SPACER:
-        return e.i + sum(st.a[: e.i]) + 1 + e.j
+        return e.i + st.offsets[e.i] + 1 + e.j
     raise PathError("down edges are not ordered into column 0")
 
 
@@ -226,8 +226,7 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
         for n, e in enumerate(path.edges):
             if e.kind != TOWER:
                 raise PathError(f"level {n}: column-0 paths carry tower edges only")
-            st = schedule.stage(n)
-            j = e.i * hs[n] + sum(st.a[: e.i]) + j
+            j = e.i * hs[n] + schedule.stage(n).offsets[e.i] + j
             vals.append(j)
         return LevelIndices(0, tuple(vals))
     m = None
@@ -240,16 +239,14 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
         raise PathError(f"level {n}: tower edge cannot leave column 1")
     if m is None:
         raise PathError("path stays in the spacer column; no tower coordinates")
-    st = schedule.stage(m)
     e = path.edges[m]
-    j = (e.i + 1) * hs[m] + sum(st.a[: e.i]) + e.j
+    j = (e.i + 1) * hs[m] + schedule.stage(m).offsets[e.i] + e.j
     vals = [j]
     for n in range(m + 1, path.depth):
         e = path.edges[n]
         if e.kind != TOWER:
             raise PathError(f"level {n}: expected a tower edge above the spacer")
-        st = schedule.stage(n)
-        j = e.i * hs[n] + sum(st.a[: e.i]) + j
+        j = e.i * hs[n] + schedule.stage(n).offsets[e.i] + j
         vals.append(j)
     return LevelIndices(m + 1, tuple(vals))
 
@@ -267,22 +264,17 @@ def from_tower_coordinates(schedule: ParamSchedule, n: int, k: int) -> AdicPath:
     edges: list[Edge] = [Edge(DOWN)] * n
     pos = k
     for level in range(n - 1, -1, -1):
-        st = schedule.stage(level)
-        base = 0
-        placed = False
-        for i in range(st.q):
-            if pos < base + hs[level]:
-                edges[level] = Edge(TOWER, i)
-                pos -= base
-                placed = True
-                break
-            base += hs[level]
-            if pos < base + st.a[i]:
-                edges[level] = Edge(SPACER, i, pos - base)
-                return AdicPath(ROOT_SPACER, tuple(edges))
-            base += st.a[i]
-        if not placed:
-            raise AssertionError("floor number exceeded the tower height")
+        # copy i of tower `level`, then its spacer run, starts at floor
+        # i h + offsets[i] >= i h: the copy holding pos is at most pos // h
+        st, h = schedule.stage(level), hs[level]
+        i = min(pos // h, st.q - 1)
+        while i * h + st.offsets[i] > pos:
+            i -= 1
+        pos -= i * h + st.offsets[i]
+        if pos >= h:
+            edges[level] = Edge(SPACER, i, pos - h)
+            return AdicPath(ROOT_SPACER, tuple(edges))
+        edges[level] = Edge(TOWER, i)
     assert pos == 0
     return AdicPath(ROOT_NONSPACER, tuple(edges))
 

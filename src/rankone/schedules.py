@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 PROVED_CONVERGENT = "proved-convergent"
@@ -38,14 +39,23 @@ class DepthError(Exception):
 
 @dataclass(frozen=True)
 class Stage:
-    """One cut-and-stack step: q columns, a[i] spacers above column i."""
+    """One cut-and-stack step: q columns, a[i] spacers above column i.
+
+    ``spacer_sum`` and ``offsets`` are cached on the instance, outside
+    equality and hashing.
+    """
 
     q: int
     a: tuple[int, ...]
 
-    @property
+    @cached_property
     def spacer_sum(self) -> int:
         return sum(self.a)
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """offsets[i] = a[0] + ... + a[i-1], for i = 0..len(a)."""
+        return tuple(accumulate(self.a, initial=0))
 
     def issues(self) -> list[str]:
         """Structural problems, empty when the stage is well-formed."""
@@ -66,6 +76,9 @@ class ParamSchedule:
     ``tail_period=None`` means the schedule is only known up to its
     explicit prefix; ``tail_period=p`` means the last p explicit stages
     repeat forever.
+
+    Each stage's structural check and the heights are cached on the
+    instance, outside equality and hashing.
     """
 
     stages: tuple[Stage, ...]
@@ -87,24 +100,33 @@ class ParamSchedule:
     def resolvable(self, n: int) -> bool:
         return n < len(self.stages) or self.tail_period is not None
 
+    @cached_property
+    def _problems(self) -> tuple[tuple[str, ...], ...]:
+        """Structural issues of each explicit stage, checked once."""
+        return tuple(tuple(st.issues()) for st in self.stages)
+
+    @cached_property
+    def _heights(self) -> list[int]:
+        """h_0..h_k for the k stages resolved so far; ``heights`` replaces it
+        with a longer list, never changes it in place."""
+        return [1]
+
     def stage(self, n: int, *, checked: bool = True) -> Stage:
         """Resolve stage n, reading through the periodic tail when present."""
         if n < 0:
             raise ValueError(f"stage index {n} < 0")
-        if n < len(self.stages):
-            st = self.stages[n]
+        count = len(self.stages)
+        if n < count:
+            idx = n
         elif self.tail_period is not None:
-            p = self.tail_period
-            st = self.stages[len(self.stages) - p + (n - len(self.stages)) % p]
+            idx = count - self.tail_period + (n - count) % self.tail_period
         else:
             raise DepthError(
-                f"stage {n} unresolvable: {len(self.stages)} explicit stages and no tail"
+                f"stage {n} unresolvable: {count} explicit stages and no tail"
             )
-        if checked:
-            problems = st.issues()
-            if problems:
-                raise ScheduleError(f"stage {n}: " + "; ".join(problems))
-        return st
+        if checked and self._problems[idx]:
+            raise ScheduleError(f"stage {n}: " + "; ".join(self._problems[idx]))
+        return self.stages[idx]
 
     def tail_stages(self) -> tuple[Stage, ...]:
         """The repeating part; empty for a bare prefix."""
@@ -177,14 +199,23 @@ class ParamSchedule:
 
 
 def heights(schedule: ParamSchedule, n: int) -> list[int]:
-    """Tower heights h_0..h_n from the stage recursion, exact."""
+    """Tower heights h_0..h_n from the stage recursion, exact.
+
+    The heights are kept on the schedule and extended as deeper ones are
+    asked for; the caller gets a fresh list it may change.
+    """
     if n < 0:
         raise ValueError(f"depth {n} < 0")
-    hs = [1]
-    for k in range(n):
-        st = schedule.stage(k)
-        hs.append(st.q * hs[-1] + st.spacer_sum)
-    return hs
+    hs = schedule._heights
+    if len(hs) <= n:
+        # extend a copy and publish it whole: a reader in another thread
+        # sees the old heights or the new ones, never a partial append
+        hs = hs[:]
+        while len(hs) <= n:
+            st = schedule.stage(len(hs) - 1)
+            hs.append(st.q * hs[-1] + st.spacer_sum)
+        vars(schedule)["_heights"] = hs
+    return hs[: n + 1]
 
 
 @dataclass(frozen=True)
@@ -200,10 +231,10 @@ def _tail_profile(schedule: ParamSchedule) -> _TailProfile | None:
     tail = schedule.tail_stages()
     if not tail:
         return None
+    if any(schedule._problems[-len(tail):]):
+        raise ScheduleError("tail contains a structurally invalid stage")
     prod = 1
     for st in tail:
-        if st.issues():
-            raise ScheduleError("tail contains a structurally invalid stage")
         prod *= st.q
     return _TailProfile(
         period=len(tail),
@@ -332,16 +363,19 @@ class ValidityReport:
 
 
 def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
-    """Inspect stages up to ``depth``; never raises on bad stages."""
-    issues: list[str] = []
-    for k in range(min(depth, schedule.prefix_len)):
-        st = schedule.stage(k, checked=False)
-        issues.extend(f"stage {k}: {msg}" for msg in st.issues())
-
+    """Inspect stages up to ``depth``, and the tail stages, which recur past
+    any depth; never raises on bad stages."""
+    problems = schedule._problems
+    first_tail = schedule.prefix_len - (schedule.tail_period or 0)
+    issues = [
+        f"stage {k}: {msg}"
+        for k, msgs in enumerate(problems)
+        if k < depth or k >= first_tail
+        for msg in msgs
+    ]
     q_gt1 = tuple(
         k for k in range(schedule.prefix_len)
-        if not schedule.stage(k, checked=False).issues()
-        and schedule.stage(k, checked=False).q > 1
+        if not problems[k] and schedule.stage(k, checked=False).q > 1
     )
 
     infinitely_often: bool | None = None

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rankone.cli import SpecFileError, _build_parser, main, parse_spec
+from rankone.cli import CHACON, SpecFileError, _build_parser, main, parse_spec
 
 CHACON_DOC = {
     "stages": [{"q": 3, "a": [0, 1, 0]}],
@@ -24,7 +24,8 @@ def test_parse_spec_schedule_and_levels():
 def test_parse_spec_preset():
     spec = parse_spec('{"preset": "chacon"}')
     assert spec.preset == "chacon"
-    assert spec.schedule is not None
+    # a fresh copy, so nothing cached on it outlives one command
+    assert spec.schedule == CHACON and spec.schedule is not CHACON
     none_spec = parse_spec('{"preset": "period-doubling"}')
     assert none_spec.schedule is None
 
@@ -203,7 +204,9 @@ def _argv(command, *flags):
     "command, flag", [(c, f) for c, reads in READS.items() for f in sorted(reads)]
 )
 def test_read_flags_accepted(command, flag):
-    args = _build_parser().parse_args(_argv(command, flag, *FLAG_VALUES[flag]))
+    # verify reads --seed only to pick its --samples
+    extra = ["--samples", "3"] if (command, flag) == ("verify", "--seed") else []
+    args = _build_parser().parse_args(_argv(command, flag, *FLAG_VALUES[flag], *extra))
     assert args.command == command
 
 
@@ -226,6 +229,36 @@ def test_unread_flags_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_unused_flag_combinations_rejected(tmp_path, capsys):
+    assert main(["verify", "--preset", "chacon", "--seed", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed needs --samples")
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps({"schedule": CHACON_DOC, "telescope_levels": [0, 1, 3]}))
+    for command in ("telescope", "expand", "variant"):
+        assert main([command, "--spec", str(spec), "--stages", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --stages conflicts with $.telescope_levels")
+        assert str(spec) in err
+        assert main([command, "--spec", str(spec)]) == 0
+        capsys.readouterr()
+
+
+def test_validate_reports_bad_tail_stage_past_depth(tmp_path, capsys):
+    # the invalid stage 2 repeats forever, so depth 2 must not hide it
+    doc = {
+        "stages": [{"q": 2, "a": [0, 1]}, {"q": 2, "a": [1, 0]}, {"q": 2, "a": [-1, 0]}],
+        "tail": {"kind": "periodic", "period": 1},
+    }
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps({"schedule": doc}))
+    assert main(["validate", "--spec", str(spec), "--depth", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert report["structural_issues"] == ["stage 2: negative spacer count"]
+    assert main(["validate", "--spec", str(spec), "--depth", "2", "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("ok: False\nstructural: stage 2:")
 
 
 def test_readme_commands_run(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import CHACON, DIVERGENT, ODOMETER, schedules
 from hypothesis import given
+from hypothesis import strategies as st
 
 from rankone import (
     PROVED_CONVERGENT,
@@ -177,6 +178,24 @@ def test_validate_never_raises_on_malformed():
     assert report.partial_sums == ()
 
 
+def test_validate_reports_tail_stages_past_depth():
+    bad_tail = ParamSchedule(
+        (Stage(2, (0, 1)), Stage(2, (1, 0)), Stage(2, (-1, 0))), tail_period=1
+    )
+    for depth in (1, 2, 3, 6):
+        report = validate(bad_tail, depth)
+        assert report.structural_issues == ("stage 2: negative spacer count",)
+        assert not report.ok
+    # a bad stage before the tail only counts within depth
+    bad_prefix = ParamSchedule(
+        (Stage(2, (0, 0)), Stage(2, (0,)), Stage(2, (0, 1))), tail_period=1
+    )
+    assert validate(bad_prefix, 1).structural_issues == ()
+    assert validate(bad_prefix, 2).structural_issues == ("stage 1: len(a)=1 != q=2",)
+    bare = ParamSchedule((Stage(2, (0, 1)), Stage(2, (-1, 0))), tail_period=None)
+    assert validate(bare, 1).structural_issues == ()
+
+
 def test_validate_bare_prefix():
     bare = ParamSchedule((Stage(2, (0, 1)),), tail_period=None)
     report = validate(bare, 1)
@@ -216,3 +235,86 @@ def test_choose_levels_bad_args():
         choose_telescoping_levels(CHACON, -1)
     with pytest.raises(ValueError):
         choose_telescoping_levels(CHACON, 2, growth_base=1)
+
+
+# -- the per-instance caches against uncached references ---------------------
+
+
+@st.composite
+def any_schedules(draw):
+    """Bare or periodic schedules whose stages may be malformed."""
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 4)) == 0:  # malformed: any q, any run list
+            q = draw(st.integers(-1, 3))
+            a = draw(st.lists(st.integers(-1, 3), max_size=4))
+        else:
+            q = draw(st.integers(1, 3))
+            a = draw(st.lists(st.integers(0, 3), min_size=q, max_size=q))
+        stages.append(Stage(q, tuple(a)))
+    period = draw(st.one_of(st.none(), st.integers(1, len(stages))))
+    return ParamSchedule(tuple(stages), tail_period=period)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ScheduleError, DepthError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_stage(schedule, n):
+    count, p = len(schedule.stages), schedule.tail_period
+    if n < count:
+        stage = schedule.stages[n]
+    elif p is not None:
+        stage = schedule.stages[count - p + (n - count) % p]
+    else:
+        raise DepthError(f"stage {n} unresolvable: {count} explicit stages and no tail")
+    if stage.issues():
+        raise ScheduleError(f"stage {n}: " + "; ".join(stage.issues()))
+    return stage
+
+
+def _reference_heights(schedule, n):
+    hs = [1]
+    for k in range(n):
+        stage = _reference_stage(schedule, k)
+        hs.append(stage.q * hs[-1] + sum(stage.a))
+    return hs
+
+
+@given(any_schedules(), st.integers(0, 200))
+def test_cached_resolution_matches_reference(schedule, n):
+    for _ in range(2):  # the first call fills the caches, the second reads them
+        for k in (0, n // 2, n):
+            assert _outcome(schedule.stage, k) == _outcome(_reference_stage, schedule, k)
+        assert _outcome(heights, schedule, n) == _outcome(_reference_heights, schedule, n)
+    for stage in schedule.stages:
+        assert stage.spacer_sum == sum(stage.a)
+        assert stage.offsets == tuple(sum(stage.a[:i]) for i in range(len(stage.a) + 1))
+
+
+@given(any_schedules())
+def test_heights_result_is_the_callers(schedule):
+    depth = 8 if schedule.tail_period is not None else schedule.prefix_len
+    first = _outcome(heights, schedule, depth)
+    if isinstance(first, list):
+        first.append(-1)
+        first[0] = -1
+    assert _outcome(heights, schedule, depth) == _outcome(_reference_heights, schedule, depth)
+
+
+@given(any_schedules())
+def test_caches_leave_equality_and_hash_alone(schedule):
+    twin = ParamSchedule(
+        tuple(Stage(s.q, s.a) for s in schedule.stages), schedule.tail_period
+    )
+    before = hash(schedule), [hash(s) for s in schedule.stages]
+    _outcome(heights, schedule, 12)
+    validate(schedule, 3)
+    for s in schedule.stages:
+        assert s.offsets[-1] == s.spacer_sum
+    assert (hash(schedule), [hash(s) for s in schedule.stages]) == before
+    assert schedule == twin and hash(schedule) == hash(twin)
+    assert schedule.stages == twin.stages
