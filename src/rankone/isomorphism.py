@@ -22,6 +22,14 @@ Floor preservation J'_n = J_n for n > N(x) makes the map injective and
 equivariant for the successor dynamics wherever both sides stay inside
 the truncation.  verify_isomorphism walks the whole level-D fiber (or a
 seeded sample) and checks all of it mechanically.
+
+The walk computes one record per floor k: the path x, N(x), its floor
+coding J(x), the image y and J(y).  The equivariance check maps the
+successor of x, which in floor order is the next floor's path, so that
+record is handed on when the next x equals it.  Every image the map
+returns is a valid path ending in column 0, and on those paths J_D is a
+bijection onto 0..H'_D - 1; two images are therefore equal exactly when
+their J_D(y) are, and injectivity is checked on these integers.
 """
 
 from __future__ import annotations
@@ -30,11 +38,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagram import (
     AdicPath,
     DOWN,
     Edge,
+    LevelIndices,
     Overflow,
     PathError,
     ROOT_NONSPACER,
@@ -79,20 +89,23 @@ class IsoContext:
         return len(self.cut)
 
 
+def _exceptional_edge(e: Edge, cut: int) -> bool:
+    """The exceptional-set rule for the edge at one level below the truncation."""
+    return e.kind == SPACER or (e.kind == TOWER and e.i > cut)
+
+
 def in_exceptional(ctx: IsoContext, path: AdicPath, n: int) -> bool:
     """x in E_n; levels past the truncation are never exceptional."""
     if n >= path.depth or n >= ctx.num_stages:
         return False
-    e = path.edges[n]
-    if e.kind == SPACER:
-        return True
-    return e.kind == TOWER and e.i > ctx.cut[n]
+    return _exceptional_edge(path.edges[n], ctx.cut[n])
 
 
 def exceptional_index(ctx: IsoContext, path: AdicPath) -> int:
     """N(x): the last exceptional level, or -1."""
+    edges, cut = path.edges, ctx.cut
     for n in range(min(path.depth, ctx.num_stages) - 1, -1, -1):
-        if in_exceptional(ctx, path, n):
+        if _exceptional_edge(edges[n], cut[n]):
             return n
     return -1
 
@@ -106,7 +119,13 @@ def to_target(ctx: IsoContext, x: AdicPath) -> AdicPath:
             "path stays in the spacer column; its exceptional level is not "
             "visible at this depth"
         )
-    n_exc = exceptional_index(ctx, x)
+    return _to_target(ctx, x, exceptional_index(ctx, x), None)
+
+
+def _to_target(
+    ctx: IsoContext, x: AdicPath, n_exc: int, jx: LevelIndices | None
+) -> AdicPath:
+    """to_target given N(x) and, when already known, J(x)."""
     if n_exc == -1:
         y = AdicPath(ROOT_NONSPACER, x.edges)
         validate_path(ctx.target, y)
@@ -116,7 +135,9 @@ def to_target(ctx: IsoContext, x: AdicPath) -> AdicPath:
     if e.kind == SPACER and e.i <= ctx.cut[n_exc]:
         edges.append(e)
     else:
-        floor = level_indices(ctx.source, x).at(n_exc + 1)
+        if jx is None:
+            jx = level_indices(ctx.source, x)
+        floor = jx.at(n_exc + 1)
         slot = floor - ctx.heights[n_exc + 1] + ctx.top_run[n_exc]
         if not 0 <= slot < ctx.top_run[n_exc]:
             raise MappingRangeError(
@@ -135,34 +156,50 @@ def to_source(ctx: IsoContext, y: AdicPath) -> AdicPath:
     if y.depth > ctx.num_stages:
         raise ValueError(f"path depth {y.depth} exceeds the {ctx.num_stages} stages")
     validate_path(ctx.target, y)
-    if y.root == ROOT_NONSPACER:
-        x = AdicPath(ROOT_NONSPACER, y.edges)
-        validate_path(ctx.source, x)
-        return x
-    spacer_level = None
-    for n, e in enumerate(y.edges):
-        if e.kind == SPACER:
-            spacer_level = n
-            break
-    if spacer_level is None:
+    if y.root == ROOT_SPACER and all(e.kind == DOWN for e in y.edges):
         raise PathError(
             "image path stays in the spacer column; no preimage at this depth"
         )
-    floor = level_indices(ctx.target, y).at(spacer_level + 1)
-    prefix = from_tower_coordinates(ctx.source, spacer_level + 1, floor)
-    x = AdicPath(prefix.root, prefix.edges + y.edges[spacer_level + 1:])
+    x = _to_source(ctx, y, level_indices(ctx.target, y))
     validate_path(ctx.source, x)
     return x
 
 
-def _target_spacer_level(y: AdicPath) -> int:
-    """Level of the target path's spacer edge, -1 for column-0 roots."""
+def _to_source(ctx: IsoContext, y: AdicPath, jy: LevelIndices) -> AdicPath:
+    """to_source of a valid target path given J(y); the result is not validated.
+
+    A path entering through a spacer edge at level m keeps its edges
+    above m and takes the source prefix on floor J_{m+1}(y).
+    """
     if y.root == ROOT_NONSPACER:
-        return -1
-    for n, e in enumerate(y.edges):
-        if e.kind == SPACER:
-            return n
-    raise PathError("target path stays in the spacer column")
+        return AdicPath(ROOT_NONSPACER, y.edges)
+    prefix = from_tower_coordinates(ctx.source, jy.start, jy.values[0])
+    return AdicPath(prefix.root, prefix.edges + y.edges[jy.start:])
+
+
+class _Floor(NamedTuple):
+    """One source path of the walk with everything computed from it.
+
+    y and jy are None when the map fails on x; error then holds why.
+    """
+
+    x: AdicPath
+    n_exc: int                  # N(x)
+    jx: LevelIndices            # J(x)
+    y: AdicPath | None          # the image
+    jy: LevelIndices | None     # J(y)
+    error: str | None
+
+
+def _floor(ctx: IsoContext, x: AdicPath) -> _Floor:
+    """Map a valid source path through the target, keeping every intermediate."""
+    n_exc = exceptional_index(ctx, x)
+    jx = level_indices(ctx.source, x)
+    try:
+        y = _to_target(ctx, x, n_exc, jx)
+    except (PathError, MappingRangeError, ValueError) as exc:
+        return _Floor(x, n_exc, jx, None, None, str(exc))
+    return _Floor(x, n_exc, jx, y, level_indices(ctx.target, y), None)
 
 
 @dataclass(frozen=True)
@@ -230,8 +267,10 @@ def verify_isomorphism(
     Exhaustive when samples is None, otherwise a seeded sample of floor
     numbers.  Per path: the image's spacer level must equal the source's
     last exceptional level, floors must agree above it, the round trip
-    must return the path, images must not collide, and taking successors
-    must commute with the map.  The only skips are truncation overflows
+    must return the path, images must not collide (compared by J_D), and
+    taking successors must commute with the map.  Each path is mapped
+    once: the successor mapped for the equivariance check is reused as
+    the next floor's path.  The only skips are truncation overflows
     (the top floor has no successor inside the diagram); they are
     counted under exclusions.  Mapping errors are recorded as failures,
     never raised.
@@ -246,90 +285,81 @@ def verify_isomorphism(
         floors = sorted(rng.sample(range(fiber), min(samples, fiber)))
     failures: list[IsoFailure] = []
     exclusions: Counter[str] = Counter()
-    images: dict[AdicPath, AdicPath] = {}
+    seen: set[int] = set()  # J_D of every image so far
     tested = 0
+    ahead: _Floor | None = None  # the last successor's record
     for k in floors:
         x = from_tower_coordinates(ctx.source, depth, k)
         tested += 1
-        n_exc = exceptional_index(ctx, x)
-        try:
-            y = to_target(ctx, x)
-        except (PathError, MappingRangeError, ValueError) as exc:
-            failures.append(IsoFailure("mapping-error", str(exc), x))
+        rec = ahead if ahead is not None and ahead.x == x else _floor(ctx, x)
+        ahead = None
+        y, jx, jy, n_exc = rec.y, rec.jx, rec.jy, rec.n_exc
+        if y is None:
+            failures.append(IsoFailure("mapping-error", rec.error, x))
             continue
 
-        try:
-            level = _target_spacer_level(y)
-            if level != n_exc:
-                failures.append(
-                    IsoFailure(
-                        "level-match",
-                        f"image spacer level {level} != last exceptional level {n_exc}",
-                        x,
-                    )
+        if jy.m != n_exc:
+            failures.append(
+                IsoFailure(
+                    "level-match",
+                    f"image spacer level {jy.m} != last exceptional level {n_exc}",
+                    x,
                 )
-        except PathError as exc:
-            failures.append(IsoFailure("level-match", str(exc), x))
+            )
 
-        try:
-            jx = level_indices(ctx.source, x)
-            jy = level_indices(ctx.target, y)
-            lo = max(jx.start, jy.start, n_exc + 1)
-            for n in range(lo, depth + 1):
-                if jx.at(n) != jy.at(n):
-                    failures.append(
-                        IsoFailure(
-                            "floor-preservation",
-                            f"J_{n}: source {jx.at(n)} != target {jy.at(n)}",
-                            x,
-                        )
-                    )
-                    break
-        except (PathError, ValueError) as exc:
-            failures.append(IsoFailure("floor-preservation", str(exc), x))
+        lo = max(jx.start, jy.start, n_exc + 1)
+        if jx.values[lo - jx.start:] != jy.values[lo - jy.start:]:
+            n = next(n for n in range(lo, depth + 1) if jx.at(n) != jy.at(n))
+            failures.append(
+                IsoFailure(
+                    "floor-preservation",
+                    f"J_{n}: source {jx.at(n)} != target {jy.at(n)}",
+                    x,
+                )
+            )
 
+        # y carries the tower edges of x above its spacer level, so the
+        # preimage needs no validation; a floor J_{N+1}(y) that the source
+        # lacks raises ValueError
         try:
-            back = to_source(ctx, y)
-            if back != x:
+            if _to_source(ctx, y, jy) != x:
                 failures.append(
                     IsoFailure("round-trip", "inverse image differs from the path", x)
                 )
-        except (PathError, MappingRangeError, ValueError) as exc:
+        except ValueError as exc:
             failures.append(IsoFailure("round-trip", str(exc), x))
 
-        if y in images and images[y] != x:
+        if jy.values[-1] in seen:
             failures.append(
                 IsoFailure("injectivity", "two paths share this image", x)
             )
-        images[y] = x
+        seen.add(jy.values[-1])
 
         step_x = successor(ctx.source, x)
         if isinstance(step_x, Overflow):
             exclusions["successor-overflow"] += 1
-        else:
-            step_y = successor(ctx.target, y)
-            if isinstance(step_y, Overflow):
-                failures.append(
-                    IsoFailure(
-                        "equivariance",
-                        "image overflowed although the source did not",
-                        x,
-                    )
+            continue
+        step_y = successor(ctx.target, y)
+        if isinstance(step_y, Overflow):
+            failures.append(
+                IsoFailure(
+                    "equivariance",
+                    "image overflowed although the source did not",
+                    x,
                 )
-            else:
-                try:
-                    mapped = to_target(ctx, step_x)
-                except (PathError, MappingRangeError, ValueError) as exc:
-                    failures.append(IsoFailure("equivariance", str(exc), x))
-                else:
-                    if mapped != step_y:
-                        failures.append(
-                            IsoFailure(
-                                "equivariance",
-                                "successor of image differs from image of successor",
-                                x,
-                            )
-                        )
+            )
+            continue
+        ahead = _floor(ctx, step_x)
+        if ahead.y is None:
+            failures.append(IsoFailure("equivariance", ahead.error, x))
+        elif ahead.y != step_y:
+            failures.append(
+                IsoFailure(
+                    "equivariance",
+                    "successor of image differs from image of successor",
+                    x,
+                )
+            )
 
     terms = []
     for n in range(min(depth, ctx.num_stages)):

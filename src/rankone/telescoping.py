@@ -232,6 +232,16 @@ def one_tower_variant(
     return ParamSchedule(tuple(stages), tail_period=None)
 
 
+def _single_copies_from(schedule: ParamSchedule, level: int) -> bool:
+    """Every stage from `level` on, the periodic tail included, has q = 1.
+
+    A window starting there collapses to Q = 1 and has no cut; a larger
+    growth base only moves the window further up, so retrying cannot help.
+    """
+    tail = schedule.tail_stages()
+    return bool(tail) and all(st.q == 1 for st in schedule.stages[level:] + tail)
+
+
 def build_expansive(
     schedule: ParamSchedule,
     stages: int,
@@ -244,13 +254,21 @@ def build_expansive(
     reported via ExpansiveModel.warnings.  Retries with a doubled growth
     base only when the replacement is impossible (some window multiplies
     no cuts at all) or degenerate (every stage collapses to one copy),
-    since a wider window restores Q >= 2.
+    since a wider window restores Q >= 2.  A window that starts where
+    every later stage has q = 1 fails at once instead.
     """
     factor = growth_base
     last_error: Exception | None = None
     for _ in range(max_retries):
+        m = choose_telescoping_levels(schedule, stages, factor)
+        for n in range(len(m) - 1):
+            if _single_copies_from(schedule, m[n]):
+                raise SpacerReplacementError(
+                    f"stage {n}: every level from {m[n]} on has q = 1 "
+                    "(the periodic tail's q product is 1), so no growth base "
+                    "gives this window a cut"
+                )
         try:
-            m = choose_telescoping_levels(schedule, stages, factor)
             model = expansive_replace(telescope(schedule, m))
         except SpacerReplacementError as exc:
             last_error = exc

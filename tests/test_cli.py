@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line entry point."""
 
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -269,3 +271,44 @@ def test_readme_commands_run(capsys):
     for argv in lines:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ([], "16aca01b18f1cc6b5e976729843294535365e80e55f623506f7064075d63d4d8"),
+        (["--format", "json"], "c89762b135c24228d5acc238724456f694debb0eb23d9381a0a0784ef1ccbd22"),
+    ],
+)
+def test_verify_output_digest(fmt, digest, capsys):
+    # pins the exact bytes of the README's verify command (text) and its JSON form
+    assert main(["verify", "--preset", "chacon", "--depth", "3", "--exhaustive", *fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_linear_tail_fails_fast(tmp_path, capsys):
+    # past level 1 every q is 1, so heights grow by 3 per level and no
+    # window above level 1 has a cut, whatever the growth base
+    doc = {
+        "stages": [
+            {"q": 2, "a": [0, 2]},
+            {"q": 4, "a": [1, 3, 0, 0]},
+            {"q": 1, "a": [2]},
+            {"q": 1, "a": [3]},
+        ],
+        "tail": {"kind": "periodic", "period": 1},
+    }
+    spec = tmp_path / "linear.json"
+    spec.write_text(json.dumps({"schedule": doc}))
+    for argv in (["verify", "--depth", "3", "--samples", "200"], ["expand"]):
+        t0 = time.perf_counter()
+        assert main([argv[0], "--spec", str(spec), *argv[1:]]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 2: every level from 2 on has q = 1")
+    assert main(["telescope", "--spec", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["m"] == [0, 1, 2, 49]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ab004a6f8a358055a63166c6b08ba08d31cc117cb01f77598edcfb106b3c1d94"
+    )

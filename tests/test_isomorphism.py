@@ -1,27 +1,40 @@
 """Finite-depth verification of the spacer-replacement isomorphism."""
 
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import CHACON, ODOMETER
+from conftest import CHACON, ODOMETER, seeded_levels, seeded_schedule
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankone import (
     DOWN,
+    ROOT_NONSPACER,
     ROOT_SPACER,
     AdicPath,
     Edge,
     IsoContext,
+    IsoFailure,
+    IsoReport,
     MappingRangeError,
+    Overflow,
+    ParamSchedule,
     PathError,
     SPACER,
+    Stage,
     TOWER,
     build_expansive,
     exceptional_index,
     expansive_replace,
+    from_tower_coordinates,
+    heights,
     in_exceptional,
     level_indices,
     minimal_path,
+    successor,
     telescope,
     to_source,
     to_target,
@@ -154,3 +167,155 @@ def test_verify_partial_replacement_context():
     report = verify_isomorphism(ctx, 2)
     assert report.passed
     assert report.paths_tested == 40
+
+
+def _reference_spacer_level(y):
+    if y.root == ROOT_NONSPACER:
+        return -1
+    for n, e in enumerate(y.edges):
+        if e.kind == SPACER:
+            return n
+    raise PathError("target path stays in the spacer column")
+
+
+def reference_verify(ctx, depth, samples=None, seed=None):
+    """The verifier as one independent loop per path: every image is mapped
+    anew through to_target/to_source, and injectivity is a dict keyed by
+    path."""
+    if depth > ctx.num_stages:
+        raise ValueError(f"depth {depth} exceeds the {ctx.num_stages} stages")
+    fiber = heights(ctx.source, depth)[depth]
+    if samples is None:
+        floors = range(fiber)
+    else:
+        rng = random.Random(seed)
+        floors = sorted(rng.sample(range(fiber), min(samples, fiber)))
+    failures = []
+    exclusions = Counter()
+    images = {}
+    tested = 0
+    for k in floors:
+        x = from_tower_coordinates(ctx.source, depth, k)
+        tested += 1
+        n_exc = exceptional_index(ctx, x)
+        try:
+            y = to_target(ctx, x)
+        except (PathError, MappingRangeError, ValueError) as exc:
+            failures.append(IsoFailure("mapping-error", str(exc), x))
+            continue
+        try:
+            level = _reference_spacer_level(y)
+            if level != n_exc:
+                failures.append(IsoFailure(
+                    "level-match",
+                    f"image spacer level {level} != last exceptional level {n_exc}",
+                    x,
+                ))
+        except PathError as exc:
+            failures.append(IsoFailure("level-match", str(exc), x))
+        try:
+            jx = level_indices(ctx.source, x)
+            jy = level_indices(ctx.target, y)
+            for n in range(max(jx.start, jy.start, n_exc + 1), depth + 1):
+                if jx.at(n) != jy.at(n):
+                    failures.append(IsoFailure(
+                        "floor-preservation",
+                        f"J_{n}: source {jx.at(n)} != target {jy.at(n)}",
+                        x,
+                    ))
+                    break
+        except (PathError, ValueError) as exc:
+            failures.append(IsoFailure("floor-preservation", str(exc), x))
+        try:
+            if to_source(ctx, y) != x:
+                failures.append(
+                    IsoFailure("round-trip", "inverse image differs from the path", x)
+                )
+        except (PathError, MappingRangeError, ValueError) as exc:
+            failures.append(IsoFailure("round-trip", str(exc), x))
+        if y in images and images[y] != x:
+            failures.append(IsoFailure("injectivity", "two paths share this image", x))
+        images[y] = x
+        step_x = successor(ctx.source, x)
+        if isinstance(step_x, Overflow):
+            exclusions["successor-overflow"] += 1
+            continue
+        step_y = successor(ctx.target, y)
+        if isinstance(step_y, Overflow):
+            failures.append(IsoFailure(
+                "equivariance", "image overflowed although the source did not", x
+            ))
+            continue
+        try:
+            mapped = to_target(ctx, step_x)
+        except (PathError, MappingRangeError, ValueError) as exc:
+            failures.append(IsoFailure("equivariance", str(exc), x))
+        else:
+            if mapped != step_y:
+                failures.append(IsoFailure(
+                    "equivariance",
+                    "successor of image differs from image of successor",
+                    x,
+                ))
+    terms = tuple(
+        Fraction(
+            ctx.source.stage(n).spacer_sum + max(ctx.source.stage(n).a) + ctx.heights[n],
+            ctx.heights[n + 1],
+        )
+        for n in range(min(depth, ctx.num_stages))
+    )
+    return IsoReport(
+        depth=depth,
+        paths_tested=tested,
+        failures=tuple(failures),
+        exclusions=tuple(sorted(exclusions.items())),
+        exceptional_mass_terms=terms,
+    )
+
+
+def mutated(ctx, field, n, delta, i=0):
+    """ctx with cut[n] or top_run[n] moved by delta, or run i of target stage n."""
+    if field == "target":
+        stages = list(ctx.target.stages)
+        runs = list(stages[n].a)
+        i %= len(runs)
+        runs[i] = max(0, runs[i] + delta)
+        stages[n] = Stage(stages[n].q, tuple(runs))
+        return dataclasses.replace(ctx, target=ParamSchedule(tuple(stages)))
+    values = list(getattr(ctx, field))
+    values[n] = max(0, values[n] + delta)
+    return dataclasses.replace(ctx, **{field: tuple(values)})
+
+
+@st.composite
+def contexts(draw):
+    """A seeded random context, clean or mutated in cut, top_run or a target run."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    schedule = seeded_schedule(rng, draw(st.sampled_from([100, 300, 1000])))
+    ctx = IsoContext.from_model(
+        expansive_replace(telescope(schedule, seeded_levels(rng, schedule)))
+    )
+    field = draw(st.sampled_from([None, "cut", "top_run", "target"]))
+    if field is not None:
+        n = draw(st.integers(0, ctx.num_stages - 1))
+        delta = draw(st.sampled_from([-2, -1, 1, 2]))
+        ctx = mutated(ctx, field, n, delta, draw(st.integers(0, 63)))
+    return ctx, draw(st.integers(1, ctx.num_stages))
+
+
+@settings(deadline=None)
+@given(contexts(), st.integers(1, 40), st.integers(0, 99))
+def test_verify_matches_reference(case, samples, seed):
+    ctx, depth = case
+    assert verify_isomorphism(ctx, depth) == reference_verify(ctx, depth)
+    assert verify_isomorphism(ctx, depth, samples=samples, seed=seed) == reference_verify(
+        ctx, depth, samples=samples, seed=seed
+    )
+
+
+def test_verify_reports_injectivity(chacon_ctx):
+    # one slot fewer in the stage-0 run: two floors of tower 1 land on one image
+    bad = mutated(chacon_ctx, "top_run", 0, -1)
+    report = verify_isomorphism(bad, 3)
+    assert report.failure_counts()["injectivity"] == 64
+    assert report == reference_verify(bad, 3)
