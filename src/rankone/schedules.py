@@ -18,11 +18,12 @@ All arithmetic here is exact: heights are Python ints, ratios are
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 
 PROVED_CONVERGENT = "proved-convergent"
 PROVED_DIVERGENT = "proved-divergent"
@@ -211,8 +212,8 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
         # extend a copy and publish it whole: a reader in another thread
         # sees the old heights or the new ones, never a partial append
         hs = hs[:]
-        while len(hs) <= n:
-            st = schedule.stage(len(hs) - 1)
+        for k in range(len(hs) - 1, n):
+            st = schedule.stage(k)
             hs.append(st.q * hs[-1] + st.spacer_sum)
         vars(schedule)["_heights"] = hs
     return hs[: n + 1]
@@ -414,29 +415,38 @@ def choose_telescoping_levels(
         raise ValueError(f"count {count} < 0")
     if growth_base < 2:
         raise ValueError(f"growth base {growth_base} < 2")
+    return [0, *islice(_greedy_levels(schedule, growth_base), count)]
+
+
+def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
+    """m_1, m_2, ... of the greedy selection, each as soon as it is found.
+
+    A bad tail stage raises at once; otherwise the walk fails only on
+    reaching a bad or missing stage, since it reads ``heights`` a quarter
+    further each time but never past one.  Heights never decrease, so
+    bisection finds each level.
+    """
     profile = _tail_profile(schedule)
     frozen_tail = (
         profile is not None and profile.q_product == 1 and profile.all_spacers_zero
     )
-    hs = [1]
+    problems = schedule._problems
+    reach = next((k for k, bad in enumerate(problems) if bad), len(problems))
 
-    def extend_to(idx: int) -> None:
-        while len(hs) <= idx:
-            st = schedule.stage(len(hs) - 1)
-            hs.append(st.q * hs[-1] + st.spacer_sum)
-
-    m = [0]
-    for j in range(count):
-        target = growth_base ** (j + 1) * hs[m[j]]
-        cand = m[j] + 1
+    def walk() -> Iterator[int]:
+        hs, m, scale = [1], 0, 1
         while True:
-            if frozen_tail and cand - 1 >= schedule.prefix_len and hs[-1] < target:
-                raise DepthError(
-                    f"periodic tail adds no height growth; cannot reach h >= {target}"
-                )
-            extend_to(cand)
-            if hs[cand] >= target:
-                break
-            cand += 1
-        m.append(cand)
-    return m
+            scale *= growth_base
+            target = scale * hs[m]
+            m = bisect_left(hs, target, m + 1)
+            while m == len(hs):
+                if frozen_tail and m > schedule.prefix_len:
+                    raise DepthError(
+                        f"periodic tail adds no height growth; cannot reach h >= {target}"
+                    )
+                ahead = m + m // 4
+                hs = heights(schedule, min(ahead, reach) if m <= reach else ahead)
+                m = bisect_left(hs, target, m)
+            yield m
+
+    return walk()

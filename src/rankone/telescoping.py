@@ -11,6 +11,10 @@ followed by the runs of every level whose lower digits are all maximal,
 where l is the first digit index with g_l < q_{m_n+l} - 1 (or the last
 digit when all are maximal).
 
+``telescope`` reads that rule one digit at a time, by the block
+recursion: level k turns the window's runs R so far into the
+concatenation over g < q_k of R[:-1] + [R[-1] + a[k][g]].
+
 The replacement then rebuilds each stage so that its final spacer run
 strictly dominates all others: keep copies 0..cut, where cut is the
 largest index whose tail of the stage,
@@ -28,13 +32,11 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .schedules import (
-    DepthError,
-    ParamSchedule,
-    Stage,
-    choose_telescoping_levels,
-    heights,
-)
+from .schedules import DepthError, ParamSchedule, Stage, _greedy_levels, heights
+
+# build_expansive's first growth base and its number of attempts
+GROWTH_BASE = 2
+MAX_RETRIES = 6
 
 
 class SpacerReplacementError(Exception):
@@ -87,18 +89,13 @@ def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSched
         raise ValueError("levels must be strictly increasing")
     hs = heights(schedule, levels[-1])
     stages = []
-    for n in range(len(levels) - 1):
-        lo, hi = levels[n], levels[n + 1]
-        radices = [schedule.stage(k).q for k in range(lo, hi)]
-        big_q = prod(radices)
-        runs = []
-        for i in range(big_q):
-            g = digit_decomposition(i, radices)
-            width = hi - lo
-            l = next((t for t in range(width) if g[t] != radices[t] - 1), width - 1)
-            runs.append(sum(schedule.stage(lo + t).a[g[t]] for t in range(l + 1)))
-        st = Stage(big_q, tuple(runs))
-        assert big_q * hs[lo] + sum(runs) == hs[hi], "telescoped heights must agree"
+    for lo, hi in zip(levels, levels[1:]):
+        runs = [0]
+        for k in range(lo, hi):
+            body, last = runs[:-1], runs[-1]
+            runs = [r for x in schedule.stage(k).a for r in body + [last + x]]
+        st = Stage(len(runs), tuple(runs))
+        assert st.q * hs[lo] + st.spacer_sum == hs[hi], "telescoped heights must agree"
         stages.append(st)
     return TelescopedSchedule(
         base=schedule,
@@ -177,13 +174,12 @@ def expansive_replace(
                 f"stage {n}: a single-copy stage (Q={st.q}) has no valid cut"
             )
         spacer_max = max(st.a)
-        cut = None
-        for i in range(st.q - 1, -1, -1):
-            if (st.q - i - 1) * high + sum(st.a[i:]) > spacer_max:
-                cut = i
+        top_run = 0
+        for cut in range(st.q - 1, -1, -1):
+            top_run += st.a[cut]
+            if top_run > spacer_max:
                 break
-        assert cut is not None, "cut exists whenever Q >= 2"
-        top_run = (st.q - cut - 1) * high + sum(st.a[cut:])
+            top_run += high
         assert top_run > spacer_max
         assert (st.q - cut - 2) * high + sum(st.a[cut + 1:]) <= spacer_max
         new = Stage(cut + 1, st.a[:cut] + (top_run,))
@@ -232,22 +228,7 @@ def one_tower_variant(
     return ParamSchedule(tuple(stages), tail_period=None)
 
 
-def _single_copies_from(schedule: ParamSchedule, level: int) -> bool:
-    """Every stage from `level` on, the periodic tail included, has q = 1.
-
-    A window starting there collapses to Q = 1 and has no cut; a larger
-    growth base only moves the window further up, so retrying cannot help.
-    """
-    tail = schedule.tail_stages()
-    return bool(tail) and all(st.q == 1 for st in schedule.stages[level:] + tail)
-
-
-def build_expansive(
-    schedule: ParamSchedule,
-    stages: int,
-    growth_base: int = 2,
-    max_retries: int = 6,
-) -> ExpansiveModel:
+def build_expansive(schedule: ParamSchedule, stages: int) -> ExpansiveModel:
     """Choose levels greedily, telescope, and replace, end to end.
 
     A stage may legitimately collapse to a single copy (Q' = 1); that is
@@ -255,32 +236,35 @@ def build_expansive(
     base only when the replacement is impossible (some window multiplies
     no cuts at all) or degenerate (every stage collapses to one copy),
     since a wider window restores Q >= 2.  A window that starts where
-    every later stage has q = 1 fails at once instead.
+    every later stage has q = 1 fails as soon as the walk picks it.
     """
-    factor = growth_base
+    if stages < 0:
+        raise ValueError(f"count {stages} < 0")
+    tail = schedule.tail_stages()
+    factor = GROWTH_BASE
     last_error: Exception | None = None
-    for _ in range(max_retries):
-        m = choose_telescoping_levels(schedule, stages, factor)
-        for n in range(len(m) - 1):
-            if _single_copies_from(schedule, m[n]):
+    for _ in range(MAX_RETRIES):
+        walk = _greedy_levels(schedule, factor)
+        m = [0]
+        for n in range(stages):
+            # from m[n] on every stage, the periodic tail included, has q = 1:
+            # the window collapses to Q = 1 and a larger growth base only
+            # moves it further up, so retrying cannot help
+            if tail and all(st.q == 1 for st in schedule.stages[m[n]:] + tail):
                 raise SpacerReplacementError(
                     f"stage {n}: every level from {m[n]} on has q = 1 "
                     "(the periodic tail's q product is 1), so no growth base "
                     "gives this window a cut"
                 )
+            m.append(next(walk))
         try:
             model = expansive_replace(telescope(schedule, m))
+            if model.replaced and all(r.stage.q == 1 for r in model.replaced):
+                raise SpacerReplacementError("every replaced stage kept a single copy")
+            return model
         except SpacerReplacementError as exc:
             last_error = exc
-            factor *= 2
-            continue
-        if model.replaced and all(r.stage.q == 1 for r in model.replaced):
-            last_error = SpacerReplacementError(
-                "every replaced stage kept a single copy"
-            )
-            factor *= 2
-            continue
-        return model
+        factor *= 2
     raise SpacerReplacementError(
-        f"no usable telescoping after {max_retries} growth doublings: {last_error}"
+        f"no usable telescoping after {MAX_RETRIES} growth doublings: {last_error}"
     )

@@ -274,15 +274,33 @@ def test_readme_commands_run(capsys):
 
 
 @pytest.mark.parametrize(
-    "fmt, digest",
+    "argv, digest",
     [
-        ([], "16aca01b18f1cc6b5e976729843294535365e80e55f623506f7064075d63d4d8"),
-        (["--format", "json"], "c89762b135c24228d5acc238724456f694debb0eb23d9381a0a0784ef1ccbd22"),
+        (
+            ["verify", "--preset", "chacon", "--depth", "3", "--exhaustive"],
+            "16aca01b18f1cc6b5e976729843294535365e80e55f623506f7064075d63d4d8",
+        ),
+        (
+            ["verify", "--preset", "chacon", "--depth", "3", "--exhaustive", "--format", "json"],
+            "c89762b135c24228d5acc238724456f694debb0eb23d9381a0a0784ef1ccbd22",
+        ),
+        (
+            ["telescope", "--preset", "chacon", "--stages", "2"],
+            "4d31d79563b74d8a1c253527f85c0416aa331bbb299f73fbb30b555ba175c5c3",
+        ),
+        (
+            ["expand", "--preset", "dyadic-odometer", "--stages", "2", "--emit-blocks"],
+            "8af32e69385d0d8037353d23eda71903fc2bccbbd23ea79ba266777b8cd0d583",
+        ),
+        (
+            ["variant", "--preset", "chacon", "--stages", "2", "--picks", "2,8"],
+            "9ab25293e55be733cddb747827e1ffba63c597347692881c385f155992a4675d",
+        ),
     ],
 )
-def test_verify_output_digest(fmt, digest, capsys):
-    # pins the exact bytes of the README's verify command (text) and its JSON form
-    assert main(["verify", "--preset", "chacon", "--depth", "3", "--exhaustive", *fmt]) == 0
+def test_readme_output_digest(argv, digest, capsys):
+    # pins the exact bytes of README commands (verify also in its JSON form)
+    assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
@@ -300,7 +318,12 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
     }
     spec = tmp_path / "linear.json"
     spec.write_text(json.dumps({"schedule": doc}))
-    for argv in (["verify", "--depth", "3", "--samples", "200"], ["expand"]):
+    for argv in (
+        ["verify", "--depth", "3", "--samples", "200"],
+        ["verify", "--depth", "8", "--samples", "200"],
+        ["expand"],
+        ["expand", "--stages", "8"],
+    ):
         t0 = time.perf_counter()
         assert main([argv[0], "--spec", str(spec), *argv[1:]]) == 2
         assert time.perf_counter() - t0 < 5.0

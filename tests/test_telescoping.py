@@ -1,6 +1,7 @@
 """Telescoping windows and the dominating-run spacer replacement."""
 
 import random
+from math import prod
 
 import pytest
 from conftest import CHACON, ODOMETER, schedules, seeded_levels, seeded_schedule
@@ -45,6 +46,35 @@ def test_digit_decomposition_range():
         digit_decomposition(8, [2, 4])
     with pytest.raises(ValueError):
         digit_decomposition(-1, [2])
+
+
+def digit_rule_runs(schedule: ParamSchedule, lo: int, hi: int) -> list[int]:
+    """The runs of window [lo, hi) by the module docstring's digit rule."""
+    radices = [schedule.stage(k).q for k in range(lo, hi)]
+    runs = []
+    for i in range(prod(radices)):
+        g = digit_decomposition(i, radices)
+        l = next((t for t, q in enumerate(radices) if g[t] < q - 1), len(g) - 1)
+        runs.append(sum(schedule.stage(lo + t).a[g[t]] for t in range(l + 1)))
+    return runs
+
+
+@given(schedules(max_stages=6, min_q=1, max_q=3), st.data())
+def test_telescope_runs_follow_the_digit_rule(schedule, data):
+    # periodic schedules are telescoped past their explicit prefix
+    top = schedule.prefix_len + (0 if schedule.tail_period is None else 6)
+    widths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3), label="widths")
+    levels = [0]
+    for w in widths:
+        if levels[-1] + w > top:
+            break
+        levels.append(levels[-1] + w)
+    if len(levels) == 1:
+        levels.append(top)
+    tele = telescope(schedule, levels)
+    for st_n, lo, hi in zip(tele.stages, levels, levels[1:]):
+        runs = digit_rule_runs(schedule, lo, hi)
+        assert st_n == Stage(len(runs), tuple(runs))
 
 
 def test_telescope_known_values():
