@@ -12,7 +12,6 @@ any string is materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .schedules import ParamSchedule, UNKNOWN_AT_DEPTH, heights
 
@@ -45,14 +44,6 @@ def build_block(
         st = schedule.stage(k)
         b = "".join(b + "1" * st.a[i] for i in range(st.q))
     return b
-
-
-def detect_period(w: str) -> int | None:
-    """Least period p <= len(w)//2 (w[i] == w[i+p] for all i), else None."""
-    for p in range(1, len(w) // 2 + 1):
-        if w[:-p] == w[p:]:
-            return p
-    return None
 
 
 def pea_condition(schedule: ParamSchedule, depth: int) -> list[bool]:
@@ -140,18 +131,3 @@ def occurrence_spacing(w: str, pattern: str) -> Occurrences:
         i = w.find(pattern, i + 1)
     gaps = tuple(b - a for a, b in zip(positions, positions[1:]))
     return Occurrences(tuple(positions), gaps)
-
-
-def symbol_frequency(w: str, pattern: str) -> Fraction:
-    """Occurrence count over window count, exact; 0/1 when no window fits."""
-    if not pattern:
-        raise ValueError("empty pattern")
-    windows = len(w) - len(pattern) + 1
-    if windows <= 0:
-        return Fraction(0)
-    count = 0
-    i = w.find(pattern)
-    while i != -1:
-        count += 1
-        i = w.find(pattern, i + 1)
-    return Fraction(count, windows)

@@ -41,7 +41,6 @@ from .schedules import (
     Stage,
     choose_telescoping_levels,
     heights,
-    spacer_ratio_sum,
     validate,
 )
 from .telescoping import (
@@ -178,8 +177,11 @@ def _cmd_validate(spec: SystemSpec, args: argparse.Namespace) -> int:
     report = validate(spec.schedule, args.depth)
     doc = report.to_json_dict()
     if report.ok:
-        # no ratio means the series could not be summed; redoing it raises why
-        ratio = report.ratio or spacer_ratio_sum(spec.schedule, args.depth)
+        if report.ratio is None:
+            # a bad stage between depth and the tail stops the tail bound;
+            # resolving the prefix raises why
+            heights(spec.schedule, spec.schedule.prefix_len)
+        ratio = report.ratio
         doc["ratio_partial_sum"] = str(ratio.partial)
         doc["ratio_total_bound"] = None if ratio.total_bound is None else str(ratio.total_bound)
     if args.format == "text":

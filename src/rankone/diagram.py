@@ -99,28 +99,12 @@ def validate_path(schedule: ParamSchedule, path: AdicPath) -> None:
     # paths may end in either column; depth-0 paths are a bare root edge
 
 
-def _edge_count(st: Stage) -> int:
-    return st.q + st.spacer_sum
-
-
-def _edge_rank(st: Stage, e: Edge) -> int:
-    """Position of an edge in the order into the next column-0 vertex."""
-    if e.kind == TOWER:
-        return e.i + st.offsets[e.i]
-    if e.kind == SPACER:
-        return e.i + st.offsets[e.i] + 1 + e.j
-    raise PathError("down edges are not ordered into column 0")
-
-
-def _edge_at_rank(st: Stage, r: int) -> Edge:
-    for i in range(st.q):
-        if r == 0:
-            return Edge(TOWER, i)
-        r -= 1
-        if r < st.a[i]:
-            return Edge(SPACER, i, r)
-        r -= st.a[i]
-    raise PathError("edge rank out of range")
+def _next_edge(st: Stage, e: Edge) -> Edge | None:
+    """The edge after a tower or spacer edge into the same column-0 vertex."""
+    j = 0 if e.kind == TOWER else e.j + 1
+    if j < st.a[e.i]:
+        return Edge(SPACER, e.i, j)
+    return Edge(TOWER, e.i + 1) if e.i + 1 < st.q else None
 
 
 def minimal_path(schedule: ParamSchedule, depth: int, column: int = 0) -> AdicPath:
@@ -134,57 +118,19 @@ def minimal_path(schedule: ParamSchedule, depth: int, column: int = 0) -> AdicPa
     raise ValueError(f"column must be 0 or 1, got {column}")
 
 
-def maximal_path(schedule: ParamSchedule, depth: int, column: int = 0) -> AdicPath:
-    """The greatest path of the given depth ending in the given column."""
-    if column == 1:
-        return minimal_path(schedule, depth, column=1)  # sole path, min and max
-    if column != 0:
-        raise ValueError(f"column must be 0 or 1, got {column}")
-    edges: list[Edge] = [Edge(DOWN)] * depth
-    level = depth - 1
-    while level >= 0:
-        st = schedule.stage(level)
-        if st.a[st.q - 1] > 0:
-            edges[level] = Edge(SPACER, st.q - 1, st.a[st.q - 1] - 1)
-            return AdicPath(ROOT_SPACER, tuple(edges))
-        edges[level] = Edge(TOWER, st.q - 1)
-        level -= 1
-    return AdicPath(ROOT_NONSPACER, tuple(edges))
-
-
 def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
     """Vershik successor within the truncation, or Overflow."""
     for pos, e in enumerate(path.edges):
         if e.kind == DOWN:
             continue  # the sole edge into its vertex, nothing to increment
-        st = schedule.stage(pos)
-        r = _edge_rank(st, e)
-        if r + 1 >= _edge_count(st):
+        new = _next_edge(schedule.stage(pos), e)
+        if new is None:
             continue
-        new = _edge_at_rank(st, r + 1)
         if new.kind == TOWER:
             root, head = ROOT_NONSPACER, (Edge(TOWER, 0),) * pos
         else:
             root, head = ROOT_SPACER, (Edge(DOWN),) * pos
         return AdicPath(root, head + (new,) + path.edges[pos + 1:])
-    return Overflow(path.depth)
-
-
-def predecessor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
-    """Mirror of successor: previous edge, maximal refill below."""
-    for pos, e in enumerate(path.edges):
-        if e.kind == DOWN:
-            continue
-        st = schedule.stage(pos)
-        r = _edge_rank(st, e)
-        if r == 0:
-            continue
-        new = _edge_at_rank(st, r - 1)
-        if new.kind == TOWER:
-            fill = maximal_path(schedule, pos, column=0)
-            return AdicPath(fill.root, fill.edges + (new,) + path.edges[pos + 1:])
-        fill = maximal_path(schedule, pos, column=1)
-        return AdicPath(fill.root, fill.edges + (new,) + path.edges[pos + 1:])
     return Overflow(path.depth)
 
 
@@ -199,11 +145,6 @@ class LevelIndices:
 
     start: int
     values: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        """Level of the spacer edge, -1 when the path starts in column 0."""
-        return self.start - 1
 
     def at(self, n: int) -> int:
         if not self.start <= n < self.start + len(self.values):
@@ -220,35 +161,24 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
     edge i at level n lifts J_n to i h_n + a[n][0] + ... + a[n][i-1] + J_n.
     """
     hs = heights(schedule, path.depth)
-    if path.root == ROOT_NONSPACER:
-        vals = [0]
-        j = 0
-        for n, e in enumerate(path.edges):
-            if e.kind != TOWER:
-                raise PathError(f"level {n}: column-0 paths carry tower edges only")
-            j = e.i * hs[n] + schedule.stage(n).offsets[e.i] + j
-            vals.append(j)
-        return LevelIndices(0, tuple(vals))
-    m = None
-    for n, e in enumerate(path.edges):
-        if e.kind == DOWN:
-            continue
-        if e.kind == SPACER:
-            m = n
-            break
-        raise PathError(f"level {n}: tower edge cannot leave column 1")
-    if m is None:
-        raise PathError("path stays in the spacer column; no tower coordinates")
-    e = path.edges[m]
-    j = (e.i + 1) * hs[m] + schedule.stage(m).offsets[e.i] + e.j
+    start, j = 0, 0
+    if path.root != ROOT_NONSPACER:
+        m = next((n for n, e in enumerate(path.edges) if e.kind != DOWN), None)
+        if m is None:
+            raise PathError("path stays in the spacer column; no tower coordinates")
+        e = path.edges[m]
+        if e.kind != SPACER:
+            raise PathError(f"level {m}: tower edge cannot leave column 1")
+        start = m + 1
+        j = (e.i + 1) * hs[m] + schedule.stage(m).offsets[e.i] + e.j
     vals = [j]
-    for n in range(m + 1, path.depth):
+    for n in range(start, path.depth):
         e = path.edges[n]
         if e.kind != TOWER:
-            raise PathError(f"level {n}: expected a tower edge above the spacer")
+            raise PathError(f"level {n}: expected a tower edge into column 0")
         j = e.i * hs[n] + schedule.stage(n).offsets[e.i] + j
         vals.append(j)
-    return LevelIndices(m + 1, tuple(vals))
+    return LevelIndices(start, tuple(vals))
 
 
 def from_tower_coordinates(schedule: ParamSchedule, n: int, k: int) -> AdicPath:

@@ -388,9 +388,11 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
         if profile is not None:
             infinitely_often = profile.any_q_gt1
             risk = profile.q_product == 1 and profile.all_spacers_zero
-        sums = list(accumulate(_ratio_terms(schedule, depth), initial=Fraction(0)))
+        # a bare prefix resolves no stage past its end
+        n = min(depth, schedule.prefix_len) if schedule.tail_period is None else depth
+        sums = list(accumulate(_ratio_terms(schedule, n), initial=Fraction(0)))
         partials = tuple(sums[1:])
-        ratio = _ratio_report(schedule, depth, sums[-1])
+        ratio = _ratio_report(schedule, n, sums[-1])
     except (ScheduleError, DepthError):
         pass  # partial sums only make sense on resolvable, well-formed stages
     return ValidityReport(
@@ -418,13 +420,19 @@ def choose_telescoping_levels(
     return [0, *islice(_greedy_levels(schedule, growth_base), count)]
 
 
+# the greedy walk reads no heights past this level; on a q = 1 tail the
+# heights grow linearly, so the next window could be exponentially far up
+MAX_WALK_LEVELS = 1 << 21
+
+
 def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     """m_1, m_2, ... of the greedy selection, each as soon as it is found.
 
     A bad tail stage raises at once; otherwise the walk fails only on
     reaching a bad or missing stage, since it reads ``heights`` a quarter
-    further each time but never past one.  Heights never decrease, so
-    bisection finds each level.
+    further each time but never past one, and raises DepthError rather
+    than read past MAX_WALK_LEVELS.  Heights never decrease, so bisection
+    finds each level.
     """
     profile = _tail_profile(schedule)
     frozen_tail = (
@@ -444,7 +452,12 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
                     raise DepthError(
                         f"periodic tail adds no height growth; cannot reach h >= {target}"
                     )
-                ahead = m + m // 4
+                if m > MAX_WALK_LEVELS:
+                    raise DepthError(
+                        f"the greedy level walk passed level {MAX_WALK_LEVELS} "
+                        "without reaching the next window's height"
+                    )
+                ahead = min(m + m // 4, MAX_WALK_LEVELS)
                 hs = heights(schedule, min(ahead, reach) if m <= reach else ahead)
                 m = bisect_left(hs, target, m)
             yield m

@@ -1,7 +1,5 @@
 """Symbolic blocks, growth conditions, and the period-doubling word."""
 
-from fractions import Fraction
-
 import pytest
 from conftest import CHACON, ODOMETER, schedules
 from hypothesis import given
@@ -16,13 +14,11 @@ from rankone import (
     Stage,
     build_block,
     build_expansive,
-    detect_period,
     heights,
     kalikow_sup_condition,
     occurrence_spacing,
     pea_condition,
     period_doubling_prefix,
-    symbol_frequency,
 )
 
 
@@ -56,15 +52,6 @@ def test_block_budget_checked_before_building():
         build_block(CHACON, 40, budget=10**6)
     assert err.value.required == required
     assert err.value.budget == 10**6
-
-
-def test_detect_period():
-    assert detect_period("00") == 1
-    assert detect_period("0101") == 2
-    assert detect_period("010010") == 3
-    assert detect_period("0100010") is None
-    assert detect_period("0") is None
-    assert detect_period(period_doubling_prefix(64)) is None
 
 
 def test_pea_condition():
@@ -135,12 +122,3 @@ def test_occurrence_spacing():
         occurrence_spacing("01", "")
     with pytest.raises(ValueError):
         occurrence_spacing("01", "010")
-
-
-def test_symbol_frequency():
-    assert symbol_frequency("000", "0") == 1
-    assert symbol_frequency("0010", "1") == Fraction(1, 4)
-    # ones per symbol in a block: (h_n - zero count) / h_n
-    w = build_block(CHACON, 3)
-    assert symbol_frequency(w, "1") == Fraction(40 - 27, 40)
-    assert symbol_frequency("01", "011") == 0

@@ -263,6 +263,33 @@ def test_validate_reports_bad_tail_stage_past_depth(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("ok: False\nstructural: stage 2:")
 
 
+def test_validate_bare_prefix_shorter_than_depth(tmp_path, capsys):
+    # the series is summed as far as the prefix resolves, with no verdict
+    doc = {"stages": [{"q": 2, "a": [0, 1]}, {"q": 3, "a": [1, 0, 2]}], "tail": {"kind": "none"}}
+    spec = tmp_path / "bare.json"
+    spec.write_text(json.dumps({"schedule": doc}))
+    assert main(["validate", "--spec", str(spec)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    assert report["partial_sums"] == ["1/3", "7/12"]
+    assert report["tail_verdict"] == "unknown-at-depth"
+    assert report["ratio_partial_sum"] == "7/12"
+    assert report["ratio_total_bound"] is None
+
+
+def test_validate_bad_stage_between_depth_and_tail(tmp_path, capsys):
+    # stage 1 is below the tail and past depth 1: the report is ok, but
+    # the tail bound cannot be summed through it
+    doc = {
+        "stages": [{"q": 2, "a": [0, 0]}, {"q": 2, "a": [0]}, {"q": 2, "a": [0, 1]}],
+        "tail": {"kind": "periodic", "period": 1},
+    }
+    spec = tmp_path / "mid.json"
+    spec.write_text(json.dumps({"schedule": doc}))
+    assert main(["validate", "--spec", str(spec), "--depth", "1"]) == 2
+    assert capsys.readouterr().err == "error: stage 1: len(a)=1 != q=2\n"
+
+
 def test_readme_commands_run(capsys):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```", 2)[1]
@@ -335,3 +362,9 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ab004a6f8a358055a63166c6b08ba08d31cc117cb01f77598edcfb106b3c1d94"
     )
+    # the greedy walk reads at most MAX_WALK_LEVELS levels of heights
+    for argv in (["telescope", "--stages", "7"], ["variant", "--stages", "8"]):
+        t0 = time.perf_counter()
+        assert main([argv[0], "--spec", str(spec), *argv[1:]]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert capsys.readouterr().err.startswith("error: the greedy level walk passed")

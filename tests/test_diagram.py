@@ -26,11 +26,9 @@ from rankone import (
     from_tower_coordinates,
     heights,
     level_indices,
-    maximal_path,
     minimal_path,
     path_from_json_dict,
     path_to_json_dict,
-    predecessor,
     successor,
     validate_path,
 )
@@ -47,23 +45,24 @@ def test_minimal_maximal_structure():
     lo = minimal_path(CHACON, 2)
     assert lo.root == ROOT_NONSPACER
     assert all(e == Edge(TOWER, 0) for e in lo.edges)
-    hi = maximal_path(CHACON, 2)
+    hi = from_tower_coordinates(CHACON, 2, 12)
     # chacon's final run is empty, so the greatest path climbs the last
     # copy at every level and never touches the spacer column
     assert hi == AdicPath(ROOT_NONSPACER, (Edge(TOWER, 2), Edge(TOWER, 2)))
-    assert hi == from_tower_coordinates(CHACON, 2, 12)
+    assert successor(CHACON, hi) == Overflow(2)
     validate_path(CHACON, lo)
     validate_path(CHACON, hi)
 
     spaced = ParamSchedule((Stage(2, (0, 2)),), tail_period=1)
-    top = maximal_path(spaced, 2)
+    top = from_tower_coordinates(spaced, 2, heights(spaced, 2)[2] - 1)
     # here the final run is positive: the top edge is its last spacer slot
     assert top == AdicPath(ROOT_SPACER, (Edge(DOWN), Edge(SPACER, 1, 1)))
-    assert top == from_tower_coordinates(spaced, 2, heights(spaced, 2)[2] - 1)
+    assert successor(spaced, top) == Overflow(2)
 
+    # the sole path into column 1 is both least and greatest
     all_down = minimal_path(CHACON, 2, column=1)
-    assert all_down == maximal_path(CHACON, 2, column=1)
     assert all(e.kind == DOWN for e in all_down.edges)
+    assert successor(CHACON, all_down) == Overflow(2)
 
 
 def test_validate_path_rejects():
@@ -99,17 +98,6 @@ def test_successor_walks_fiber_in_floor_order(case):
 
 
 @given(small_cases())
-def test_predecessor_inverts_successor(case):
-    schedule, depth = case
-    h = heights(schedule, depth)[depth]
-    for k in range(h - 1):
-        x = from_tower_coordinates(schedule, depth, k)
-        y = successor(schedule, x)
-        assert predecessor(schedule, y) == x
-    assert predecessor(schedule, minimal_path(schedule, depth)) == Overflow(depth)
-
-
-@given(small_cases())
 def test_floor_round_trip(case):
     schedule, depth = case
     h = heights(schedule, depth)[depth]
@@ -128,7 +116,6 @@ def test_level_indices_spacer_entry():
     # (1+1)*1 + a[0] + 0 = 2, then tower edge 2 lifts to 2*4 + 1 + 2 = 11
     x = AdicPath(ROOT_SPACER, (Edge(SPACER, 1, 0), Edge(TOWER, 2)))
     li = level_indices(CHACON, x)
-    assert li.m == 0
     assert li.start == 1
     assert li.values == (2, 11)
     with pytest.raises(ValueError):
@@ -153,6 +140,17 @@ def test_code_orbit_matches_block():
         got = code_orbit(CHACON, minimal_path(CHACON, n), len(w))
         assert got.word == w
         assert got.overflow is None
+
+
+@given(schedules(max_q=12, max_spacer=5), st.integers(0, 3))
+def test_code_orbit_matches_block_on_random_schedules(schedule, n):
+    # wide stages and zero runs exercise every case of the next edge
+    if schedule.tail_period is None:
+        n = min(n, schedule.prefix_len)
+    w = build_block(schedule, n)
+    got = code_orbit(schedule, minimal_path(schedule, n), len(w))
+    assert got.word == w
+    assert got.overflow is None
 
 
 def test_code_orbit_overflow():

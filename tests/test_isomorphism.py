@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from rankone import (
     DOWN,
-    ROOT_NONSPACER,
     ROOT_SPACER,
     AdicPath,
     Edge,
@@ -31,7 +30,6 @@ from rankone import (
     expansive_replace,
     from_tower_coordinates,
     heights,
-    in_exceptional,
     level_indices,
     minimal_path,
     successor,
@@ -62,14 +60,12 @@ def test_context_shape(chacon_ctx):
 def test_exceptional_membership(chacon_ctx):
     # spacer edges are always exceptional; towers only past the cut
     x = AdicPath(ROOT_SPACER, (Edge(SPACER, 1, 0), Edge(TOWER, 8)))
-    assert in_exceptional(chacon_ctx, x, 0)
-    assert in_exceptional(chacon_ctx, x, 1)  # 8 > cut 7
-    assert exceptional_index(chacon_ctx, x) == 1
+    assert exceptional_index(chacon_ctx, x) == 1  # 8 > cut 7
+    kept = AdicPath(ROOT_SPACER, (Edge(SPACER, 1, 0), Edge(TOWER, 7)))
+    assert exceptional_index(chacon_ctx, kept) == 0
 
     low = minimal_path(chacon_ctx.source, 3)
     assert exceptional_index(chacon_ctx, low) == -1
-    # queries past the path depth are never exceptional
-    assert not in_exceptional(chacon_ctx, low, 7)
 
 
 def test_mapping_hand_example(chacon_ctx):
@@ -169,15 +165,6 @@ def test_verify_partial_replacement_context():
     assert report.paths_tested == 40
 
 
-def _reference_spacer_level(y):
-    if y.root == ROOT_NONSPACER:
-        return -1
-    for n, e in enumerate(y.edges):
-        if e.kind == SPACER:
-            return n
-    raise PathError("target path stays in the spacer column")
-
-
 def reference_verify(ctx, depth, samples=None, seed=None):
     """The verifier as one independent loop per path: every image is mapped
     anew through to_target/to_source, and injectivity is a dict keyed by
@@ -203,16 +190,6 @@ def reference_verify(ctx, depth, samples=None, seed=None):
         except (PathError, MappingRangeError, ValueError) as exc:
             failures.append(IsoFailure("mapping-error", str(exc), x))
             continue
-        try:
-            level = _reference_spacer_level(y)
-            if level != n_exc:
-                failures.append(IsoFailure(
-                    "level-match",
-                    f"image spacer level {level} != last exceptional level {n_exc}",
-                    x,
-                ))
-        except PathError as exc:
-            failures.append(IsoFailure("level-match", str(exc), x))
         try:
             jx = level_indices(ctx.source, x)
             jy = level_indices(ctx.target, y)

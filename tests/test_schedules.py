@@ -22,6 +22,7 @@ from rankone import (
     tail_mass_bound,
     validate,
 )
+from rankone.schedules import MAX_WALK_LEVELS
 
 
 def test_heights_known_values():
@@ -203,6 +204,10 @@ def test_validate_bare_prefix():
     assert report.tail_verdict == UNKNOWN_AT_DEPTH
     assert report.ok  # nothing disproven at this depth
     assert report.to_json_dict()["ok"] is True
+    # past the prefix the series is summed as far as the stages go
+    deep = validate(bare, 8)
+    assert deep.partial_sums == report.partial_sums == (Fraction(1, 3),)
+    assert deep.ratio == spacer_ratio_sum(bare, 1)
 
 
 def test_choose_levels_known():
@@ -228,6 +233,20 @@ def test_choose_levels_frozen_tail():
     assert choose_telescoping_levels(frozen, 1) == [0, 1]
     with pytest.raises(DepthError):
         choose_telescoping_levels(frozen, 2)
+
+
+def test_choose_levels_walk_budget():
+    # heights grow by 3 per level past level 1, so each window is about
+    # 2^j times further up; the seventh lies past MAX_WALK_LEVELS
+    linear = ParamSchedule(
+        (Stage(2, (0, 2)), Stage(4, (1, 3, 0, 0)), Stage(1, (2,)), Stage(1, (3,))),
+        tail_period=1,
+    )
+    levels = choose_telescoping_levels(linear, 6)
+    assert levels == [0, 1, 2, 49, 849, 27303, 1747665]
+    assert levels[-1] <= MAX_WALK_LEVELS
+    with pytest.raises(DepthError, match="passed level"):
+        choose_telescoping_levels(linear, 7)
 
 
 def test_choose_levels_bad_args():
