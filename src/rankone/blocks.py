@@ -32,13 +32,11 @@ class BlockBudgetError(Exception):
         self.budget = budget
 
 
-def build_block(
-    schedule: ParamSchedule, n: int, budget: int = DEFAULT_SYMBOL_BUDGET
-) -> str:
+def build_block(schedule: ParamSchedule, n: int) -> str:
     """The stage-n block B_n; length h_n is checked against the budget first."""
     hs = heights(schedule, n)
-    if hs[n] > budget:
-        raise BlockBudgetError(required=hs[n], budget=budget)
+    if hs[n] > DEFAULT_SYMBOL_BUDGET:
+        raise BlockBudgetError(required=hs[n], budget=DEFAULT_SYMBOL_BUDGET)
     b = "0"
     for k in range(n):
         st = schedule.stage(k)

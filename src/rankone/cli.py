@@ -103,7 +103,7 @@ def parse_spec(text: str) -> SystemSpec:
     if has_schedule == has_preset:
         raise SpecFileError("exactly one of 'schedule' and 'preset' is required at $")
     if has_preset:
-        if doc["preset"] not in PRESET_SCHEDULES:
+        if not isinstance(doc["preset"], str) or doc["preset"] not in PRESET_SCHEDULES:
             known = ", ".join(sorted(PRESET_SCHEDULES))
             raise SpecFileError(
                 f"unknown preset {doc['preset']!r} at $.preset (known: {known})"
@@ -177,10 +177,6 @@ def _cmd_validate(spec: SystemSpec, args: argparse.Namespace) -> int:
     report = validate(spec.schedule, args.depth)
     doc = report.to_json_dict()
     if report.ok:
-        if report.ratio is None:
-            # a bad stage between depth and the tail stops the tail bound;
-            # resolving the prefix raises why
-            heights(spec.schedule, spec.schedule.prefix_len)
         ratio = report.ratio
         doc["ratio_partial_sum"] = str(ratio.partial)
         doc["ratio_total_bound"] = None if ratio.total_bound is None else str(ratio.total_bound)

@@ -107,15 +107,11 @@ def _next_edge(st: Stage, e: Edge) -> Edge | None:
     return Edge(TOWER, e.i + 1) if e.i + 1 < st.q else None
 
 
-def minimal_path(schedule: ParamSchedule, depth: int, column: int = 0) -> AdicPath:
-    """The least path of the given depth ending in the given column."""
+def minimal_path(schedule: ParamSchedule, depth: int) -> AdicPath:
+    """The least path of the given depth ending in column 0."""
     for k in range(depth):
         schedule.stage(k)  # surfaces DepthError before building anything
-    if column == 0:
-        return AdicPath(ROOT_NONSPACER, tuple(Edge(TOWER, 0) for _ in range(depth)))
-    if column == 1:
-        return AdicPath(ROOT_SPACER, tuple(Edge(DOWN) for _ in range(depth)))
-    raise ValueError(f"column must be 0 or 1, got {column}")
+    return AdicPath(ROOT_NONSPACER, tuple(Edge(TOWER, 0) for _ in range(depth)))
 
 
 def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:

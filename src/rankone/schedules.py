@@ -18,12 +18,12 @@ All arithmetic here is exact: heights are Python ints, ratios are
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
+from math import prod
 
 PROVED_CONVERGENT = "proved-convergent"
 PROVED_DIVERGENT = "proved-divergent"
@@ -78,8 +78,8 @@ class ParamSchedule:
     explicit prefix; ``tail_period=p`` means the last p explicit stages
     repeat forever.
 
-    Each stage's structural check and the heights are cached on the
-    instance, outside equality and hashing.
+    Each stage's structural check, the tail summary and the heights are
+    cached on the instance, outside equality and hashing.
     """
 
     stages: tuple[Stage, ...]
@@ -98,21 +98,29 @@ class ParamSchedule:
     def prefix_len(self) -> int:
         return len(self.stages)
 
-    def resolvable(self, n: int) -> bool:
-        return n < len(self.stages) or self.tail_period is not None
-
     @cached_property
     def _problems(self) -> tuple[tuple[str, ...], ...]:
         """Structural issues of each explicit stage, checked once."""
         return tuple(tuple(st.issues()) for st in self.stages)
 
     @cached_property
+    def _tail_summary(self) -> tuple[int, int] | None:
+        """The periodic tail's q product and largest per-stage spacer sum;
+        None for a bare prefix.  Raises ScheduleError on a bad tail stage."""
+        tail = self.tail_stages()
+        if not tail:
+            return None
+        if any(self._problems[-len(tail):]):
+            raise ScheduleError("tail contains a structurally invalid stage")
+        return prod(st.q for st in tail), max(st.spacer_sum for st in tail)
+
+    @cached_property
     def _heights(self) -> list[int]:
-        """h_0..h_k for the k stages resolved so far; ``heights`` replaces it
-        with a longer list, never changes it in place."""
+        """h_0..h_k for the k stages resolved so far; ``heights`` and the
+        greedy walk replace it with a longer list, never change it in place."""
         return [1]
 
-    def stage(self, n: int, *, checked: bool = True) -> Stage:
+    def stage(self, n: int) -> Stage:
         """Resolve stage n, reading through the periodic tail when present."""
         if n < 0:
             raise ValueError(f"stage index {n} < 0")
@@ -125,7 +133,7 @@ class ParamSchedule:
             raise DepthError(
                 f"stage {n} unresolvable: {count} explicit stages and no tail"
             )
-        if checked and self._problems[idx]:
+        if self._problems[idx]:
             raise ScheduleError(f"stage {n}: " + "; ".join(self._problems[idx]))
         return self.stages[idx]
 
@@ -219,33 +227,6 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
     return hs[: n + 1]
 
 
-@dataclass(frozen=True)
-class _TailProfile:
-    period: int
-    q_product: int          # height growth factor per full period, from cuts alone
-    max_stage_spacers: int  # largest per-stage spacer sum in the period
-    any_q_gt1: bool
-    all_spacers_zero: bool
-
-
-def _tail_profile(schedule: ParamSchedule) -> _TailProfile | None:
-    tail = schedule.tail_stages()
-    if not tail:
-        return None
-    if any(schedule._problems[-len(tail):]):
-        raise ScheduleError("tail contains a structurally invalid stage")
-    prod = 1
-    for st in tail:
-        prod *= st.q
-    return _TailProfile(
-        period=len(tail),
-        q_product=prod,
-        max_stage_spacers=max(st.spacer_sum for st in tail),
-        any_q_gt1=any(st.q > 1 for st in tail),
-        all_spacers_zero=all(st.spacer_sum == 0 for st in tail),
-    )
-
-
 def tail_mass_bound(schedule: ParamSchedule, start: int) -> Fraction | None:
     """Rigorous upper bound on sum_{k>=start} spacers_k / h_{k+1}.
 
@@ -256,21 +237,22 @@ def tail_mass_bound(schedule: ParamSchedule, start: int) -> Fraction | None:
     None when no bound is provable (bare prefix, or an R = 1 tail with
     positive spacers, whose series in fact diverges).
     """
-    profile = _tail_profile(schedule)
-    if profile is None:
+    summary = schedule._tail_summary
+    if summary is None:
         return None
+    q_product, max_spacers = summary
     t0 = max(start, schedule.prefix_len)
     hs = heights(schedule, t0)
     exact = sum(
         (Fraction(schedule.stage(k).spacer_sum, hs[k + 1]) for k in range(start, t0)),
         Fraction(0),
     )
-    if profile.max_stage_spacers == 0:
+    if max_spacers == 0:
         return exact
-    if profile.q_product < 2:
+    if q_product < 2:
         return None
-    geom = Fraction(profile.period * profile.max_stage_spacers, hs[t0]) * Fraction(
-        profile.q_product, profile.q_product - 1
+    geom = Fraction(schedule.tail_period * max_spacers, hs[t0]) * Fraction(
+        q_product, q_product - 1
     )
     return exact + geom
 
@@ -283,12 +265,8 @@ def tail_diverges(schedule: ParamSchedule) -> bool:
     prod h_k/h_{k+1} = h_start/h_K tend to zero, which is equivalent to
     divergence of sum (1 - h_k/h_{k+1}) = sum spacers_k / h_{k+1}.
     """
-    profile = _tail_profile(schedule)
-    return (
-        profile is not None
-        and profile.q_product == 1
-        and profile.max_stage_spacers > 0
-    )
+    summary = schedule._tail_summary
+    return summary is not None and summary[0] == 1 and summary[1] > 0
 
 
 @dataclass(frozen=True)
@@ -327,16 +305,16 @@ class ValidityReport:
     """Structural and asymptotic health of a schedule.
 
     ``q_gt1_infinitely_often`` is decided exactly on periodic tails and
-    is None for bare prefixes.  ``not_defined_everywhere_risk`` flags an
-    eventually trivial tail (q = 1, no spacers): the construction then
-    freezes and the map is not defined almost everywhere.
+    is None for bare prefixes and bad tails.  ``not_defined_everywhere_risk``
+    flags an eventually trivial tail (q = 1, no spacers): the construction
+    then freezes and the map is not defined almost everywhere.
     """
 
     structural_issues: tuple[str, ...]
     q_gt1_stages: tuple[int, ...]
     q_gt1_infinitely_often: bool | None
     partial_sums: tuple[Fraction, ...]
-    ratio: RatioSumReport | None      # None when the series cannot be summed
+    ratio: RatioSumReport | None      # None when a stage the report reads is bad
     not_defined_everywhere_risk: bool
 
     @property
@@ -364,102 +342,90 @@ class ValidityReport:
 
 
 def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
-    """Inspect stages up to ``depth``, and the tail stages, which recur past
-    any depth; never raises on bad stages."""
-    problems = schedule._problems
-    first_tail = schedule.prefix_len - (schedule.tail_period or 0)
-    issues = [
-        f"stage {k}: {msg}"
-        for k, msgs in enumerate(problems)
-        if k < depth or k >= first_tail
-        for msg in msgs
-    ]
-    q_gt1 = tuple(
-        k for k in range(schedule.prefix_len)
-        if not problems[k] and schedule.stage(k, checked=False).q > 1
-    )
+    """Inspect every stage the report reads, and sum the series only when
+    they are all well-formed; never raises on bad stages.
 
-    infinitely_often: bool | None = None
-    risk = False
+    On a bare prefix those are the stages below ``depth``.  With a periodic
+    tail they are all explicit stages: the tail recurs past any depth, and
+    its bound sums exact terms through the whole prefix.
+    """
+    problems = schedule._problems
+    periodic = schedule.tail_period is not None
+    n = depth if periodic else min(depth, schedule.prefix_len)
+    issues = tuple(
+        f"stage {k}: {msg}"
+        for k in range(schedule.prefix_len if periodic else n)
+        for msg in problems[k]
+    )
+    q_gt1 = tuple(
+        k for k, st in enumerate(schedule.stages) if not problems[k] and st.q > 1
+    )
+    first_tail = schedule.prefix_len - (schedule.tail_period or 0)
+    summary = None if any(problems[first_tail:]) else schedule._tail_summary
     partials: tuple[Fraction, ...] = ()
     ratio = None
-    try:
-        profile = _tail_profile(schedule)
-        if profile is not None:
-            infinitely_often = profile.any_q_gt1
-            risk = profile.q_product == 1 and profile.all_spacers_zero
-        # a bare prefix resolves no stage past its end
-        n = min(depth, schedule.prefix_len) if schedule.tail_period is None else depth
+    if not issues:
         sums = list(accumulate(_ratio_terms(schedule, n), initial=Fraction(0)))
         partials = tuple(sums[1:])
         ratio = _ratio_report(schedule, n, sums[-1])
-    except (ScheduleError, DepthError):
-        pass  # partial sums only make sense on resolvable, well-formed stages
     return ValidityReport(
-        structural_issues=tuple(issues),
+        structural_issues=issues,
         q_gt1_stages=q_gt1,
-        q_gt1_infinitely_often=infinitely_often,
+        q_gt1_infinitely_often=None if summary is None else summary[0] > 1,
         partial_sums=partials,
         ratio=ratio,
-        not_defined_everywhere_risk=risk,
+        not_defined_everywhere_risk=summary == (1, 0),
     )
 
 
-def choose_telescoping_levels(
-    schedule: ParamSchedule, count: int, growth_base: int = 2
-) -> list[int]:
-    """Greedy level selection m_0 = 0 < m_1 < ... < m_count.
-
-    m_{j+1} is the least level m > m_j with h_m >= growth_base**(j+1) * h_{m_j},
-    which forces sum_j H_j / H_{j+1} <= sum_j growth_base**-(j+1) < 1.
-    """
-    if count < 0:
-        raise ValueError(f"count {count} < 0")
-    if growth_base < 2:
-        raise ValueError(f"growth base {growth_base} < 2")
-    return [0, *islice(_greedy_levels(schedule, growth_base), count)]
-
+# the first growth base of the greedy level selection
+GROWTH_BASE = 2
 
 # the greedy walk reads no heights past this level; on a q = 1 tail the
 # heights grow linearly, so the next window could be exponentially far up
 MAX_WALK_LEVELS = 1 << 21
 
 
+def choose_telescoping_levels(schedule: ParamSchedule, count: int) -> list[int]:
+    """Greedy level selection m_0 = 0 < m_1 < ... < m_count.
+
+    m_{j+1} is the least level m > m_j with h_m >= GROWTH_BASE**(j+1) * h_{m_j},
+    which forces sum_j H_j / H_{j+1} <= sum_j GROWTH_BASE**-(j+1) < 1.
+    """
+    if count < 0:
+        raise ValueError(f"count {count} < 0")
+    return [0, *islice(_greedy_levels(schedule, GROWTH_BASE), count)]
+
+
 def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     """m_1, m_2, ... of the greedy selection, each as soon as it is found.
 
-    A bad tail stage raises at once; otherwise the walk fails only on
-    reaching a bad or missing stage, since it reads ``heights`` a quarter
-    further each time but never past one, and raises DepthError rather
-    than read past MAX_WALK_LEVELS.  Heights never decrease, so bisection
-    finds each level.
+    A bad tail stage raises at once.  Otherwise the walk resolves one stage
+    per level, so it fails only on reaching a bad or missing stage, and
+    raises DepthError rather than read past MAX_WALK_LEVELS.  Each level
+    found publishes the heights walked so far to the schedule's cache.
     """
-    profile = _tail_profile(schedule)
-    frozen_tail = (
-        profile is not None and profile.q_product == 1 and profile.all_spacers_zero
-    )
-    problems = schedule._problems
-    reach = next((k for k, bad in enumerate(problems) if bad), len(problems))
+    frozen_tail = schedule._tail_summary == (1, 0)
 
     def walk() -> Iterator[int]:
-        hs, m, scale = [1], 0, 1
+        hs, scale = [1], 1
         while True:
             scale *= growth_base
-            target = scale * hs[m]
-            m = bisect_left(hs, target, m + 1)
-            while m == len(hs):
-                if frozen_tail and m > schedule.prefix_len:
+            target = scale * hs[-1]
+            while hs[-1] < target:
+                if frozen_tail and len(hs) > schedule.prefix_len:
                     raise DepthError(
                         f"periodic tail adds no height growth; cannot reach h >= {target}"
                     )
-                if m > MAX_WALK_LEVELS:
+                if len(hs) > MAX_WALK_LEVELS:
                     raise DepthError(
                         f"the greedy level walk passed level {MAX_WALK_LEVELS} "
                         "without reaching the next window's height"
                     )
-                ahead = min(m + m // 4, MAX_WALK_LEVELS)
-                hs = heights(schedule, min(ahead, reach) if m <= reach else ahead)
-                m = bisect_left(hs, target, m)
-            yield m
+                st = schedule.stage(len(hs) - 1)
+                hs.append(st.q * hs[-1] + st.spacer_sum)
+            if len(hs) > len(schedule._heights):
+                vars(schedule)["_heights"] = hs[:]
+            yield len(hs) - 1
 
     return walk()

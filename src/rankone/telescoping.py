@@ -32,10 +32,9 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .schedules import DepthError, ParamSchedule, Stage, _greedy_levels, heights
+from .schedules import GROWTH_BASE, ParamSchedule, Stage, _greedy_levels, heights
 
-# build_expansive's first growth base and its number of attempts
-GROWTH_BASE = 2
+# build_expansive's number of attempts, doubling the growth base each time
 MAX_RETRIES = 6
 
 
@@ -151,23 +150,15 @@ class ExpansiveModel:
         }
 
 
-def expansive_replace(
-    telescoped: TelescopedSchedule, depth: int | None = None
-) -> ExpansiveModel:
+def expansive_replace(telescoped: TelescopedSchedule) -> ExpansiveModel:
     """Rebuild every stage with a dominating final spacer run.
 
     At stage n the cut is the largest copy index whose tail mass
     (Q-cut-1) H + sum(A[cut:]) strictly exceeds max(A); it exists for
     Q >= 2 because the full sum at index 0 is at least H + max(A).
     """
-    count = telescoped.num_stages if depth is None else depth
-    if count > telescoped.num_stages:
-        raise DepthError(
-            f"only {telescoped.num_stages} telescoped stages available, need {count}"
-        )
     replaced = []
-    for n in range(count):
-        st = telescoped.stages[n]
+    for n, st in enumerate(telescoped.stages):
         high = telescoped.heights[n]
         if st.q < 2:
             raise SpacerReplacementError(

@@ -9,6 +9,7 @@ from rankone import (
     KALIKOW_BOUNDED,
     KALIKOW_UNBOUNDED,
     UNKNOWN_AT_DEPTH,
+    DEFAULT_SYMBOL_BUDGET,
     BlockBudgetError,
     ParamSchedule,
     Stage,
@@ -49,9 +50,9 @@ def test_block_length_prefix_and_zero_count(schedule):
 def test_block_budget_checked_before_building():
     required = heights(CHACON, 40)[40]
     with pytest.raises(BlockBudgetError) as err:
-        build_block(CHACON, 40, budget=10**6)
+        build_block(CHACON, 40)
     assert err.value.required == required
-    assert err.value.budget == 10**6
+    assert err.value.budget == DEFAULT_SYMBOL_BUDGET < required
 
 
 def test_pea_condition():

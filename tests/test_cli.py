@@ -6,7 +6,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from rankone import ParamSchedule, PathError, ScheduleError, path_from_json_dict
 from rankone.cli import CHACON, SpecFileError, _build_parser, main, parse_spec
 
 CHACON_DOC = {
@@ -40,6 +43,8 @@ def test_parse_spec_preset():
         ('{"preset": "chacon", "schedule": {}}', "exactly one"),
         ("{}", "exactly one"),
         ('{"preset": "nope"}', "$.preset"),
+        ('{"preset": []}', "$.preset"),
+        ('{"preset": {}}', "$.preset"),
         ('{"schedule": {"stages": [], "tail": {"kind": "none"}}, "k": 1}', "$.k"),
         ('{"preset": "chacon", "telescope_levels": [0, "x"]}', "$.telescope_levels"),
         ('{"schedule": {"stages": 3, "tail": {"kind": "none"}}}', "$.schedule.stages"),
@@ -49,6 +54,33 @@ def test_parse_spec_rejects(text, needle):
     with pytest.raises(SpecFileError) as err:
         parse_spec(text)
     assert needle in str(err.value)
+
+
+# the field and kind names of the spec, schedule and path forms
+_NAMES = st.sampled_from([
+    "schedule", "preset", "telescope_levels", "stages", "tail", "q", "a",
+    "kind", "period", "none", "periodic", "chacon", "root", "edges", "level",
+    "i", "j", "tower", "spacer", "down", "nonspacer",
+])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=3) | _NAMES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_NAMES | st.text(max_size=2), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@given(_JSON_VALUES)
+def test_parsers_raise_only_their_own_errors(value):
+    for parse, error in (
+        (lambda v: parse_spec(json.dumps(v)), SpecFileError),
+        (ParamSchedule.from_json_dict, ScheduleError),
+        (path_from_json_dict, PathError),
+    ):
+        try:
+            parse(value)
+        except error:
+            pass
 
 
 def test_heights_json_and_text(capsys):
@@ -278,16 +310,18 @@ def test_validate_bare_prefix_shorter_than_depth(tmp_path, capsys):
 
 
 def test_validate_bad_stage_between_depth_and_tail(tmp_path, capsys):
-    # stage 1 is below the tail and past depth 1: the report is ok, but
-    # the tail bound cannot be summed through it
+    # stage 1 is below the tail and past depth 1, but the tail bound sums
+    # through it, so the report names it
     doc = {
         "stages": [{"q": 2, "a": [0, 0]}, {"q": 2, "a": [0]}, {"q": 2, "a": [0, 1]}],
         "tail": {"kind": "periodic", "period": 1},
     }
     spec = tmp_path / "mid.json"
     spec.write_text(json.dumps({"schedule": doc}))
-    assert main(["validate", "--spec", str(spec), "--depth", "1"]) == 2
-    assert capsys.readouterr().err == "error: stage 1: len(a)=1 != q=2\n"
+    assert main(["validate", "--spec", str(spec), "--depth", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert report["structural_issues"] == ["stage 1: len(a)=1 != q=2"]
 
 
 def test_readme_commands_run(capsys):

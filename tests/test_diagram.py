@@ -60,7 +60,7 @@ def test_minimal_maximal_structure():
     assert successor(spaced, top) == Overflow(2)
 
     # the sole path into column 1 is both least and greatest
-    all_down = minimal_path(CHACON, 2, column=1)
+    all_down = AdicPath(ROOT_SPACER, (Edge(DOWN),) * 2)
     assert all(e.kind == DOWN for e in all_down.edges)
     assert successor(CHACON, all_down) == Overflow(2)
 
@@ -124,7 +124,7 @@ def test_level_indices_spacer_entry():
 
 def test_level_indices_all_down_rejected():
     with pytest.raises(PathError):
-        level_indices(CHACON, minimal_path(CHACON, 3, column=1))
+        level_indices(CHACON, AdicPath(ROOT_SPACER, (Edge(DOWN),) * 3))
 
 
 def test_from_tower_coordinates_range():

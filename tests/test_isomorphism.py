@@ -95,7 +95,7 @@ def test_mapping_kept_spacer_passes_through(chacon_ctx):
 
 
 def test_mapping_rejects_all_down(chacon_ctx):
-    down = minimal_path(chacon_ctx.source, 3, column=1)
+    down = AdicPath(ROOT_SPACER, (Edge(DOWN),) * 3)
     with pytest.raises(PathError):
         to_target(chacon_ctx, down)
     with pytest.raises(PathError):

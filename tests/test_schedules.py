@@ -53,7 +53,6 @@ def test_tail_resolution_indexing():
 
 def test_bare_prefix_depth_error():
     bare = ParamSchedule((Stage(2, (0, 0)),), tail_period=None)
-    assert bare.resolvable(0) and not bare.resolvable(1)
     with pytest.raises(DepthError):
         bare.stage(1)
     with pytest.raises(DepthError):
@@ -65,7 +64,6 @@ def test_malformed_stage_errors():
     sched = ParamSchedule((Stage(0, ()),), tail_period=1)
     with pytest.raises(ScheduleError):
         sched.stage(0)
-    assert sched.stage(0, checked=False) == Stage(0, ())
 
     with pytest.raises(ScheduleError):
         ParamSchedule((Stage(2, (0, 0)),), tail_period=2)
@@ -187,12 +185,14 @@ def test_validate_reports_tail_stages_past_depth():
         report = validate(bad_tail, depth)
         assert report.structural_issues == ("stage 2: negative spacer count",)
         assert not report.ok
-    # a bad stage before the tail only counts within depth
+    # the tail bound sums through a bad stage before the tail at any depth
     bad_prefix = ParamSchedule(
         (Stage(2, (0, 0)), Stage(2, (0,)), Stage(2, (0, 1))), tail_period=1
     )
-    assert validate(bad_prefix, 1).structural_issues == ()
-    assert validate(bad_prefix, 2).structural_issues == ("stage 1: len(a)=1 != q=2",)
+    for depth in (1, 2):
+        report = validate(bad_prefix, depth)
+        assert report.structural_issues == ("stage 1: len(a)=1 != q=2",)
+        assert not report.ok and report.ratio is None
     bare = ParamSchedule((Stage(2, (0, 1)), Stage(2, (-1, 0))), tail_period=None)
     assert validate(bare, 1).structural_issues == ()
 
@@ -218,7 +218,7 @@ def test_choose_levels_known():
 
 @given(schedules(allow_bare=False))
 def test_choose_levels_growth_and_minimality(schedule):
-    m = choose_telescoping_levels(schedule, 3, growth_base=2)
+    m = choose_telescoping_levels(schedule, 3)
     hs = heights(schedule, m[-1])
     assert m[0] == 0
     for j in range(3):
@@ -252,8 +252,6 @@ def test_choose_levels_walk_budget():
 def test_choose_levels_bad_args():
     with pytest.raises(ValueError):
         choose_telescoping_levels(CHACON, -1)
-    with pytest.raises(ValueError):
-        choose_telescoping_levels(CHACON, 2, growth_base=1)
 
 
 # -- the per-instance caches against uncached references ---------------------
@@ -337,3 +335,52 @@ def test_caches_leave_equality_and_hash_alone(schedule):
     assert (hash(schedule), [hash(s) for s in schedule.stages]) == before
     assert schedule == twin and hash(schedule) == hash(twin)
     assert schedule.stages == twin.stages
+
+
+class _WalkTooLong(Exception):
+    pass
+
+
+def _reference_levels(schedule, count, limit=10_000):
+    """The greedy levels by reading one reference stage per level."""
+    tail = schedule.tail_stages()
+    if any(stage.issues() for stage in tail):
+        raise ScheduleError("tail contains a structurally invalid stage")
+    frozen = bool(tail) and all(stage.q == 1 and not any(stage.a) for stage in tail)
+    levels, hs = [0], [1]
+    for j in range(1, count + 1):
+        target = 2**j * hs[levels[-1]]
+        while True:
+            if frozen and len(hs) > schedule.prefix_len:
+                raise DepthError(
+                    f"periodic tail adds no height growth; cannot reach h >= {target}"
+                )
+            if len(hs) > limit:
+                raise _WalkTooLong
+            stage = _reference_stage(schedule, len(hs) - 1)
+            hs.append(stage.q * hs[-1] + sum(stage.a))
+            if hs[-1] >= target:
+                break
+        levels.append(len(hs) - 1)
+    return levels
+
+
+@given(any_schedules(), st.integers(0, 3))
+def test_choose_levels_matches_reference_walk(schedule, count):
+    try:
+        expected = _outcome(_reference_levels, schedule, count)
+    except _WalkTooLong:
+        return
+    assert _outcome(choose_telescoping_levels, schedule, count) == expected
+
+
+@given(any_schedules(), st.integers(0, 6))
+def test_validate_inspects_what_it_reads(schedule, depth):
+    report = validate(schedule, depth)
+    assert report.ratio is not None or not report.ok
+    # a periodic tail's bound sums exact terms through the whole prefix
+    read = schedule.prefix_len if schedule.tail_period is not None else depth
+    assert report.structural_issues == tuple(
+        f"stage {k}: {msg}" for k, stage in enumerate(schedule.stages[:read])
+        for msg in stage.issues()
+    )

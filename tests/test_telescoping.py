@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rankone import (
-    DepthError,
     ParamSchedule,
     SpacerReplacementError,
     Stage,
@@ -153,14 +152,6 @@ def test_replace_chacon_model():
 def test_replace_rejects_single_copy_window():
     with pytest.raises(SpacerReplacementError):
         expansive_replace(_single(Stage(1, (3,))))
-
-
-def test_replace_depth_argument():
-    tele = telescope(CHACON, [0, 1, 3])
-    partial = expansive_replace(tele, 1)
-    assert len(partial.replaced) == 1
-    with pytest.raises(DepthError):
-        expansive_replace(tele, 3)
 
 
 @given(schedules(allow_bare=False))
