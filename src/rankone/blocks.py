@@ -12,6 +12,7 @@ any string is materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .schedules import ParamSchedule, UNKNOWN_AT_DEPTH, heights
 
@@ -97,16 +98,14 @@ def kalikow_sup_condition(schedule: ParamSchedule, depth: int) -> KalikowReport:
     return KalikowReport(tuple(witnesses), verdict)
 
 
-_PD_RULES = {"0": "01", "1": "00"}
-
-
 def period_doubling_prefix(length: int) -> str:
     """Prefix of the fixed point of 0 -> 01, 1 -> 00 starting from 0."""
     if length < 1:
         raise ValueError(f"length {length} < 1")
     w = "0"
     while len(w) < length:
-        w = "".join(_PD_RULES[c] for c in w)
+        # s^{n+1}(0) = s^n(0) s^n(1), and s^n(1) is s^n(0) with its last symbol flipped
+        w += w[:-1] + ("1" if w[-1] == "0" else "0")
     return w[:length]
 
 
@@ -127,5 +126,5 @@ def occurrence_spacing(w: str, pattern: str) -> Occurrences:
     while i != -1:
         positions.append(i)
         i = w.find(pattern, i + 1)
-    gaps = tuple(b - a for a, b in zip(positions, positions[1:]))
-    return Occurrences(tuple(positions), gaps)
+    positions = tuple(positions)  # the list is freed before the gaps are built
+    return Occurrences(positions, tuple(b - a for a, b in pairwise(positions)))

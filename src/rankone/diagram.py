@@ -29,11 +29,13 @@ as Overflow values, not raised.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
-from .schedules import ParamSchedule, Stage, heights, tail_mass_bound
+from .schedules import ParamSchedule, Stage, _level_table, heights, tail_mass_bound
 
 TOWER = "tower"
 SPACER = "spacer"
@@ -46,8 +48,7 @@ class PathError(ValueError):
     """A path is malformed or incompatible with the schedule."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     kind: str
     i: int = 0
     j: int = 0
@@ -60,8 +61,7 @@ class Overflow:
     depth: int
 
 
-@dataclass(frozen=True)
-class AdicPath:
+class AdicPath(NamedTuple):
     """A finite path from the root: a root edge plus edges at levels 0..depth-1."""
 
     root: str
@@ -77,8 +77,9 @@ def validate_path(schedule: ParamSchedule, path: AdicPath) -> None:
     if path.root not in (ROOT_NONSPACER, ROOT_SPACER):
         raise PathError(f"unknown root edge {path.root!r}")
     column = 0 if path.root == ROOT_NONSPACER else 1
+    table = _level_table(schedule, path.depth)
     for n, e in enumerate(path.edges):
-        st = schedule.stage(n)
+        st = table[n][0] if n < len(table) else schedule.stage(n)
         if column == 0:
             if e.kind != TOWER:
                 raise PathError(f"level {n}: expected a tower edge out of column 0")
@@ -107,6 +108,14 @@ def _next_edge(st: Stage, e: Edge) -> Edge | None:
     return Edge(TOWER, e.i + 1) if e.i + 1 < st.q else None
 
 
+def _full_table(schedule: ParamSchedule, n: int) -> list:
+    """The level table through level n-1, or what heights(schedule, n) raises."""
+    table = _level_table(schedule, n)
+    if n < 0 or len(table) < n:
+        heights(schedule, n)  # raises: n < 0, or a level below n does not resolve
+    return table
+
+
 def minimal_path(schedule: ParamSchedule, depth: int) -> AdicPath:
     """The least path of the given depth ending in column 0."""
     for k in range(depth):
@@ -116,10 +125,11 @@ def minimal_path(schedule: ParamSchedule, depth: int) -> AdicPath:
 
 def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
     """Vershik successor within the truncation, or Overflow."""
+    table = _level_table(schedule, path.depth)
     for pos, e in enumerate(path.edges):
         if e.kind == DOWN:
             continue  # the sole edge into its vertex, nothing to increment
-        new = _next_edge(schedule.stage(pos), e)
+        new = _next_edge(table[pos][0] if pos < len(table) else schedule.stage(pos), e)
         if new is None:
             continue
         if new.kind == TOWER:
@@ -130,8 +140,7 @@ def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
     return Overflow(path.depth)
 
 
-@dataclass(frozen=True)
-class LevelIndices:
+class LevelIndices(NamedTuple):
     """Tower floor numbers J_n for n = start..depth.
 
     start is the first level at which the path sits inside the tower:
@@ -156,7 +165,7 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
     (i+1) h_m + a[m][0] + ... + a[m][i-1] + j of tower m+1, and a tower
     edge i at level n lifts J_n to i h_n + a[n][0] + ... + a[n][i-1] + J_n.
     """
-    hs = heights(schedule, path.depth)
+    table = _full_table(schedule, path.depth)
     start, j = 0, 0
     if path.root != ROOT_NONSPACER:
         m = next((n for n, e in enumerate(path.edges) if e.kind != DOWN), None)
@@ -166,13 +175,16 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
         if e.kind != SPACER:
             raise PathError(f"level {m}: tower edge cannot leave column 1")
         start = m + 1
-        j = (e.i + 1) * hs[m] + schedule.stage(m).offsets[e.i] + e.j
+        st, h, _ = table[m]
+        j = (e.i + 1) * h + st.offsets[e.i] + e.j
     vals = [j]
     for n in range(start, path.depth):
         e = path.edges[n]
         if e.kind != TOWER:
             raise PathError(f"level {n}: expected a tower edge into column 0")
-        j = e.i * hs[n] + schedule.stage(n).offsets[e.i] + j
+        # not starts[e.i], which a negative index would read differently
+        st, h, _ = table[n]
+        j = e.i * h + st.offsets[e.i] + j
         vals.append(j)
     return LevelIndices(start, tuple(vals))
 
@@ -182,21 +194,21 @@ def from_tower_coordinates(schedule: ParamSchedule, n: int, k: int) -> AdicPath:
 
     Inverts level_indices by greedy digit extraction: at each level the
     floor number selects either a sub-tower copy (continue downward) or
-    a spacer slot (the path enters from the reservoir below).
+    a spacer slot (the path enters from the reservoir below).  The copy
+    is found by bisection on the copy starts, O(log q) per level.
     """
-    hs = heights(schedule, n)
-    if not 0 <= k < hs[n]:
-        raise ValueError(f"floor {k} outside 0..{hs[n] - 1}")
+    table = _full_table(schedule, n)
+    top = table[n - 1][2][-1] if n else 1
+    if not 0 <= k < top:
+        raise ValueError(f"floor {k} outside 0..{top - 1}")
     edges: list[Edge] = [Edge(DOWN)] * n
     pos = k
     for level in range(n - 1, -1, -1):
-        # copy i of tower `level`, then its spacer run, starts at floor
-        # i h + offsets[i] >= i h: the copy holding pos is at most pos // h
-        st, h = schedule.stage(level), hs[level]
-        i = min(pos // h, st.q - 1)
-        while i * h + st.offsets[i] > pos:
-            i -= 1
-        pos -= i * h + st.offsets[i]
+        # copy i of tower `level`, then its spacer run, fills the floors
+        # from starts[i] up to starts[i + 1]; pos < starts[q] = h_{level+1}
+        _, h, starts = table[level]
+        i = bisect_right(starts, pos) - 1
+        pos -= starts[i]
         if pos >= h:
             edges[level] = Edge(SPACER, i, pos - h)
             return AdicPath(ROOT_SPACER, tuple(edges))

@@ -78,8 +78,8 @@ class ParamSchedule:
     explicit prefix; ``tail_period=p`` means the last p explicit stages
     repeat forever.
 
-    Each stage's structural check, the tail summary and the heights are
-    cached on the instance, outside equality and hashing.
+    Each stage's structural check, the tail summary, the heights and the
+    level table are cached on the instance, outside equality and hashing.
     """
 
     stages: tuple[Stage, ...]
@@ -119,6 +119,11 @@ class ParamSchedule:
         """h_0..h_k for the k stages resolved so far; ``heights`` and the
         greedy walk replace it with a longer list, never change it in place."""
         return [1]
+
+    @cached_property
+    def _levels(self) -> list[tuple[Stage, int, tuple[int, ...]]]:
+        """The levels resolved so far; ``_level_table`` swaps in longer copies."""
+        return []
 
     def stage(self, n: int) -> Stage:
         """Resolve stage n, reading through the periodic tail when present."""
@@ -225,6 +230,26 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
             hs.append(st.q * hs[-1] + st.spacer_sum)
         vars(schedule)["_heights"] = hs
     return hs[: n + 1]
+
+
+def _level_table(schedule: ParamSchedule, n: int) -> list[tuple[Stage, int, tuple[int, ...]]]:
+    """(stage, h_k, starts) for the levels k < n; starts[i] = i h_k + offsets[i]
+    is the floor of tower k+1 where copy i begins, so starts[q] = h_{k+1}.
+    The table ends before the first stage that does not resolve: a reader
+    needing that level resolves it with ``schedule.stage``, which raises."""
+    table = schedule._levels
+    if len(table) < n:
+        table = table[:]  # extended as a copy and published whole, like heights
+        h = table[-1][2][-1] if table else 1
+        try:
+            while len(table) < n:
+                st = schedule.stage(len(table))
+                table.append((st, h, tuple(i * h + off for i, off in enumerate(st.offsets))))
+                h = table[-1][2][-1]
+        except (ScheduleError, DepthError):
+            pass
+        vars(schedule)["_levels"] = table
+    return table
 
 
 def tail_mass_bound(schedule: ParamSchedule, start: int) -> Fraction | None:
@@ -400,32 +425,35 @@ def choose_telescoping_levels(schedule: ParamSchedule, count: int) -> list[int]:
 def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     """m_1, m_2, ... of the greedy selection, each as soon as it is found.
 
-    A bad tail stage raises at once.  Otherwise the walk resolves one stage
-    per level, so it fails only on reaching a bad or missing stage, and
-    raises DepthError rather than read past MAX_WALK_LEVELS.  Each level
-    found publishes the heights walked so far to the schedule's cache.
+    A bad tail stage raises at once.  Otherwise the walk resumes from the
+    cached heights and resolves one stage per level past them, so it fails
+    only on reaching a bad or missing stage, and on every level raises
+    DepthError rather than step past a frozen tail or MAX_WALK_LEVELS.
+    Each level found publishes the heights walked so far to the cache.
     """
     frozen_tail = schedule._tail_summary == (1, 0)
 
     def walk() -> Iterator[int]:
-        hs, scale = [1], 1
+        hs, level, scale = schedule._heights[:], 0, 1
         while True:
             scale *= growth_base
-            target = scale * hs[-1]
-            while hs[-1] < target:
-                if frozen_tail and len(hs) > schedule.prefix_len:
+            target = scale * hs[level]
+            while hs[level] < target:
+                if frozen_tail and level >= schedule.prefix_len:
                     raise DepthError(
                         f"periodic tail adds no height growth; cannot reach h >= {target}"
                     )
-                if len(hs) > MAX_WALK_LEVELS:
+                if level >= MAX_WALK_LEVELS:
                     raise DepthError(
                         f"the greedy level walk passed level {MAX_WALK_LEVELS} "
                         "without reaching the next window's height"
                     )
-                st = schedule.stage(len(hs) - 1)
-                hs.append(st.q * hs[-1] + st.spacer_sum)
+                level += 1
+                if level == len(hs):
+                    st = schedule.stage(level - 1)
+                    hs.append(st.q * hs[-1] + st.spacer_sum)
             if len(hs) > len(schedule._heights):
                 vars(schedule)["_heights"] = hs[:]
-            yield len(hs) - 1
+            yield level
 
     return walk()

@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 
 from rankone import ParamSchedule, Stage
 from rankone.cli import CHACON, ODOMETER
+# the runs of a bare prefix whose window [0, 9] telescopes to one stage
+# of 3,888 copies (8,351 floors): floor arithmetic on a wide stage
+WIDE_RUNS = (
+    (1, 0), (0, 1, 2), (0, 1), (1, 0, 0), (2, 0),
+    (0, 0, 1), (0, 1), (1, 0, 1), (0, 2, 0), (0, 1),
+)
 # q = 1 forever with growing spacer runs: heights grow linearly and the
 # spacer-ratio series is provably divergent
 DIVERGENT = ParamSchedule(
@@ -37,6 +43,22 @@ def schedules(draw, max_stages=4, min_q=2, max_q=4, max_spacer=3, allow_bare=Tru
         period = None
     else:
         period = draw(st.integers(1, n))
+    return ParamSchedule(tuple(stages), tail_period=period)
+
+
+@st.composite
+def any_schedules(draw):
+    """Bare or periodic schedules whose stages may be malformed."""
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 4)) == 0:  # malformed: any q, any run list
+            q = draw(st.integers(-1, 3))
+            a = draw(st.lists(st.integers(-1, 3), max_size=4))
+        else:
+            q = draw(st.integers(1, 3))
+            a = draw(st.lists(st.integers(0, 3), min_size=q, max_size=q))
+        stages.append(Stage(q, tuple(a)))
+    period = draw(st.one_of(st.none(), st.integers(1, len(stages))))
     return ParamSchedule(tuple(stages), tail_period=period)
 
 

@@ -106,6 +106,23 @@ def test_period_doubling_prefix():
         period_doubling_prefix(0)
 
 
+def _substitution_prefix(length):
+    """The fixed point of 0 -> 01, 1 -> 00 by applying the substitution."""
+    rules = {"0": "01", "1": "00"}
+    w = "0"
+    while len(w) < length:
+        w = "".join(rules[c] for c in w)
+    return w[:length]
+
+
+def test_period_doubling_matches_substitution():
+    word = _substitution_prefix(1024)
+    for length in range(1, 1025):
+        assert period_doubling_prefix(length) == word[:length]
+    for length in (2**14, 2**20 + 3):
+        assert period_doubling_prefix(length) == _substitution_prefix(length)
+
+
 @given(st.integers(1, 512))
 def test_period_doubling_self_similar(length):
     w = period_doubling_prefix(2 * length)

@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import WIDE_RUNS
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -402,3 +403,23 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
         assert main([argv[0], "--spec", str(spec), *argv[1:]]) == 2
         assert time.perf_counter() - t0 < 5.0
         assert capsys.readouterr().err.startswith("error: the greedy level walk passed")
+
+
+def test_verify_wide_window(tmp_path, capsys):
+    # one telescoped stage of 3,888 copies: the floor arithmetic bisects
+    # the copy starts instead of stepping down through them
+    doc = {
+        "schedule": {
+            "stages": [{"q": len(a), "a": list(a)} for a in WIDE_RUNS],
+            "tail": {"kind": "none"},
+        },
+        "telescope_levels": [0, 9],
+    }
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["verify", "--spec", str(spec), "--depth", "1", "--exhaustive"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("depth 1: tested 8351 paths, 0 failures\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1a35ea6f964c38754248f7a26bf29de2e28d2bf4c67d40ea24f9b135c5141092"
+    )

@@ -1,14 +1,16 @@
 """Adic paths: order, successor dynamics, floors, coding, measures."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import CHACON, ODOMETER, schedules
-from hypothesis import given
+from conftest import CHACON, ODOMETER, WIDE_RUNS, any_schedules, schedules, seeded_schedule
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone import (
     DOWN,
+    DepthError,
     ParamSchedule,
     Stage,
     ROOT_NONSPACER,
@@ -17,6 +19,7 @@ from rankone import (
     TOWER,
     AdicPath,
     Edge,
+    LevelIndices,
     Overflow,
     PathError,
     build_block,
@@ -30,8 +33,10 @@ from rankone import (
     path_from_json_dict,
     path_to_json_dict,
     successor,
+    telescope,
     validate_path,
 )
+from rankone.schedules import _level_table
 
 
 def small_cases():
@@ -224,3 +229,218 @@ def test_path_json_rejects_bad_edges(edges, needle):
     with pytest.raises(PathError) as err:
         path_from_json_dict({"root": "nonspacer", "edges": edges})
     assert needle in str(err.value)
+
+
+# -- the level table and the bisect against per-level references -------------
+
+
+def _scan_floor(schedule, n, k):
+    """The depth-n path on floor k, scanning each level's copies upward."""
+    hs = heights(schedule, n)
+    edges = [Edge(DOWN)] * n
+    pos = k
+    for level in range(n - 1, -1, -1):
+        stage, h = schedule.stage(level), hs[level]
+        i, start = 0, 0
+        while i + 1 < stage.q and start + h + stage.a[i] <= pos:
+            start += h + stage.a[i]
+            i += 1
+        pos -= start
+        if pos >= h:
+            edges[level] = Edge(SPACER, i, pos - h)
+            return AdicPath(ROOT_SPACER, tuple(edges))
+        edges[level] = Edge(TOWER, i)
+    return AdicPath(ROOT_NONSPACER, tuple(edges))
+
+
+def _check_floors_and_table(schedule, n, seed=0):
+    hs = heights(schedule, n)
+    floors = range(hs[n])
+    if hs[n] > 5000:
+        floors = random.Random(seed).sample(floors, 5000)
+    for k in floors:
+        x = from_tower_coordinates(schedule, n, k)
+        assert x == _scan_floor(schedule, n, k)
+        assert level_indices(schedule, x).at(n) == k
+    table = _level_table(schedule, n)
+    assert len(table) == n
+    for level, (stage, h, starts) in enumerate(table):
+        assert stage == schedule.stage(level) and h == hs[level]
+        assert starts == tuple(i * h + sum(stage.a[:i]) for i in range(stage.q + 1))
+        assert starts[stage.q] == heights(schedule, level + 1)[level + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedules(max_q=12, max_spacer=5), st.integers(0, 4), st.integers(0, 2**32))
+def test_floors_by_bisection_match_linear_scan(schedule, n, seed):
+    if schedule.tail_period is None:
+        n = min(n, schedule.prefix_len)
+    _check_floors_and_table(schedule, n, seed)
+
+
+@pytest.mark.parametrize(
+    "schedule, levels",
+    [
+        (CHACON, [0, 5]),
+        (CHACON, [0, 5, 7]),
+        (ODOMETER, [0, 8, 9]),
+        (ParamSchedule(tuple(Stage(len(a), a) for a in WIDE_RUNS)), [0, 9]),
+        (seeded_schedule(random.Random(1), 10**7), [0, 5, 7]),
+        (seeded_schedule(random.Random(2), 10**7), [0, 5, 9]),
+    ],
+)
+def test_floors_by_bisection_on_wide_windows(schedule, levels):
+    # telescoped windows have hundreds or thousands of copies per stage
+    tele = telescope(schedule, levels).as_schedule()
+    assert max(stage.q for stage in tele.stages) >= 100
+    _check_floors_and_table(tele, tele.prefix_len)
+
+
+# -- errors on malformed input, against the code that resolves each stage ----
+# where it reads it (the table resolves ahead, so it must not raise earlier)
+
+
+def _ref_validate_path(schedule, path):
+    if path.root not in (ROOT_NONSPACER, ROOT_SPACER):
+        raise PathError(f"unknown root edge {path.root!r}")
+    column = 0 if path.root == ROOT_NONSPACER else 1
+    for n, e in enumerate(path.edges):
+        st = schedule.stage(n)
+        if column == 0:
+            if e.kind != TOWER:
+                raise PathError(f"level {n}: expected a tower edge out of column 0")
+            if not 0 <= e.i < st.q:
+                raise PathError(f"level {n}: tower index {e.i} outside 0..{st.q - 1}")
+        else:
+            if e.kind == DOWN:
+                continue
+            if e.kind != SPACER:
+                raise PathError(f"level {n}: expected spacer or down out of column 1")
+            if not 0 <= e.i < st.q:
+                raise PathError(f"level {n}: spacer group {e.i} outside 0..{st.q - 1}")
+            if not 0 <= e.j < st.a[e.i]:
+                raise PathError(
+                    f"level {n}: spacer index {e.j} outside 0..{st.a[e.i] - 1}"
+                )
+            column = 0
+
+
+def _ref_successor(schedule, path):
+    for pos, e in enumerate(path.edges):
+        if e.kind == DOWN:
+            continue
+        st = schedule.stage(pos)
+        j = 0 if e.kind == TOWER else e.j + 1
+        if j < st.a[e.i]:
+            new = Edge(SPACER, e.i, j)
+        elif e.i + 1 < st.q:
+            new = Edge(TOWER, e.i + 1)
+        else:
+            continue
+        if new.kind == TOWER:
+            root, head = ROOT_NONSPACER, (Edge(TOWER, 0),) * pos
+        else:
+            root, head = ROOT_SPACER, (Edge(DOWN),) * pos
+        return AdicPath(root, head + (new,) + path.edges[pos + 1:])
+    return Overflow(path.depth)
+
+
+def _ref_level_indices(schedule, path):
+    hs = heights(schedule, path.depth)
+    start, j = 0, 0
+    if path.root != ROOT_NONSPACER:
+        m = next((n for n, e in enumerate(path.edges) if e.kind != DOWN), None)
+        if m is None:
+            raise PathError("path stays in the spacer column; no tower coordinates")
+        e = path.edges[m]
+        if e.kind != SPACER:
+            raise PathError(f"level {m}: tower edge cannot leave column 1")
+        start = m + 1
+        j = (e.i + 1) * hs[m] + schedule.stage(m).offsets[e.i] + e.j
+    vals = [j]
+    for n in range(start, path.depth):
+        e = path.edges[n]
+        if e.kind != TOWER:
+            raise PathError(f"level {n}: expected a tower edge into column 0")
+        j = e.i * hs[n] + schedule.stage(n).offsets[e.i] + j
+        vals.append(j)
+    return LevelIndices(start, tuple(vals))
+
+
+def _ref_from_tower_coordinates(schedule, n, k):
+    hs = heights(schedule, n)
+    if not 0 <= k < hs[n]:
+        raise ValueError(f"floor {k} outside 0..{hs[n] - 1}")
+    return _scan_floor(schedule, n, k)
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
+
+
+_ANY_EDGES = st.lists(
+    st.builds(Edge, st.sampled_from([TOWER, SPACER, DOWN]), st.integers(-3, 4), st.integers(-2, 4)),
+    max_size=6,
+)
+
+
+@given(
+    any_schedules(),
+    st.lists(
+        st.tuples(
+            st.sampled_from([ROOT_NONSPACER, ROOT_SPACER, "bogus"]),
+            _ANY_EDGES,
+            st.integers(-1, 6),
+            st.integers(-1, 120),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(  # negative and past-the-end indices into the copy starts
+    ParamSchedule((Stage(2, (0, 1)),), 1),
+    [
+        (ROOT_NONSPACER, [Edge(TOWER, -1), Edge(TOWER, 2)], 2, 5),
+        (ROOT_SPACER, [Edge(SPACER, -1, 0), Edge(TOWER, -2)], 1, 0),
+        (ROOT_SPACER, [Edge(DOWN), Edge(SPACER, 2, 1)], 3, 1),
+    ],
+)
+def test_path_functions_raise_where_each_level_is_read(schedule, cases):
+    # bad and missing stages inside and below the path, out-of-range and
+    # negative edge indices; each case runs on the table the cases before
+    # it left behind
+    for root, edges, n, k in cases:
+        paths = [AdicPath(root, tuple(edges))]
+        head = _result(_ref_from_tower_coordinates, schedule, n, k)
+        if isinstance(head, AdicPath):  # a valid head, then arbitrary edges
+            paths.append(AdicPath(head.root, head.edges + tuple(edges)))
+        for path in paths:
+            for fn, ref in (
+                (validate_path, _ref_validate_path),
+                (successor, _ref_successor),
+                (level_indices, _ref_level_indices),
+            ):
+                assert _result(fn, schedule, path) == _result(ref, schedule, path)
+        assert _result(from_tower_coordinates, schedule, n, k) == head
+
+
+def test_errors_at_the_level_read():
+    bare = ParamSchedule((Stage(2, (0, 1)),))
+    with pytest.raises(PathError, match="level 0: tower index 5 outside 0..1"):
+        validate_path(bare, AdicPath(ROOT_NONSPACER, (Edge(TOWER, 5), Edge(TOWER, 0))))
+    # the next edge is at level 0, so the missing stage 1 is never read
+    assert successor(bare, AdicPath(ROOT_NONSPACER, (Edge(TOWER, 0), Edge(TOWER, 0)))) == (
+        AdicPath(ROOT_NONSPACER, (Edge(TOWER, 1), Edge(TOWER, 0)))
+    )
+    with pytest.raises(DepthError, match="stage 1 unresolvable"):
+        level_indices(bare, AdicPath(ROOT_NONSPACER, (Edge(TOWER, 0), Edge(TOWER, 0))))
+
+
+def test_path_types_are_tuples():
+    assert Edge(TOWER, 2) == (TOWER, 2, 0)
+    assert AdicPath(ROOT_NONSPACER, ()) == (ROOT_NONSPACER, ())
+    assert LevelIndices(1, (2, 11)) == (1, (2, 11))
+    assert hash(Edge(SPACER, 1, 0)) == hash((SPACER, 1, 0))

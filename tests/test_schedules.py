@@ -3,8 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from conftest import CHACON, DIVERGENT, ODOMETER, schedules
-from hypothesis import given
+from conftest import CHACON, DIVERGENT, ODOMETER, any_schedules, schedules
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rankone import (
@@ -257,22 +257,6 @@ def test_choose_levels_bad_args():
 # -- the per-instance caches against uncached references ---------------------
 
 
-@st.composite
-def any_schedules(draw):
-    """Bare or periodic schedules whose stages may be malformed."""
-    stages = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.integers(0, 4)) == 0:  # malformed: any q, any run list
-            q = draw(st.integers(-1, 3))
-            a = draw(st.lists(st.integers(-1, 3), max_size=4))
-        else:
-            q = draw(st.integers(1, 3))
-            a = draw(st.lists(st.integers(0, 3), min_size=q, max_size=q))
-        stages.append(Stage(q, tuple(a)))
-    period = draw(st.one_of(st.none(), st.integers(1, len(stages))))
-    return ParamSchedule(tuple(stages), tail_period=period)
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -384,3 +368,41 @@ def test_validate_inspects_what_it_reads(schedule, depth):
         f"stage {k}: {msg}" for k, stage in enumerate(schedule.stages[:read])
         for msg in stage.issues()
     )
+
+
+@given(any_schedules(), st.integers(0, 3), st.integers(0, 12), st.integers(0, 3))
+@example(ParamSchedule((Stage(2, (0, 0)), Stage(1, (0,))), tail_period=1), 2, 10, 0)
+def test_choose_levels_resumes_from_cached_heights(schedule, count, depth, first):
+    # heights cached by heights() or by an earlier walk, past a frozen
+    # tail included, give the levels and errors of a walk from h_0
+    try:
+        expected = _outcome(_reference_levels, schedule, count)
+        _outcome(_reference_levels, schedule, first)
+    except _WalkTooLong:
+        return
+    _outcome(heights, schedule, depth)
+    _outcome(choose_telescoping_levels, schedule, first)
+    assert _outcome(choose_telescoping_levels, schedule, count) == expected
+
+
+def test_second_walk_resolves_no_cached_stage(monkeypatch):
+    schedule = ParamSchedule(CHACON.stages, CHACON.tail_period)  # nothing cached
+    resolved = []
+    original = ParamSchedule.stage
+
+    def counted(self, n):
+        resolved.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(ParamSchedule, "stage", counted)
+    assert choose_telescoping_levels(schedule, 4) == [0, 1, 3, 5, 8]
+    assert resolved == list(range(8))
+    resolved.clear()
+    assert choose_telescoping_levels(schedule, 4) == [0, 1, 3, 5, 8]
+    assert resolved == []
+    assert choose_telescoping_levels(schedule, 6) == [0, 1, 3, 5, 8, 12, 16]
+    assert resolved == list(range(8, 16))
+    heights(schedule, 30)
+    resolved.clear()
+    assert choose_telescoping_levels(schedule, 8) == [0, 1, 3, 5, 8, 12, 16, 21, 27]
+    assert resolved == []
