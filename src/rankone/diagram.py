@@ -77,9 +77,8 @@ def validate_path(schedule: ParamSchedule, path: AdicPath) -> None:
     if path.root not in (ROOT_NONSPACER, ROOT_SPACER):
         raise PathError(f"unknown root edge {path.root!r}")
     column = 0 if path.root == ROOT_NONSPACER else 1
-    table = _level_table(schedule, path.depth)
     for n, e in enumerate(path.edges):
-        st = table[n][0] if n < len(table) else schedule.stage(n)
+        st = schedule.stage(n)
         if column == 0:
             if e.kind != TOWER:
                 raise PathError(f"level {n}: expected a tower edge out of column 0")
@@ -108,14 +107,6 @@ def _next_edge(st: Stage, e: Edge) -> Edge | None:
     return Edge(TOWER, e.i + 1) if e.i + 1 < st.q else None
 
 
-def _full_table(schedule: ParamSchedule, n: int) -> list:
-    """The level table through level n-1, or what heights(schedule, n) raises."""
-    table = _level_table(schedule, n)
-    if n < 0 or len(table) < n:
-        heights(schedule, n)  # raises: n < 0, or a level below n does not resolve
-    return table
-
-
 def minimal_path(schedule: ParamSchedule, depth: int) -> AdicPath:
     """The least path of the given depth ending in column 0."""
     for k in range(depth):
@@ -125,11 +116,10 @@ def minimal_path(schedule: ParamSchedule, depth: int) -> AdicPath:
 
 def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
     """Vershik successor within the truncation, or Overflow."""
-    table = _level_table(schedule, path.depth)
     for pos, e in enumerate(path.edges):
         if e.kind == DOWN:
             continue  # the sole edge into its vertex, nothing to increment
-        new = _next_edge(table[pos][0] if pos < len(table) else schedule.stage(pos), e)
+        new = _next_edge(schedule.stage(pos), e)
         if new is None:
             continue
         if new.kind == TOWER:
@@ -165,7 +155,8 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
     (i+1) h_m + a[m][0] + ... + a[m][i-1] + j of tower m+1, and a tower
     edge i at level n lifts J_n to i h_n + a[n][0] + ... + a[n][i-1] + J_n.
     """
-    table = _full_table(schedule, path.depth)
+    hs = heights(schedule, path.depth)
+    table = _level_table(schedule, hs)
     start, j = 0, 0
     if path.root != ROOT_NONSPACER:
         m = next((n for n, e in enumerate(path.edges) if e.kind != DOWN), None)
@@ -175,16 +166,14 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
         if e.kind != SPACER:
             raise PathError(f"level {m}: tower edge cannot leave column 1")
         start = m + 1
-        st, h, _ = table[m]
-        j = (e.i + 1) * h + st.offsets[e.i] + e.j
+        j = (e.i + 1) * hs[m] + table[m][0].offsets[e.i] + e.j
     vals = [j]
     for n in range(start, path.depth):
         e = path.edges[n]
         if e.kind != TOWER:
             raise PathError(f"level {n}: expected a tower edge into column 0")
         # not starts[e.i], which a negative index would read differently
-        st, h, _ = table[n]
-        j = e.i * h + st.offsets[e.i] + j
+        j = e.i * hs[n] + table[n][0].offsets[e.i] + j
         vals.append(j)
     return LevelIndices(start, tuple(vals))
 
@@ -197,20 +186,20 @@ def from_tower_coordinates(schedule: ParamSchedule, n: int, k: int) -> AdicPath:
     a spacer slot (the path enters from the reservoir below).  The copy
     is found by bisection on the copy starts, O(log q) per level.
     """
-    table = _full_table(schedule, n)
-    top = table[n - 1][2][-1] if n else 1
-    if not 0 <= k < top:
-        raise ValueError(f"floor {k} outside 0..{top - 1}")
+    hs = heights(schedule, n)
+    if not 0 <= k < hs[n]:
+        raise ValueError(f"floor {k} outside 0..{hs[n] - 1}")
+    table = _level_table(schedule, hs)
     edges: list[Edge] = [Edge(DOWN)] * n
     pos = k
     for level in range(n - 1, -1, -1):
         # copy i of tower `level`, then its spacer run, fills the floors
         # from starts[i] up to starts[i + 1]; pos < starts[q] = h_{level+1}
-        _, h, starts = table[level]
+        starts = table[level][1]
         i = bisect_right(starts, pos) - 1
         pos -= starts[i]
-        if pos >= h:
-            edges[level] = Edge(SPACER, i, pos - h)
+        if pos >= hs[level]:
+            edges[level] = Edge(SPACER, i, pos - hs[level])
             return AdicPath(ROOT_SPACER, tuple(edges))
         edges[level] = Edge(TOWER, i)
     assert pos == 0

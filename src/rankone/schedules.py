@@ -121,7 +121,7 @@ class ParamSchedule:
         return [1]
 
     @cached_property
-    def _levels(self) -> list[tuple[Stage, int, tuple[int, ...]]]:
+    def _levels(self) -> list[tuple[Stage, tuple[int, ...]]]:
         """The levels resolved so far; ``_level_table`` swaps in longer copies."""
         return []
 
@@ -232,22 +232,19 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
     return hs[: n + 1]
 
 
-def _level_table(schedule: ParamSchedule, n: int) -> list[tuple[Stage, int, tuple[int, ...]]]:
-    """(stage, h_k, starts) for the levels k < n; starts[i] = i h_k + offsets[i]
-    is the floor of tower k+1 where copy i begins, so starts[q] = h_{k+1}.
-    The table ends before the first stage that does not resolve: a reader
-    needing that level resolves it with ``schedule.stage``, which raises."""
+def _level_table(schedule: ParamSchedule, hs: list[int]) -> list[tuple[Stage, tuple[int, ...]]]:
+    """(stage, starts) for the levels k < n, given hs = heights(schedule, n).
+
+    starts[i] = i h_k + offsets[i] is the floor of tower k+1 where copy i
+    begins, so starts[q] = h_{k+1}.  Kept on the schedule and extended as
+    a copy published whole, like the heights.
+    """
     table = schedule._levels
-    if len(table) < n:
-        table = table[:]  # extended as a copy and published whole, like heights
-        h = table[-1][2][-1] if table else 1
-        try:
-            while len(table) < n:
-                st = schedule.stage(len(table))
-                table.append((st, h, tuple(i * h + off for i, off in enumerate(st.offsets))))
-                h = table[-1][2][-1]
-        except (ScheduleError, DepthError):
-            pass
+    if len(table) < len(hs) - 1:
+        table = table[:]
+        for k in range(len(table), len(hs) - 1):
+            st = schedule.stage(k)
+            table.append((st, tuple(i * hs[k] + off for i, off in enumerate(st.offsets))))
         vars(schedule)["_levels"] = table
     return table
 
