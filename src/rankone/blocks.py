@@ -45,21 +45,6 @@ def build_block(schedule: ParamSchedule, n: int) -> str:
     return b
 
 
-def pea_condition(schedule: ParamSchedule, depth: int) -> list[bool]:
-    """Per-stage flags for stages 0..depth-1.
-
-    Stage k passes when its final spacer run strictly dominates every
-    earlier run: a[k][q_k - 1] > a[k][i] for all i < q_k - 1.  Vacuously
-    true when q_k == 1.
-    """
-    out = []
-    for k in range(depth):
-        st = schedule.stage(k)
-        last = st.a[st.q - 1]
-        out.append(all(last > x for x in st.a[: st.q - 1]))
-    return out
-
-
 @dataclass(frozen=True)
 class KalikowReport:
     """Witness values for the unbounded-final-run criterion.

@@ -9,6 +9,15 @@ deterministic: identical spec, flags, and seed give identical bytes.
 Each subcommand accepts only the flags its handler reads (see
 ``COMMANDS``); any other flag is an argparse error.
 
+A handler ``_cmd_*(spec, args)`` returns ``(exit code, document, text)``
+and writes nothing to stdout; ``spec`` is None for ``pd-check``.
+``telescope``, ``expand`` and ``variant`` give no text, ``dot`` and
+``expand --emit-blocks`` no document.  Only ``main`` reads ``--format``:
+it writes the text under ``--format text`` or when there is no document,
+else the document as JSON (a library object through its
+``to_json_dict``), inside the handlers' error handling, so an unwritable
+``--out`` exits 2.
+
 Exit codes: 0 success, 1 a verification found violations, 2 bad input
 or an unsatisfiable request.
 """
@@ -127,16 +136,19 @@ def parse_spec(text: str) -> SystemSpec:
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _dumps(doc) -> str:
+    # a library result is rendered through its own to_json_dict, only here
+    if not isinstance(doc, dict):
+        doc = doc.to_json_dict()
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
@@ -164,98 +176,73 @@ def _expansive_model(spec: SystemSpec, stages: int) -> ExpansiveModel:
     return build_expansive(spec.schedule, stages)
 
 
-def _cmd_heights(spec: SystemSpec, args: argparse.Namespace) -> int:
+# (exit code, document or None, text or None); see the module docstring
+Result = tuple[int, object, str | None]
+
+
+def _cmd_heights(spec: SystemSpec, args: argparse.Namespace) -> Result:
     hs = heights(spec.schedule, args.depth)
-    if args.format == "text":
-        _emit(" ".join(str(h) for h in hs), args.out)
-    else:
-        _emit(_dumps({"h": hs}), args.out)
-    return 0
+    return 0, {"h": hs}, " ".join(str(h) for h in hs)
 
 
-def _cmd_validate(spec: SystemSpec, args: argparse.Namespace) -> int:
+def _cmd_validate(spec: SystemSpec, args: argparse.Namespace) -> Result:
     report = validate(spec.schedule, args.depth)
-    doc = report.to_json_dict()
-    if report.ok:
-        ratio = report.ratio
-        doc["ratio_partial_sum"] = str(ratio.partial)
-        doc["ratio_total_bound"] = None if ratio.total_bound is None else str(ratio.total_bound)
-    if args.format == "text":
-        lines = [f"ok: {report.ok}"]
-        lines += [f"structural: {msg}" for msg in report.structural_issues]
-        lines.append(f"q>1 infinitely often: {report.q_gt1_infinitely_often}")
-        lines.append(f"tail verdict: {report.tail_verdict}")
-        if report.not_defined_everywhere_risk:
-            lines.append("risk: the map is not defined almost everywhere")
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(_dumps(doc), args.out)
-    return 0
+    lines = [f"ok: {report.ok}"]
+    lines += [f"structural: {msg}" for msg in report.structural_issues]
+    lines.append(f"q>1 infinitely often: {report.q_gt1_infinitely_often}")
+    lines.append(f"tail verdict: {report.tail_verdict}")
+    if report.not_defined_everywhere_risk:
+        lines.append("risk: the map is not defined almost everywhere")
+    return 0, report, "\n".join(lines)
 
 
-def _cmd_block(spec: SystemSpec, args: argparse.Namespace) -> int:
+def _cmd_block(spec: SystemSpec, args: argparse.Namespace) -> Result:
     word = build_block(spec.schedule, args.depth)
-    if args.format == "json":
-        _emit(_dumps({"block": word, "length": len(word)}), args.out)
-    else:
-        _emit(word, args.out)
-    return 0
+    return 0, {"block": word, "length": len(word)}, word
 
 
-def _cmd_telescope(spec: SystemSpec, args: argparse.Namespace) -> int:
-    tele = telescope(spec.schedule, _levels_for(spec, _stage_count(spec, args)))
-    _emit(_dumps(tele.to_json_dict()), args.out)
-    return 0
+def _cmd_telescope(spec: SystemSpec, args: argparse.Namespace) -> Result:
+    return 0, telescope(spec.schedule, _levels_for(spec, _stage_count(spec, args))), None
 
 
-def _cmd_expand(spec: SystemSpec, args: argparse.Namespace) -> int:
+def _cmd_expand(spec: SystemSpec, args: argparse.Namespace) -> Result:
     model = _expansive_model(spec, _stage_count(spec, args))
-    if args.emit_blocks:
-        rep = model.replaced_schedule()
-        words = [build_block(rep, n) for n in range(1, model.telescoped.num_stages + 1)]
-        _emit("\n".join(words), args.out)
-    else:
-        _emit(_dumps(model.to_json_dict()), args.out)
-    return 0
+    if not args.emit_blocks:
+        return 0, model, None
+    rep = model.replaced_schedule()
+    words = [build_block(rep, n) for n in range(1, model.telescoped.num_stages + 1)]
+    return 0, None, "\n".join(words)
 
 
-def _cmd_variant(spec: SystemSpec, args: argparse.Namespace) -> int:
+def _cmd_variant(spec: SystemSpec, args: argparse.Namespace) -> Result:
     tele = telescope(spec.schedule, _levels_for(spec, _stage_count(spec, args)))
     if args.picks is None:
         chosen = [st.q - 1 for st in tele.stages]
     else:
         chosen = [int(p) for p in args.picks.split(",")]
     modified = one_tower_variant(tele, chosen)
-    doc = {
-        "m": list(tele.levels),
-        "picks": chosen,
-        "schedule": modified.to_json_dict(),
-    }
-    _emit(_dumps(doc), args.out)
-    return 0
+    doc = {"m": list(tele.levels), "picks": chosen, "schedule": modified.to_json_dict()}
+    return 0, doc, None
 
 
-def _cmd_vershik(spec: SystemSpec, args: argparse.Namespace) -> int:
+def _cmd_vershik(spec: SystemSpec, args: argparse.Namespace) -> Result:
     schedule = spec.schedule
     coding = code_orbit(schedule, minimal_path(schedule, args.depth), args.length)
-    if args.format == "json":
-        doc = {
-            "word": coding.word,
-            "overflow": None if coding.overflow is None else coding.overflow.depth,
-        }
-        _emit(_dumps(doc), args.out)
-    else:
-        _emit(coding.word, args.out)
-    if coding.overflow is not None:
-        sys.stderr.write(
-            f"orbit overflowed depth {coding.overflow.depth} after "
-            f"{len(coding.word)} symbols; increase --depth\n"
-        )
-        return 2
-    return 0
+    doc = {
+        "word": coding.word,
+        "overflow": None if coding.overflow is None else coding.overflow.depth,
+    }
+    if coding.overflow is None:
+        return 0, doc, coding.word
+    # written before main writes the partial word
+    sys.stderr.write(
+        f"orbit overflowed depth {coding.overflow.depth} after "
+        f"{len(coding.word)} symbols; increase --depth\n"
+    )
+    return 2, doc, coding.word
 
 
-def _cmd_measure(spec: SystemSpec, args: argparse.Namespace) -> int:
+def _cmd_measure(spec: SystemSpec, args: argparse.Namespace) -> Result:
     level = args.stages
     depth = args.depth if args.depth is not None else max(level, 8)
     bracket = cylinder_measure_bounds(spec.schedule, level, depth)
@@ -267,67 +254,51 @@ def _cmd_measure(spec: SystemSpec, args: argparse.Namespace) -> int:
         "width": str(bracket.width),
         "tail_bounded": bracket.tail_bounded,
     }
-    if args.format == "text":
-        _emit(
-            f"base cylinder at level {level}: mass in [{bracket.lo}, {bracket.hi}]"
-            + ("" if bracket.tail_bounded else " (no tail bound, lo pinned to 0)"),
-            args.out,
-        )
-    else:
-        _emit(_dumps(doc), args.out)
-    return 0
+    text = f"base cylinder at level {level}: mass in [{bracket.lo}, {bracket.hi}]" + (
+        "" if bracket.tail_bounded else " (no tail bound, lo pinned to 0)"
+    )
+    return 0, doc, text
 
 
-def _cmd_dot(spec: SystemSpec, args: argparse.Namespace) -> int:
-    _emit(export_dot(spec.schedule, args.depth), args.out)
-    return 0
+def _cmd_dot(spec: SystemSpec, args: argparse.Namespace) -> Result:
+    return 0, None, export_dot(spec.schedule, args.depth)
 
 
-def _cmd_verify(spec: SystemSpec, args: argparse.Namespace) -> int:
+def _cmd_verify(spec: SystemSpec, args: argparse.Namespace) -> Result:
     if args.samples is None and args.seed is not None:
         raise ValueError("--seed needs --samples: an exhaustive run uses no seed")
     ctx = IsoContext.from_model(_expansive_model(spec, args.depth))
     report = verify_isomorphism(ctx, args.depth, samples=args.samples, seed=args.seed or 0)
-    if args.format == "json":
-        _emit(_dumps(report.to_json_dict()), args.out)
-    else:
-        lines = [
-            f"depth {report.depth}: tested {report.paths_tested} paths, "
-            f"{len(report.failures)} failures",
-        ]
-        for check, count in sorted(report.failure_counts().items()):
-            lines.append(f"  {check}: {count}")
-        for reason, count in report.exclusions:
-            lines.append(f"  skipped ({reason}): {count}")
-        lines.append(
-            "exceptional mass partial sum: "
-            + str(sum(report.exceptional_mass_terms, start=Fraction(0)))
-        )
-        lines.append("PASS" if report.passed else "FAIL")
-        _emit("\n".join(lines), args.out)
-    return 0 if report.passed else 1
+    lines = [
+        f"depth {report.depth}: tested {report.paths_tested} paths, "
+        f"{len(report.failures)} failures",
+    ]
+    for check, count in sorted(report.failure_counts().items()):
+        lines.append(f"  {check}: {count}")
+    for reason, count in report.exclusions:
+        lines.append(f"  skipped ({reason}): {count}")
+    lines.append(
+        "exceptional mass partial sum: "
+        + str(sum(report.exceptional_mass_terms, start=Fraction(0)))
+    )
+    lines.append("PASS" if report.passed else "FAIL")
+    return (0 if report.passed else 1), report, "\n".join(lines)
 
 
-def _cmd_pd_check(args: argparse.Namespace) -> int:
+def _cmd_pd_check(spec: None, args: argparse.Namespace) -> Result:
     word = period_doubling_prefix(args.length)
     occ = occurrence_spacing(word, "0100")
     bad = [g for g in occ.gaps if g % 4 != 0]
-    if args.format == "json":
-        doc = {
-            "length": args.length,
-            "occurrences": len(occ.positions),
-            "gaps_all_multiples_of_4": not bad,
-            "distinct_gaps": sorted(set(occ.gaps)),
-        }
-        _emit(_dumps(doc), args.out)
-    elif not bad:
-        _emit(
-            f"all gaps ≡ 0 mod 4 ({len(occ.positions)} occurrences in {args.length} symbols)",
-            args.out,
-        )
-    else:
-        _emit(f"violations: {sorted(set(bad))}", args.out)
-    return 0 if not bad else 1
+    doc = {
+        "length": args.length,
+        "occurrences": len(occ.positions),
+        "gaps_all_multiples_of_4": not bad,
+        "distinct_gaps": sorted(set(occ.gaps)),
+    }
+    if bad:
+        return 1, doc, f"violations: {sorted(set(bad))}"
+    text = f"all gaps ≡ 0 mod 4 ({len(occ.positions)} occurrences in {args.length} symbols)"
+    return 0, doc, text
 
 
 # argparse keywords of each flag a subcommand may read
@@ -399,28 +370,24 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not takes_system:
-            return handler(args)
-        if args.spec is not None:
-            with open(args.spec) as fh:
-                spec = parse_spec(fh.read())
-        else:
-            spec = _preset_spec(args.preset)
-        if spec.schedule is None:
-            raise SpecFileError(
-                f"preset {spec.preset!r} names a sequence, not a stage schedule; "
-                "this command needs stages (sequence checks live under pd-check)"
-            )
-        return handler(spec, args)
-    except (
-        SpecFileError,
-        ScheduleError,
-        DepthError,
-        SpacerReplacementError,
-        BlockBudgetError,
-        ValueError,
-        OSError,
-    ) as exc:
+        spec = None
+        if takes_system:
+            if args.spec is None:
+                spec = _preset_spec(args.preset)
+            else:
+                with open(args.spec) as fh:
+                    spec = parse_spec(fh.read())
+            if spec.schedule is None:
+                raise SpecFileError(
+                    f"preset {spec.preset!r} names a sequence, not a stage schedule; "
+                    "this command needs stages (sequence checks live under pd-check)"
+                )
+        code, doc, text = handler(spec, args)
+        if doc is not None and getattr(args, "format", None) != "text":
+            text = _dumps(doc)
+        _emit(text, args.out)
+        return code
+    except (DepthError, SpacerReplacementError, BlockBudgetError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

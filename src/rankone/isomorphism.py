@@ -53,6 +53,7 @@ from .diagram import (
     TOWER,
     from_tower_coordinates,
     level_indices,
+    path_to_json_dict,
     successor,
     validate_path,
 )
@@ -89,16 +90,12 @@ class IsoContext:
         return len(self.cut)
 
 
-def _exceptional_edge(e: Edge, cut: int) -> bool:
-    """The exceptional-set rule for the edge at one level below the truncation."""
-    return e.kind == SPACER or (e.kind == TOWER and e.i > cut)
-
-
 def exceptional_index(ctx: IsoContext, path: AdicPath) -> int:
-    """N(x): the last exceptional level, or -1."""
+    """N(x): the last level whose edge is a spacer edge or a copy above the cut, or -1."""
     edges, cut = path.edges, ctx.cut
     for n in range(min(path.depth, ctx.num_stages) - 1, -1, -1):
-        if _exceptional_edge(edges[n], cut[n]):
+        e = edges[n]
+        if e.kind == SPACER or (e.kind == TOWER and e.i > cut[n]):
             return n
     return -1
 
@@ -190,7 +187,7 @@ def _floor(ctx: IsoContext, x: AdicPath) -> _Floor:
     jx = level_indices(ctx.source, x)
     try:
         y = _to_target(ctx, x, n_exc, jx)
-    except (PathError, MappingRangeError, ValueError) as exc:
+    except (MappingRangeError, ValueError) as exc:
         return _Floor(x, n_exc, jx, None, None, str(exc))
     return _Floor(x, n_exc, jx, y, level_indices(ctx.target, y), None)
 
@@ -226,8 +223,6 @@ class IsoReport:
         return dict(counts)
 
     def to_json_dict(self) -> dict:
-        from .diagram import path_to_json_dict
-
         return {
             "depth": self.depth,
             "paths_tested": self.paths_tested,

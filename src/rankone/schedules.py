@@ -352,7 +352,8 @@ class ValidityReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
+        """The report; an ``ok`` one also carries its ratio sum and bound."""
+        doc = {
             "structural_issues": list(self.structural_issues),
             "q_gt1_stages": list(self.q_gt1_stages),
             "q_gt1_infinitely_often": self.q_gt1_infinitely_often,
@@ -361,6 +362,11 @@ class ValidityReport:
             "not_defined_everywhere_risk": self.not_defined_everywhere_risk,
             "ok": self.ok,
         }
+        if self.ok:
+            bound = self.ratio.total_bound
+            doc["ratio_partial_sum"] = str(self.ratio.partial)
+            doc["ratio_total_bound"] = None if bound is None else str(bound)
+        return doc
 
 
 def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:

@@ -14,11 +14,9 @@ from rankone import (
     ParamSchedule,
     Stage,
     build_block,
-    build_expansive,
     heights,
     kalikow_sup_condition,
     occurrence_spacing,
-    pea_condition,
     period_doubling_prefix,
 )
 
@@ -53,21 +51,6 @@ def test_block_budget_checked_before_building():
         build_block(CHACON, 40)
     assert err.value.required == required
     assert err.value.budget == DEFAULT_SYMBOL_BUDGET < required
-
-
-def test_pea_condition():
-    # final runs of the base stages never dominate
-    assert pea_condition(CHACON, 3) == [False, False, False]
-    assert pea_condition(ODOMETER, 2) == [False, False]
-    # replacement installs a dominating final run by construction
-    model = build_expansive(CHACON, 3)
-    rep = model.replaced_schedule()
-    assert pea_condition(rep, model.telescoped.num_stages) == [True, True, True]
-
-
-def test_pea_vacuous_for_single_copy():
-    sched = ParamSchedule((Stage(1, (2,)),), tail_period=1)
-    assert pea_condition(sched, 2) == [True, True]
 
 
 def test_kalikow_verdicts():

@@ -325,14 +325,60 @@ def test_validate_bad_stage_between_depth_and_tail(tmp_path, capsys):
     assert report["structural_issues"] == ["stage 1: len(a)=1 != q=2"]
 
 
-def test_readme_commands_run(capsys):
+def _readme_commands():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```", 2)[1]
-    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("rankone ")]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("rankone ")]
+
+
+def test_readme_commands_run(capsys):
+    lines = _readme_commands()
     assert len(lines) == len(READS)
     for argv in lines:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+def _each_format(argv):
+    """argv once per --format its command takes (once if it takes none)."""
+    if "--format" not in READS[argv[0]]:
+        return [argv]
+    if "--format" in argv:
+        i = argv.index("--format")
+        argv = argv[:i] + argv[i + 2:]
+    return [[*argv, "--format", fmt] for fmt in ("json", "text")]
+
+
+def test_out_file_holds_stdout_bytes(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    for command in _readme_commands():
+        for argv in _each_format(command):
+            assert main(argv) == 0, argv
+            stdout = capsys.readouterr().out
+            assert main([*argv, "--out", str(target)]) == 0, argv
+            assert capsys.readouterr().out == ""
+            assert target.read_bytes() == stdout.encode(), argv
+
+
+def test_unwritable_out_is_a_located_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    for command in _readme_commands():
+        for argv in _each_format(command):
+            assert main([*argv, "--out", str(target)]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert str(target) in captured.err
+
+
+def test_validate_text_at_large_depth(capsys):
+    # the text report prints no fraction, so the int->str digit limit that
+    # the JSON partial sums reach at this depth does not apply to it
+    argv = ["validate", "--preset", "chacon", "--depth", "600", "--format", "text"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "ok: True" in out
+    assert "tail verdict: proved-convergent" in out
 
 
 @pytest.mark.parametrize(

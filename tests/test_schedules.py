@@ -362,6 +362,11 @@ def test_choose_levels_matches_reference_walk(schedule, count):
 def test_validate_inspects_what_it_reads(schedule, depth):
     report = validate(schedule, depth)
     assert report.ratio is not None or not report.ok
+    # the document carries the ratio sum and bound exactly when ok
+    doc = report.to_json_dict()
+    assert ("ratio_partial_sum" in doc) == ("ratio_total_bound" in doc) == report.ok
+    if report.ok:
+        assert doc["ratio_partial_sum"] == str(report.ratio.partial)
     # a periodic tail's bound sums exact terms through the whole prefix
     read = schedule.prefix_len if schedule.tail_period is not None else depth
     assert report.structural_issues == tuple(
