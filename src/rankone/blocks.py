@@ -12,7 +12,6 @@ any string is materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
 
 from .schedules import ParamSchedule, UNKNOWN_AT_DEPTH, heights
 
@@ -96,20 +95,20 @@ def period_doubling_prefix(length: int) -> str:
 
 @dataclass(frozen=True)
 class Occurrences:
-    positions: tuple[int, ...]
+    count: int
     gaps: tuple[int, ...]
 
 
 def occurrence_spacing(w: str, pattern: str) -> Occurrences:
-    """Start positions of (possibly overlapping) matches, and their gaps."""
+    """How many (possibly overlapping) matches there are, and the gaps
+    between consecutive match positions."""
     if not pattern:
         raise ValueError("empty pattern")
     if len(pattern) > len(w):
         raise ValueError("pattern longer than the word")
-    positions = []
-    i = w.find(pattern)
+    gaps, prev = [], w.find(pattern)
+    i = w.find(pattern, prev + 1)  # -1 too when there is no match at all
     while i != -1:
-        positions.append(i)
-        i = w.find(pattern, i + 1)
-    positions = tuple(positions)  # the list is freed before the gaps are built
-    return Occurrences(positions, tuple(b - a for a, b in pairwise(positions)))
+        gaps.append(i - prev)
+        prev, i = i, w.find(pattern, i + 1)
+    return Occurrences(len(gaps) + 1 if prev != -1 else 0, tuple(gaps))

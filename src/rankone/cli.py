@@ -64,13 +64,9 @@ from .telescoping import (
 ODOMETER = ParamSchedule((Stage(2, (0, 0)),), tail_period=1)
 CHACON = ParamSchedule((Stage(3, (0, 1, 0)),), tail_period=1)
 
-PRESET_SCHEDULES: dict[str, ParamSchedule | None] = {
+PRESET_SCHEDULES: dict[str, ParamSchedule] = {
     "dyadic-odometer": ODOMETER,
     "chacon": CHACON,
-    # the period-doubling subshift admits no stage description of this
-    # form (its 0100-gaps are all multiples of 4, which block recursion
-    # cannot produce); only sequence-level commands accept it
-    "period-doubling": None,
 }
 
 
@@ -80,17 +76,15 @@ class SpecFileError(ValueError):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    schedule: ParamSchedule | None
+    schedule: ParamSchedule
     telescope_levels: tuple[int, ...] | None
-    preset: str | None
 
 
 def _preset_spec(name: str, levels: tuple[int, ...] | None = None) -> SystemSpec:
     # a fresh schedule per spec, so what one command caches on it (heights,
     # stage checks) does not outlive the command
     preset = PRESET_SCHEDULES[name]
-    schedule = None if preset is None else ParamSchedule(preset.stages, preset.tail_period)
-    return SystemSpec(schedule=schedule, telescope_levels=levels, preset=name)
+    return SystemSpec(ParamSchedule(preset.stages, preset.tail_period), levels)
 
 
 def parse_spec(text: str) -> SystemSpec:
@@ -132,7 +126,7 @@ def parse_spec(text: str) -> SystemSpec:
         levels = tuple(raw)
     if has_preset:
         return _preset_spec(doc["preset"], levels)
-    return SystemSpec(schedule=schedule, telescope_levels=levels, preset=None)
+    return SystemSpec(schedule, levels)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -286,18 +280,21 @@ def _cmd_verify(spec: SystemSpec, args: argparse.Namespace) -> Result:
 
 
 def _cmd_pd_check(spec: None, args: argparse.Namespace) -> Result:
+    """Check that the gaps between the 0100s of the period-doubling word are
+    all multiples of 4.  Block recursion cannot give every gap that form, so
+    the word has no stage schedule, and no preset names it."""
     word = period_doubling_prefix(args.length)
     occ = occurrence_spacing(word, "0100")
     bad = [g for g in occ.gaps if g % 4 != 0]
     doc = {
         "length": args.length,
-        "occurrences": len(occ.positions),
+        "occurrences": occ.count,
         "gaps_all_multiples_of_4": not bad,
         "distinct_gaps": sorted(set(occ.gaps)),
     }
     if bad:
         return 1, doc, f"violations: {sorted(set(bad))}"
-    text = f"all gaps ≡ 0 mod 4 ({len(occ.positions)} occurrences in {args.length} symbols)"
+    text = f"all gaps ≡ 0 mod 4 ({occ.count} occurrences in {args.length} symbols)"
     return 0, doc, text
 
 
@@ -377,11 +374,6 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 with open(args.spec) as fh:
                     spec = parse_spec(fh.read())
-            if spec.schedule is None:
-                raise SpecFileError(
-                    f"preset {spec.preset!r} names a sequence, not a stage schedule; "
-                    "this command needs stages (sequence checks live under pd-check)"
-                )
         code, doc, text = handler(spec, args)
         if doc is not None and getattr(args, "format", None) != "text":
             text = _dumps(doc)

@@ -152,8 +152,9 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
 
     A path through the level-n column-0 vertex codes floor J_n of the
     n-th tower: J_0 = 0, a spacer edge (i, j) at level m enters floor
-    (i+1) h_m + a[m][0] + ... + a[m][i-1] + j of tower m+1, and a tower
-    edge i at level n lifts J_n to i h_n + a[n][0] + ... + a[n][i-1] + J_n.
+    starts[i] + h_m + j of tower m+1, and a tower edge i at level n lifts
+    J_n by starts[i], where starts are the copy starts of the level table.
+    An index outside its stage raises PathError, as in validate_path.
     """
     hs = heights(schedule, path.depth)
     table = _level_table(schedule, hs)
@@ -162,18 +163,25 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
         m = next((n for n, e in enumerate(path.edges) if e.kind != DOWN), None)
         if m is None:
             raise PathError("path stays in the spacer column; no tower coordinates")
-        e = path.edges[m]
-        if e.kind != SPACER:
+        kind, i, j = path.edges[m]
+        if kind != SPACER:
             raise PathError(f"level {m}: tower edge cannot leave column 1")
-        start = m + 1
-        j = (e.i + 1) * hs[m] + table[m][0].offsets[e.i] + e.j
+        starts = table[m]
+        if not 0 <= i < len(starts) - 1:
+            raise PathError(f"level {m}: spacer group {i} outside 0..{len(starts) - 2}")
+        run = starts[i + 1] - starts[i] - hs[m]
+        if not 0 <= j < run:
+            raise PathError(f"level {m}: spacer index {j} outside 0..{run - 1}")
+        start, j = m + 1, starts[i] + hs[m] + j
     vals = [j]
     for n in range(start, path.depth):
-        e = path.edges[n]
-        if e.kind != TOWER:
+        kind, i, _ = path.edges[n]
+        if kind != TOWER:
             raise PathError(f"level {n}: expected a tower edge into column 0")
-        # not starts[e.i], which a negative index would read differently
-        j = e.i * hs[n] + table[n][0].offsets[e.i] + j
+        starts = table[n]
+        if not 0 <= i < len(starts) - 1:
+            raise PathError(f"level {n}: tower index {i} outside 0..{len(starts) - 2}")
+        j += starts[i]
         vals.append(j)
     return LevelIndices(start, tuple(vals))
 
@@ -195,7 +203,7 @@ def from_tower_coordinates(schedule: ParamSchedule, n: int, k: int) -> AdicPath:
     for level in range(n - 1, -1, -1):
         # copy i of tower `level`, then its spacer run, fills the floors
         # from starts[i] up to starts[i + 1]; pos < starts[q] = h_{level+1}
-        starts = table[level][1]
+        starts = table[level]
         i = bisect_right(starts, pos) - 1
         pos -= starts[i]
         if pos >= hs[level]:

@@ -61,10 +61,6 @@ from .schedules import ParamSchedule, heights
 from .telescoping import ExpansiveModel
 
 
-class MappingRangeError(Exception):
-    """A computed replacement-run slot fell outside the run."""
-
-
 @dataclass(frozen=True)
 class IsoContext:
     """Shared data of a source/target pair related by spacer replacement."""
@@ -104,18 +100,17 @@ def to_target(ctx: IsoContext, x: AdicPath) -> AdicPath:
     """Map a source path to the target path on the same tower floors."""
     if x.depth > ctx.num_stages:
         raise ValueError(f"path depth {x.depth} exceeds the {ctx.num_stages} stages")
+    validate_path(ctx.source, x)
     if x.root == ROOT_SPACER and all(e.kind == DOWN for e in x.edges):
         raise PathError(
             "path stays in the spacer column; its exceptional level is not "
             "visible at this depth"
         )
-    return _to_target(ctx, x, exceptional_index(ctx, x), None)
+    return _to_target(ctx, x, exceptional_index(ctx, x), level_indices(ctx.source, x))
 
 
-def _to_target(
-    ctx: IsoContext, x: AdicPath, n_exc: int, jx: LevelIndices | None
-) -> AdicPath:
-    """to_target given N(x) and, when already known, J(x)."""
+def _to_target(ctx: IsoContext, x: AdicPath, n_exc: int, jx: LevelIndices) -> AdicPath:
+    """to_target given N(x) and J(x)."""
     if n_exc == -1:
         y = AdicPath(ROOT_NONSPACER, x.edges)
         validate_path(ctx.target, y)
@@ -125,15 +120,8 @@ def _to_target(
     if e.kind == SPACER and e.i <= ctx.cut[n_exc]:
         edges.append(e)
     else:
-        if jx is None:
-            jx = level_indices(ctx.source, x)
-        floor = jx.at(n_exc + 1)
-        slot = floor - ctx.heights[n_exc + 1] + ctx.top_run[n_exc]
-        if not 0 <= slot < ctx.top_run[n_exc]:
-            raise MappingRangeError(
-                f"stage {n_exc}: slot {slot} outside the replacement run "
-                f"0..{ctx.top_run[n_exc] - 1}"
-            )
+        # validate_path below rejects a slot outside the target's run
+        slot = jx.at(n_exc + 1) - ctx.heights[n_exc + 1] + ctx.top_run[n_exc]
         edges.append(Edge(SPACER, ctx.cut[n_exc], slot))
     edges.extend(x.edges[n_exc + 1:])
     y = AdicPath(ROOT_SPACER, tuple(edges))
@@ -187,7 +175,7 @@ def _floor(ctx: IsoContext, x: AdicPath) -> _Floor:
     jx = level_indices(ctx.source, x)
     try:
         y = _to_target(ctx, x, n_exc, jx)
-    except (MappingRangeError, ValueError) as exc:
+    except ValueError as exc:
         return _Floor(x, n_exc, jx, None, None, str(exc))
     return _Floor(x, n_exc, jx, y, level_indices(ctx.target, y), None)
 

@@ -42,8 +42,7 @@ class DepthError(Exception):
 class Stage:
     """One cut-and-stack step: q columns, a[i] spacers above column i.
 
-    ``spacer_sum`` and ``offsets`` are cached on the instance, outside
-    equality and hashing.
+    ``spacer_sum`` is cached on the instance, outside equality and hashing.
     """
 
     q: int
@@ -52,11 +51,6 @@ class Stage:
     @cached_property
     def spacer_sum(self) -> int:
         return sum(self.a)
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """offsets[i] = a[0] + ... + a[i-1], for i = 0..len(a)."""
-        return tuple(accumulate(self.a, initial=0))
 
     def issues(self) -> list[str]:
         """Structural problems, empty when the stage is well-formed."""
@@ -121,8 +115,8 @@ class ParamSchedule:
         return [1]
 
     @cached_property
-    def _levels(self) -> list[tuple[Stage, tuple[int, ...]]]:
-        """The levels resolved so far; ``_level_table`` swaps in longer copies."""
+    def _levels(self) -> list[tuple[int, ...]]:
+        """Copy starts of the levels resolved so far; ``_level_table`` swaps in longer copies."""
         return []
 
     def stage(self, n: int) -> Stage:
@@ -232,19 +226,20 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
     return hs[: n + 1]
 
 
-def _level_table(schedule: ParamSchedule, hs: list[int]) -> list[tuple[Stage, tuple[int, ...]]]:
-    """(stage, starts) for the levels k < n, given hs = heights(schedule, n).
+def _level_table(schedule: ParamSchedule, hs: list[int]) -> list[tuple[int, ...]]:
+    """The copy starts of the levels k < n, given hs = heights(schedule, n).
 
-    starts[i] = i h_k + offsets[i] is the floor of tower k+1 where copy i
-    begins, so starts[q] = h_{k+1}.  Kept on the schedule and extended as
-    a copy published whole, like the heights.
+    starts[i] = i h_k + a[0] + ... + a[i-1] is the floor of tower k+1 where
+    copy i begins, so starts[q] = h_{k+1}, and the spacer run above copy i
+    fills the floors starts[i] + h_k up to starts[i + 1].  Kept on the
+    schedule and extended as a copy published whole, like the heights.
     """
     table = schedule._levels
     if len(table) < len(hs) - 1:
         table = table[:]
         for k in range(len(table), len(hs) - 1):
             st = schedule.stage(k)
-            table.append((st, tuple(i * hs[k] + off for i, off in enumerate(st.offsets))))
+            table.append(tuple(accumulate((hs[k] + x for x in st.a), initial=0)))
         vars(schedule)["_levels"] = table
     return table
 

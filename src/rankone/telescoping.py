@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
+from .blocks import DEFAULT_SYMBOL_BUDGET
 from .schedules import GROWTH_BASE, ParamSchedule, Stage, _greedy_levels, heights
 
 # build_expansive's number of attempts, doubling the growth base each time
@@ -86,6 +87,16 @@ def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSched
         raise ValueError("levels must start at 0")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
+    for lo, hi in zip(levels, levels[1:]):
+        # a window of Q copies describes a block of at least Q symbols
+        copies = 1
+        for k in range(lo, hi):
+            copies *= schedule.stage(k).q
+            if copies > DEFAULT_SYMBOL_BUDGET:
+                raise ValueError(
+                    f"window [{lo}, {hi}) makes {copies} copies by level {k}, "
+                    f"over build_block's symbol budget of {DEFAULT_SYMBOL_BUDGET}"
+                )
     hs = heights(schedule, levels[-1])
     stages = []
     for lo, hi in zip(levels, levels[1:]):

@@ -148,7 +148,7 @@ def test_criterion_6_period_doubling_gaps():
     t0 = time.perf_counter()
     w = period_doubling_prefix(1 << 14)
     occ = occurrence_spacing(w, "0100")
-    assert occ.positions
+    assert occ.count
     assert all(g % 4 == 0 for g in occ.gaps)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

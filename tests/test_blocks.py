@@ -11,6 +11,7 @@ from rankone import (
     UNKNOWN_AT_DEPTH,
     DEFAULT_SYMBOL_BUDGET,
     BlockBudgetError,
+    Occurrences,
     ParamSchedule,
     Stage,
     build_block,
@@ -116,9 +117,9 @@ def test_period_doubling_self_similar(length):
 
 def test_occurrence_spacing():
     occ = occurrence_spacing("0100010101000100", "0100")
-    assert occ.positions == (0, 8, 12)
-    assert occ.gaps == (8, 4)
-    assert occurrence_spacing("aaa", "aa").positions == (0, 1)  # overlaps count
+    assert occ == Occurrences(3, (8, 4))
+    assert occurrence_spacing("aaa", "aa") == Occurrences(2, (1,))  # overlaps count
+    assert occurrence_spacing("0101", "11") == Occurrences(0, ())
     with pytest.raises(ValueError):
         occurrence_spacing("01", "")
     with pytest.raises(ValueError):

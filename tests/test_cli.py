@@ -24,16 +24,18 @@ def test_parse_spec_schedule_and_levels():
     assert spec.schedule is not None
     assert spec.schedule.stages[0].q == 3
     assert spec.telescope_levels == (0, 1, 3)
-    assert spec.preset is None
 
 
 def test_parse_spec_preset():
     spec = parse_spec('{"preset": "chacon"}')
-    assert spec.preset == "chacon"
     # a fresh copy, so nothing cached on it outlives one command
     assert spec.schedule == CHACON and spec.schedule is not CHACON
-    none_spec = parse_spec('{"preset": "period-doubling"}')
-    assert none_spec.schedule is None
+    # the period-doubling word has no stage schedule, so no preset names it
+    with pytest.raises(SpecFileError) as err:
+        parse_spec('{"preset": "period-doubling"}')
+    assert str(err.value) == (
+        "unknown preset 'period-doubling' at $.preset (known: chacon, dyadic-odometer)"
+    )
 
 
 @pytest.mark.parametrize(
@@ -174,8 +176,10 @@ def test_pd_check(capsys):
 
 
 def test_schedule_less_preset_rejected(capsys):
-    assert main(["heights", "--preset", "period-doubling"]) == 2
-    assert "stage schedule" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["heights", "--preset", "period-doubling"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'period-doubling'" in capsys.readouterr().err
 
 
 def test_spec_file_round_trip(tmp_path, capsys):
@@ -469,3 +473,19 @@ def test_verify_wide_window(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "1a35ea6f964c38754248f7a26bf29de2e28d2bf4c67d40ea24f9b135c5141092"
     )
+
+
+def test_telescope_window_over_the_budget(tmp_path, capsys):
+    # levels [0, 30] of the odometer make 2^30 copies; [0, 18] stays allowed
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"preset": "dyadic-odometer", "telescope_levels": [0, 30]}))
+    t0 = time.perf_counter()
+    assert main(["telescope", "--spec", str(spec)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "error: window [0, 30) makes 134217728 copies by level 26, "
+        "over build_block's symbol budget of 67108864\n"
+    )
+    spec.write_text(json.dumps({"preset": "dyadic-odometer", "telescope_levels": [0, 18]}))
+    assert main(["telescope", "--spec", str(spec)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["stages"][0]["A"]) == 1 << 18

@@ -264,8 +264,8 @@ def _check_floors_and_table(schedule, n, seed=0):
         assert level_indices(schedule, x).at(n) == k
     table = _level_table(schedule, hs)
     assert len(table) >= n
-    for level, (stage, starts) in enumerate(table[:n]):
-        assert stage == schedule.stage(level)
+    for level, starts in enumerate(table[:n]):
+        stage = schedule.stage(level)
         assert starts == tuple(i * hs[level] + sum(stage.a[:i]) for i in range(stage.q + 1))
         assert starts[stage.q] == heights(schedule, level + 1)[level + 1]
 
@@ -355,14 +355,22 @@ def _ref_level_indices(schedule, path):
         e = path.edges[m]
         if e.kind != SPACER:
             raise PathError(f"level {m}: tower edge cannot leave column 1")
+        st = schedule.stage(m)
+        if not 0 <= e.i < st.q:
+            raise PathError(f"level {m}: spacer group {e.i} outside 0..{st.q - 1}")
+        if not 0 <= e.j < st.a[e.i]:
+            raise PathError(f"level {m}: spacer index {e.j} outside 0..{st.a[e.i] - 1}")
         start = m + 1
-        j = (e.i + 1) * hs[m] + schedule.stage(m).offsets[e.i] + e.j
+        j = (e.i + 1) * hs[m] + sum(st.a[:e.i]) + e.j
     vals = [j]
     for n in range(start, path.depth):
         e = path.edges[n]
         if e.kind != TOWER:
             raise PathError(f"level {n}: expected a tower edge into column 0")
-        j = e.i * hs[n] + schedule.stage(n).offsets[e.i] + j
+        st = schedule.stage(n)
+        if not 0 <= e.i < st.q:
+            raise PathError(f"level {n}: tower index {e.i} outside 0..{st.q - 1}")
+        j = e.i * hs[n] + sum(st.a[:e.i]) + j
         vals.append(j)
     return LevelIndices(start, tuple(vals))
 
@@ -400,12 +408,13 @@ _ANY_EDGES = st.lists(
         max_size=4,
     ),
 )
-@example(  # negative and past-the-end indices into the copy starts
+@example(  # negative and past-the-end indices, refused before the copy starts are read
     ParamSchedule((Stage(2, (0, 1)),), 1),
     [
         (ROOT_NONSPACER, [Edge(TOWER, -1), Edge(TOWER, 2)], 2, 5),
         (ROOT_SPACER, [Edge(SPACER, -1, 0), Edge(TOWER, -2)], 1, 0),
         (ROOT_SPACER, [Edge(DOWN), Edge(SPACER, 2, 1)], 3, 1),
+        (ROOT_SPACER, [Edge(SPACER, 1, 1), Edge(TOWER, 0)], 2, 3),
     ],
 )
 def test_path_functions_raise_where_each_level_is_read(schedule, cases):

@@ -2,23 +2,24 @@
 
 import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from conftest import CHACON, ODOMETER, seeded_levels, seeded_schedule
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankone import (
     DOWN,
+    ROOT_NONSPACER,
     ROOT_SPACER,
     AdicPath,
     Edge,
     IsoContext,
     IsoFailure,
     IsoReport,
-    MappingRangeError,
     Overflow,
     ParamSchedule,
     PathError,
@@ -103,10 +104,31 @@ def test_mapping_rejects_all_down(chacon_ctx):
 
 
 def test_mapping_range_error(chacon_ctx):
+    # slot 38 - 40 + 0 lies outside the target's stage-1 run of 5
     broken = dataclasses.replace(chacon_ctx, top_run=(2, 0, 41))
     x = AdicPath(ROOT_SPACER, (Edge(SPACER, 1, 0), Edge(TOWER, 8)))
-    with pytest.raises(MappingRangeError):
+    with pytest.raises(PathError, match="level 1: spacer index -2 outside 0..4"):
         to_target(broken, x)
+
+
+@pytest.mark.parametrize("i", [99, 3, -1])
+def test_tower_index_outside_the_stage(chacon_ctx, i):
+    # stage 0 of chacon and of the context's source has q = 3; no floor may
+    # be read off these paths
+    x = AdicPath(ROOT_NONSPACER, (Edge(TOWER, i), Edge(TOWER, 0)))
+    message = re.escape(f"level 0: tower index {i} outside 0..2")
+    for schedule in (CHACON, chacon_ctx.source):
+        with pytest.raises(PathError, match=message):
+            level_indices(schedule, x)
+    with pytest.raises(PathError, match=message):
+        to_target(chacon_ctx, x)
+
+
+def test_to_target_validates_its_input(chacon_ctx):
+    # off the exceptional set the edges would pass to the image unread
+    x = AdicPath("bogus", (Edge(TOWER, 0), Edge(TOWER, 0)))
+    with pytest.raises(PathError, match="unknown root edge 'bogus'"):
+        to_target(chacon_ctx, x)
 
 
 def test_depth_guard(chacon_ctx):
@@ -187,7 +209,7 @@ def reference_verify(ctx, depth, samples=None, seed=None):
         n_exc = exceptional_index(ctx, x)
         try:
             y = to_target(ctx, x)
-        except (PathError, MappingRangeError, ValueError) as exc:
+        except ValueError as exc:
             failures.append(IsoFailure("mapping-error", str(exc), x))
             continue
         try:
@@ -208,7 +230,7 @@ def reference_verify(ctx, depth, samples=None, seed=None):
                 failures.append(
                     IsoFailure("round-trip", "inverse image differs from the path", x)
                 )
-        except (PathError, MappingRangeError, ValueError) as exc:
+        except ValueError as exc:
             failures.append(IsoFailure("round-trip", str(exc), x))
         if y in images and images[y] != x:
             failures.append(IsoFailure("injectivity", "two paths share this image", x))
@@ -225,7 +247,7 @@ def reference_verify(ctx, depth, samples=None, seed=None):
             continue
         try:
             mapped = to_target(ctx, step_x)
-        except (PathError, MappingRangeError, ValueError) as exc:
+        except ValueError as exc:
             failures.append(IsoFailure("equivariance", str(exc), x))
         else:
             if mapped != step_y:
@@ -265,13 +287,19 @@ def mutated(ctx, field, n, delta, i=0):
 
 
 @st.composite
-def contexts(draw):
-    """A seeded random context, clean or mutated in cut, top_run or a target run."""
+def seeded_contexts(draw):
+    """The context of a seeded random schedule over seeded levels."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     schedule = seeded_schedule(rng, draw(st.sampled_from([100, 300, 1000])))
-    ctx = IsoContext.from_model(
+    return IsoContext.from_model(
         expansive_replace(telescope(schedule, seeded_levels(rng, schedule)))
     )
+
+
+@st.composite
+def contexts(draw):
+    """A seeded random context, clean or mutated in cut, top_run or a target run."""
+    ctx = draw(seeded_contexts())
     field = draw(st.sampled_from([None, "cut", "top_run", "target"]))
     if field is not None:
         n = draw(st.integers(0, ctx.num_stages - 1))
@@ -287,6 +315,26 @@ def test_verify_matches_reference(case, samples, seed):
     assert verify_isomorphism(ctx, depth) == reference_verify(ctx, depth)
     assert verify_isomorphism(ctx, depth, samples=samples, seed=seed) == reference_verify(
         ctx, depth, samples=samples, seed=seed
+    )
+
+
+PRESET_CONTEXTS = tuple(
+    IsoContext.from_model(build_expansive(schedule, 4)) for schedule in (CHACON, ODOMETER)
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(st.sampled_from(PRESET_CONTEXTS), seeded_contexts()), st.data())
+def test_depth_consistency(ctx, data):
+    # the image of a depth-(D+1) path with N(x) < D, truncated to depth D,
+    # is the image of the truncated path
+    depth = data.draw(st.integers(1, ctx.num_stages - 1))
+    fiber = heights(ctx.source, depth + 1)[depth + 1]
+    x = from_tower_coordinates(ctx.source, depth + 1, data.draw(st.integers(0, fiber - 1)))
+    assume(exceptional_index(ctx, x) < depth)
+    y = to_target(ctx, x)
+    assert AdicPath(y.root, y.edges[:depth]) == to_target(
+        ctx, AdicPath(x.root, x.edges[:depth])
     )
 
 
