@@ -154,34 +154,27 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
     n-th tower: J_0 = 0, a spacer edge (i, j) at level m enters floor
     starts[i] + h_m + j of tower m+1, and a tower edge i at level n lifts
     J_n by starts[i], where starts are the copy starts of the level table.
-    An index outside its stage raises PathError, as in validate_path.
+    Raises what validate_path raises, and PathError for a path that stays
+    in the spacer column.
     """
+    validate_path(schedule, path)
+    return _level_indices(schedule, path)
+
+
+def _level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
+    """level_indices of a path that validate_path accepts, read off the table."""
     hs = heights(schedule, path.depth)
     table = _level_table(schedule, hs)
     start, j = 0, 0
-    if path.root != ROOT_NONSPACER:
+    if path.root == ROOT_SPACER:
         m = next((n for n, e in enumerate(path.edges) if e.kind != DOWN), None)
         if m is None:
             raise PathError("path stays in the spacer column; no tower coordinates")
-        kind, i, j = path.edges[m]
-        if kind != SPACER:
-            raise PathError(f"level {m}: tower edge cannot leave column 1")
-        starts = table[m]
-        if not 0 <= i < len(starts) - 1:
-            raise PathError(f"level {m}: spacer group {i} outside 0..{len(starts) - 2}")
-        run = starts[i + 1] - starts[i] - hs[m]
-        if not 0 <= j < run:
-            raise PathError(f"level {m}: spacer index {j} outside 0..{run - 1}")
-        start, j = m + 1, starts[i] + hs[m] + j
+        _, i, j = path.edges[m]
+        start, j = m + 1, table[m][i] + hs[m] + j
     vals = [j]
     for n in range(start, path.depth):
-        kind, i, _ = path.edges[n]
-        if kind != TOWER:
-            raise PathError(f"level {n}: expected a tower edge into column 0")
-        starts = table[n]
-        if not 0 <= i < len(starts) - 1:
-            raise PathError(f"level {n}: tower index {i} outside 0..{len(starts) - 2}")
-        j += starts[i]
+        j += table[n][path.edges[n].i]
         vals.append(j)
     return LevelIndices(start, tuple(vals))
 
@@ -320,6 +313,10 @@ def path_to_json_dict(path: AdicPath) -> dict:
     return {"root": path.root, "edges": edges}
 
 
+# the index fields each edge kind carries in path JSON, besides "level" and "kind"
+_EDGE_INDICES = {TOWER: ("i",), SPACER: ("i", "j"), DOWN: ()}
+
+
 def _edge_int(raw: dict, key: str, n: int) -> int:
     value = raw.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -339,17 +336,16 @@ def path_from_json_dict(doc: dict, schedule: ParamSchedule | None = None) -> Adi
     for n, raw in enumerate(doc["edges"]):
         if not isinstance(raw, dict) or "kind" not in raw:
             raise PathError(f"edge {n}: expected an object with 'kind'")
-        if "level" in raw and raw["level"] != n:
+        if "level" in raw and _edge_int(raw, "level", n) != n:
             raise PathError(f"edge {n}: level field says {raw['level']}")
         kind = raw["kind"]
-        if kind == TOWER:
-            edges.append(Edge(TOWER, _edge_int(raw, "i", n)))
-        elif kind == SPACER:
-            edges.append(Edge(SPACER, _edge_int(raw, "i", n), _edge_int(raw, "j", n)))
-        elif kind == DOWN:
-            edges.append(Edge(DOWN))
-        else:
+        if not isinstance(kind, str) or kind not in _EDGE_INDICES:
             raise PathError(f"edge {n}: unknown kind {kind!r}")
+        indices = _EDGE_INDICES[kind]
+        extra = next((key for key in raw if key not in ("level", "kind", *indices)), None)
+        if extra is not None:
+            raise PathError(f"edge {n}: unknown field {extra!r} on a {kind} edge")
+        edges.append(Edge(kind, *(_edge_int(raw, key, n) for key in indices)))
     path = AdicPath(root, tuple(edges))
     if schedule is not None:
         validate_path(schedule, path)

@@ -20,8 +20,22 @@ same floor of every tower above N(x):
 
 Floor preservation J'_n = J_n for n > N(x) makes the map injective and
 equivariant for the successor dynamics wherever both sides stay inside
-the truncation.  verify_isomorphism walks the whole level-D fiber (or a
-seeded sample) and checks all of it mechanically.
+the truncation.  It holds because a replaced stage keeps copies
+0..cut with the source runs below the cut, so those copies start on
+the same floors, and its last run ends on the top floor H_{N+1} - 1 of
+both towers, so the slot above puts y on floor J_{N+1}(x).  Above N(x)
+every edge is a tower edge at most the cut.  verify_isomorphism walks
+the whole level-D fiber (or a seeded sample) and checks all of it
+mechanically, and it compares H'_D with H_D, without which the
+injective map need not be onto.
+
+The piecewise map is therefore the floor map: for a source path x of
+depth D into column 0, to_target(x) = from_tower_coordinates(target, D,
+J_D(x)).  Floors are preserved above N(x), and N(x) < D, so J'_D(y) =
+J_D(x).  y ends in column 0, since its top edge is a tower edge of x or
+the spacer edge at N(x) = D - 1.  And J_D is a bijection from the
+target paths into column 0 onto 0..H'_D - 1, which
+from_tower_coordinates inverts.
 
 The walk computes one record per floor k: the path x, N(x), its floor
 coding J(x), the image y and J(y).  The equivariance check maps the
@@ -46,11 +60,11 @@ from .diagram import (
     Edge,
     LevelIndices,
     Overflow,
-    PathError,
     ROOT_NONSPACER,
     ROOT_SPACER,
     SPACER,
     TOWER,
+    _level_indices,
     from_tower_coordinates,
     level_indices,
     path_to_json_dict,
@@ -100,44 +114,31 @@ def to_target(ctx: IsoContext, x: AdicPath) -> AdicPath:
     """Map a source path to the target path on the same tower floors."""
     if x.depth > ctx.num_stages:
         raise ValueError(f"path depth {x.depth} exceeds the {ctx.num_stages} stages")
-    validate_path(ctx.source, x)
-    if x.root == ROOT_SPACER and all(e.kind == DOWN for e in x.edges):
-        raise PathError(
-            "path stays in the spacer column; its exceptional level is not "
-            "visible at this depth"
-        )
-    return _to_target(ctx, x, exceptional_index(ctx, x), level_indices(ctx.source, x))
+    jx = level_indices(ctx.source, x)
+    y = _to_target(ctx, x, exceptional_index(ctx, x), jx)
+    validate_path(ctx.target, y)
+    return y
 
 
 def _to_target(ctx: IsoContext, x: AdicPath, n_exc: int, jx: LevelIndices) -> AdicPath:
-    """to_target given N(x) and J(x)."""
+    """to_target given N(x) and J(x); the image is not validated."""
     if n_exc == -1:
-        y = AdicPath(ROOT_NONSPACER, x.edges)
-        validate_path(ctx.target, y)
-        return y
+        return AdicPath(ROOT_NONSPACER, x.edges)
     edges: list[Edge] = [Edge(DOWN)] * n_exc
     e = x.edges[n_exc]
     if e.kind == SPACER and e.i <= ctx.cut[n_exc]:
         edges.append(e)
     else:
-        # validate_path below rejects a slot outside the target's run
         slot = jx.at(n_exc + 1) - ctx.heights[n_exc + 1] + ctx.top_run[n_exc]
         edges.append(Edge(SPACER, ctx.cut[n_exc], slot))
     edges.extend(x.edges[n_exc + 1:])
-    y = AdicPath(ROOT_SPACER, tuple(edges))
-    validate_path(ctx.target, y)
-    return y
+    return AdicPath(ROOT_SPACER, tuple(edges))
 
 
 def to_source(ctx: IsoContext, y: AdicPath) -> AdicPath:
     """Inverse map: recover the source path on the same tower floors."""
     if y.depth > ctx.num_stages:
         raise ValueError(f"path depth {y.depth} exceeds the {ctx.num_stages} stages")
-    validate_path(ctx.target, y)
-    if y.root == ROOT_SPACER and all(e.kind == DOWN for e in y.edges):
-        raise PathError(
-            "image path stays in the spacer column; no preimage at this depth"
-        )
     x = _to_source(ctx, y, level_indices(ctx.target, y))
     validate_path(ctx.source, x)
     return x
@@ -170,14 +171,15 @@ class _Floor(NamedTuple):
 
 
 def _floor(ctx: IsoContext, x: AdicPath) -> _Floor:
-    """Map a valid source path through the target, keeping every intermediate."""
+    """Map a valid source path through the target, validating only the image."""
     n_exc = exceptional_index(ctx, x)
-    jx = level_indices(ctx.source, x)
+    jx = _level_indices(ctx.source, x)
     try:
         y = _to_target(ctx, x, n_exc, jx)
+        jy = level_indices(ctx.target, y)
     except ValueError as exc:
         return _Floor(x, n_exc, jx, None, None, str(exc))
-    return _Floor(x, n_exc, jx, y, level_indices(ctx.target, y), None)
+    return _Floor(x, n_exc, jx, y, jy, None)
 
 
 @dataclass(frozen=True)
@@ -241,9 +243,12 @@ def verify_isomorphism(
     """Check the map on the level-`depth` fiber of the source diagram.
 
     Exhaustive when samples is None, otherwise a seeded sample of floor
-    numbers.  Per path: floors must agree above the last exceptional
-    level, the round trip must return the path, images must not collide
-    (compared by J_D), and taking successors must commute with the map.
+    numbers.  The target fiber must have as many floors as the source
+    fiber, or the injective map is not onto; the witness of a mismatch
+    is the top floor of the taller tower.  Per path: floors must agree
+    above the last exceptional level, the round trip must return the
+    path, images must not collide (compared by J_D), and taking
+    successors must commute with the map.
     The image's spacer level is N(x) by construction, so it is not
     checked.  Each path is mapped once: the successor mapped for the
     equivariance check is reused as the next floor's path.  The only
@@ -260,6 +265,17 @@ def verify_isomorphism(
         rng = random.Random(seed)
         floors = sorted(rng.sample(range(fiber), min(samples, fiber)))
     failures: list[IsoFailure] = []
+    image_fiber = heights(ctx.target, depth)[depth]
+    if image_fiber != fiber:
+        # the walk covers only the source fiber; a taller target leaves floors unhit
+        taller = ctx.target if image_fiber > fiber else ctx.source
+        failures.append(
+            IsoFailure(
+                "onto",
+                f"target H'_{depth} = {image_fiber} != source H_{depth} = {fiber}",
+                from_tower_coordinates(taller, depth, max(fiber, image_fiber) - 1),
+            )
+        )
     exclusions: Counter[str] = Counter()
     seen: set[int] = set()  # J_D of every image so far
     tested = 0

@@ -223,6 +223,13 @@ def test_path_json_rejects():
         ([{"kind": TOWER, "i": 0}, {"kind": SPACER, "i": 1}], "edge 1"),
         ([{"kind": TOWER, "i": True}], "edge 0"),
         ([{"kind": SPACER, "i": 1, "j": "0"}], "edge 0"),
+        # fields the kind does not carry, and a level that is not an integer
+        ([{"kind": TOWER, "i": 0, "j": 7}], "edge 0: unknown field 'j' on a tower edge"),
+        ([{"kind": TOWER, "i": 0, "foo": 1}], "edge 0: unknown field 'foo' on a tower edge"),
+        ([{"kind": TOWER, "i": 0}, {"kind": DOWN, "i": 5}], "edge 1: unknown field 'i' on a down edge"),
+        ([{"kind": TOWER, "i": 0}, {"kind": TOWER, "i": 0, "level": True}], "edge 1: expected an integer 'level'"),
+        ([{"kind": TOWER, "i": 0, "level": 0.0}], "edge 0: expected an integer 'level'"),
+        ([{"kind": TOWER, "i": 0, "level": 1}], "edge 0: level field says 1"),
     ],
 )
 def test_path_json_rejects_bad_edges(edges, needle):
@@ -346,30 +353,19 @@ def _ref_successor(schedule, path):
 
 
 def _ref_level_indices(schedule, path):
+    _ref_validate_path(schedule, path)
     hs = heights(schedule, path.depth)
     start, j = 0, 0
     if path.root != ROOT_NONSPACER:
         m = next((n for n, e in enumerate(path.edges) if e.kind != DOWN), None)
         if m is None:
             raise PathError("path stays in the spacer column; no tower coordinates")
-        e = path.edges[m]
-        if e.kind != SPACER:
-            raise PathError(f"level {m}: tower edge cannot leave column 1")
-        st = schedule.stage(m)
-        if not 0 <= e.i < st.q:
-            raise PathError(f"level {m}: spacer group {e.i} outside 0..{st.q - 1}")
-        if not 0 <= e.j < st.a[e.i]:
-            raise PathError(f"level {m}: spacer index {e.j} outside 0..{st.a[e.i] - 1}")
+        e, st = path.edges[m], schedule.stage(m)
         start = m + 1
         j = (e.i + 1) * hs[m] + sum(st.a[:e.i]) + e.j
     vals = [j]
     for n in range(start, path.depth):
-        e = path.edges[n]
-        if e.kind != TOWER:
-            raise PathError(f"level {n}: expected a tower edge into column 0")
-        st = schedule.stage(n)
-        if not 0 <= e.i < st.q:
-            raise PathError(f"level {n}: tower index {e.i} outside 0..{st.q - 1}")
+        e, st = path.edges[n], schedule.stage(n)
         j = e.i * hs[n] + sum(st.a[:e.i]) + j
         vals.append(j)
     return LevelIndices(start, tuple(vals))
@@ -446,6 +442,23 @@ def test_errors_at_the_level_read():
     )
     with pytest.raises(DepthError, match="stage 1 unresolvable"):
         level_indices(bare, AdicPath(ROOT_NONSPACER, (Edge(TOWER, 0), Edge(TOWER, 0))))
+    # level 0 is read, and refused, before the missing stage 1
+    with pytest.raises(PathError, match="level 0: tower index 5 outside 0..1"):
+        level_indices(bare, AdicPath(ROOT_NONSPACER, (Edge(TOWER, 5), Edge(TOWER, 0))))
+
+
+@pytest.mark.parametrize("path, message", [
+    # the edges of test_level_indices_spacer_entry under an unknown root
+    (AdicPath("bogus", (Edge(SPACER, 1, 0), Edge(TOWER, 2))), "unknown root edge 'bogus'"),
+    (AdicPath(ROOT_SPACER, (Edge("weird", 1, 0),)), "level 0: expected spacer or down out of column 1"),
+    (AdicPath(ROOT_SPACER, (Edge(TOWER, 1),)), "level 0: expected spacer or down out of column 1"),
+    (AdicPath(ROOT_SPACER, (Edge(SPACER, 1, 0), Edge(DOWN))), "level 1: expected a tower edge out of column 0"),
+])
+def test_level_indices_checks_paths_as_validate_path_does(path, message):
+    for fn in (validate_path, level_indices):
+        with pytest.raises(PathError) as err:
+            fn(CHACON, path)
+        assert str(err.value) == message
 
 
 def test_path_types_are_tuples():

@@ -131,6 +131,17 @@ def test_to_target_validates_its_input(chacon_ctx):
         to_target(chacon_ctx, x)
 
 
+def test_to_source_validates_its_result(chacon_ctx):
+    # a target stage of 4 copies over a source stage of 3, both of height 4:
+    # target copy 3 is a valid path with no source copy to return to
+    wide = dataclasses.replace(
+        chacon_ctx,
+        target=ParamSchedule((Stage(4, (0, 0, 0, 0)),) + chacon_ctx.target.stages[1:]),
+    )
+    with pytest.raises(PathError, match=re.escape("level 0: tower index 3 outside 0..2")):
+        to_source(wide, AdicPath(ROOT_NONSPACER, (Edge(TOWER, 3),)))
+
+
 def test_depth_guard(chacon_ctx):
     deep = minimal_path(CHACON, 4)
     with pytest.raises(ValueError):
@@ -190,7 +201,7 @@ def test_verify_partial_replacement_context():
 def reference_verify(ctx, depth, samples=None, seed=None):
     """The verifier as one independent loop per path: every image is mapped
     anew through to_target/to_source, and injectivity is a dict keyed by
-    path."""
+    path; the fiber sizes are compared first."""
     if depth > ctx.num_stages:
         raise ValueError(f"depth {depth} exceeds the {ctx.num_stages} stages")
     fiber = heights(ctx.source, depth)[depth]
@@ -200,6 +211,14 @@ def reference_verify(ctx, depth, samples=None, seed=None):
         rng = random.Random(seed)
         floors = sorted(rng.sample(range(fiber), min(samples, fiber)))
     failures = []
+    target_fiber = heights(ctx.target, depth)[depth]
+    if target_fiber != fiber:
+        taller = ctx.target if target_fiber > fiber else ctx.source
+        failures.append(IsoFailure(
+            "onto",
+            f"target H'_{depth} = {target_fiber} != source H_{depth} = {fiber}",
+            from_tower_coordinates(taller, depth, max(fiber, target_fiber) - 1),
+        ))
     exclusions = Counter()
     images = {}
     tested = 0
@@ -336,6 +355,42 @@ def test_depth_consistency(ctx, data):
     assert AdicPath(y.root, y.edges[:depth]) == to_target(
         ctx, AdicPath(x.root, x.edges[:depth])
     )
+
+
+@settings(deadline=None)
+@given(st.one_of(st.sampled_from(PRESET_CONTEXTS), seeded_contexts()), st.data())
+def test_map_is_the_floor_map(ctx, data):
+    # floors are kept above N(x) < D, and J_D is a bijection on target paths
+    # into column 0, so the image is the target path on floor J_D(x)
+    depth = data.draw(st.integers(1, ctx.num_stages))
+    fiber = heights(ctx.source, depth)[depth]
+    x = from_tower_coordinates(ctx.source, depth, data.draw(st.integers(0, fiber - 1)))
+    floor = level_indices(ctx.source, x).at(depth)
+    assert to_target(ctx, x) == from_tower_coordinates(ctx.target, depth, floor)
+
+
+@pytest.mark.parametrize("runs, witness", [
+    # one slot more in the top run: H'_1 = 5, so target floor 4 has no preimage
+    ((0, 3), AdicPath(ROOT_SPACER, (Edge(SPACER, 1, 2),))),
+    # one slot fewer: H'_1 = 3, and source floor 3 is the taller tower's top
+    ((0, 1), AdicPath(ROOT_NONSPACER, (Edge(TOWER, 2),))),
+])
+def test_verify_reports_a_target_of_another_height(chacon_ctx, runs, witness):
+    assert chacon_ctx.target.stage(0) == Stage(2, (0, 2))
+    bad = dataclasses.replace(
+        chacon_ctx,
+        target=ParamSchedule((Stage(2, runs),) + chacon_ctx.target.stages[1:]),
+    )
+    height = heights(bad.target, 1)[1]
+    for report in (verify_isomorphism(bad, 1), verify_isomorphism(bad, 1, samples=2, seed=0)):
+        assert report.failures[0] == IsoFailure(
+            "onto", f"target H'_1 = {height} != source H_1 = 4", witness
+        )
+    report = verify_isomorphism(bad, 1)
+    assert report.paths_tested == 4
+    assert report == reference_verify(bad, 1)
+    if height > 4:  # injective on the source fiber, yet not onto
+        assert report.failure_counts() == {"onto": 1}
 
 
 def test_verify_reports_injectivity(chacon_ctx):
