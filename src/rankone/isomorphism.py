@@ -1,9 +1,11 @@
 """The spacer-replacement conjugacy and its finite-depth verification.
 
-Source paths live over the telescoped stages (Q_n, A_n), target paths
-over the replaced stages (Q'_n, A'_n); both share the heights H_n.  The
-exceptional set at level n collects the source paths sitting in stage-n
-spacers or in the copies above the cut:
+Every function here takes an ExpansiveModel as expansive_replace builds
+it.  Source paths live over its telescoped stages (Q_n, A_n),
+model.source, and target paths over the replaced stages (Q'_n, A'_n),
+model.target; both share the heights H_n.  The exceptional set at level
+n collects the source paths sitting in stage-n spacers or in the copies
+above the cut:
 
     x in E_n  iff  x(n) is a spacer edge, or a tower edge with i > cut_n.
 
@@ -71,80 +73,55 @@ from .diagram import (
     successor,
     validate_path,
 )
-from .schedules import ParamSchedule, heights
+from .schedules import heights
 from .telescoping import ExpansiveModel
 
 
-@dataclass(frozen=True)
-class IsoContext:
-    """Shared data of a source/target pair related by spacer replacement."""
-
-    source: ParamSchedule        # telescoped stages (Q, A)
-    target: ParamSchedule        # replaced stages (Q', A')
-    heights: tuple[int, ...]     # H_0..H_K, shared by both sides
-    cut: tuple[int, ...]         # last kept copy per stage
-    top_run: tuple[int, ...]     # replacement run length per stage
-
-    @classmethod
-    def from_model(cls, model: ExpansiveModel) -> "IsoContext":
-        return cls(
-            source=model.telescoped.as_schedule(),
-            target=model.replaced_schedule(),
-            heights=model.telescoped.heights,
-            cut=tuple(r.cut for r in model.replaced),
-            top_run=tuple(r.top_run for r in model.replaced),
-        )
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.cut)
-
-
-def exceptional_index(ctx: IsoContext, path: AdicPath) -> int:
+def exceptional_index(model: ExpansiveModel, path: AdicPath) -> int:
     """N(x): the last level whose edge is a spacer edge or a copy above the cut, or -1."""
-    edges, cut = path.edges, ctx.cut
-    for n in range(min(path.depth, ctx.num_stages) - 1, -1, -1):
+    edges, cut = path.edges, model.cut
+    for n in range(min(path.depth, len(cut)) - 1, -1, -1):
         e = edges[n]
         if e.kind == SPACER or (e.kind == TOWER and e.i > cut[n]):
             return n
     return -1
 
 
-def to_target(ctx: IsoContext, x: AdicPath) -> AdicPath:
+def to_target(model: ExpansiveModel, x: AdicPath) -> AdicPath:
     """Map a source path to the target path on the same tower floors."""
-    if x.depth > ctx.num_stages:
-        raise ValueError(f"path depth {x.depth} exceeds the {ctx.num_stages} stages")
-    jx = level_indices(ctx.source, x)
-    y = _to_target(ctx, x, exceptional_index(ctx, x), jx)
-    validate_path(ctx.target, y)
+    if x.depth > model.num_stages:
+        raise ValueError(f"path depth {x.depth} exceeds the {model.num_stages} stages")
+    jx = level_indices(model.source, x)
+    y = _to_target(model, x, exceptional_index(model, x), jx)
+    validate_path(model.target, y)
     return y
 
 
-def _to_target(ctx: IsoContext, x: AdicPath, n_exc: int, jx: LevelIndices) -> AdicPath:
+def _to_target(model: ExpansiveModel, x: AdicPath, n_exc: int, jx: LevelIndices) -> AdicPath:
     """to_target given N(x) and J(x); the image is not validated."""
     if n_exc == -1:
         return AdicPath(ROOT_NONSPACER, x.edges)
     edges: list[Edge] = [Edge(DOWN)] * n_exc
     e = x.edges[n_exc]
-    if e.kind == SPACER and e.i <= ctx.cut[n_exc]:
+    if e.kind == SPACER and e.i <= model.cut[n_exc]:
         edges.append(e)
     else:
-        slot = jx.at(n_exc + 1) - ctx.heights[n_exc + 1] + ctx.top_run[n_exc]
-        edges.append(Edge(SPACER, ctx.cut[n_exc], slot))
+        slot = jx.at(n_exc + 1) - model.heights[n_exc + 1] + model.top_run[n_exc]
+        edges.append(Edge(SPACER, model.cut[n_exc], slot))
     edges.extend(x.edges[n_exc + 1:])
     return AdicPath(ROOT_SPACER, tuple(edges))
 
 
-def to_source(ctx: IsoContext, y: AdicPath) -> AdicPath:
+def to_source(model: ExpansiveModel, y: AdicPath) -> AdicPath:
     """Inverse map: recover the source path on the same tower floors."""
-    if y.depth > ctx.num_stages:
-        raise ValueError(f"path depth {y.depth} exceeds the {ctx.num_stages} stages")
-    x = _to_source(ctx, y, level_indices(ctx.target, y))
-    validate_path(ctx.source, x)
+    if y.depth > model.num_stages:
+        raise ValueError(f"path depth {y.depth} exceeds the {model.num_stages} stages")
+    x = _to_source(model, y, level_indices(model.target, y))
+    validate_path(model.source, x)
     return x
 
 
-def _to_source(ctx: IsoContext, y: AdicPath, jy: LevelIndices) -> AdicPath:
+def _to_source(model: ExpansiveModel, y: AdicPath, jy: LevelIndices) -> AdicPath:
     """to_source of a valid target path given J(y); the result is not validated.
 
     A path entering through a spacer edge at level m keeps its edges
@@ -152,7 +129,7 @@ def _to_source(ctx: IsoContext, y: AdicPath, jy: LevelIndices) -> AdicPath:
     """
     if y.root == ROOT_NONSPACER:
         return AdicPath(ROOT_NONSPACER, y.edges)
-    prefix = from_tower_coordinates(ctx.source, jy.start, jy.values[0])
+    prefix = from_tower_coordinates(model.source, jy.start, jy.values[0])
     return AdicPath(prefix.root, prefix.edges + y.edges[jy.start:])
 
 
@@ -170,13 +147,13 @@ class _Floor(NamedTuple):
     error: str | None
 
 
-def _floor(ctx: IsoContext, x: AdicPath) -> _Floor:
+def _floor(model: ExpansiveModel, x: AdicPath) -> _Floor:
     """Map a valid source path through the target, validating only the image."""
-    n_exc = exceptional_index(ctx, x)
-    jx = _level_indices(ctx.source, x)
+    n_exc = exceptional_index(model, x)
+    jx = _level_indices(model.source, x)
     try:
-        y = _to_target(ctx, x, n_exc, jx)
-        jy = level_indices(ctx.target, y)
+        y = _to_target(model, x, n_exc, jx)
+        jy = level_indices(model.target, y)
     except ValueError as exc:
         return _Floor(x, n_exc, jx, None, None, str(exc))
     return _Floor(x, n_exc, jx, y, jy, None)
@@ -208,6 +185,10 @@ class IsoReport:
     def passed(self) -> bool:
         return not self.failures
 
+    @property
+    def exceptional_mass_partial_sum(self) -> Fraction:
+        return sum(self.exceptional_mass_terms, Fraction(0))
+
     def failure_counts(self) -> dict[str, int]:
         counts: Counter[str] = Counter(f.check for f in self.failures)
         return dict(counts)
@@ -228,27 +209,29 @@ class IsoReport:
             ],
             "exclusions": dict(self.exclusions),
             "exceptional_mass_terms": [str(t) for t in self.exceptional_mass_terms],
-            "exceptional_mass_partial_sum": str(
-                sum(self.exceptional_mass_terms, Fraction(0))
-            ),
+            "exceptional_mass_partial_sum": str(self.exceptional_mass_partial_sum),
         }
 
 
 def verify_isomorphism(
-    ctx: IsoContext,
+    model: ExpansiveModel,
     depth: int,
     samples: int | None = None,
     seed: int | None = None,
 ) -> IsoReport:
     """Check the map on the level-`depth` fiber of the source diagram.
 
-    Exhaustive when samples is None, otherwise a seeded sample of floor
-    numbers.  The target fiber must have as many floors as the source
-    fiber, or the injective map is not onto; the witness of a mismatch
-    is the top floor of the taller tower.  Per path: floors must agree
-    above the last exceptional level, the round trip must return the
-    path, images must not collide (compared by J_D), and taking
-    successors must commute with the map.
+    Exhaustive when samples is None or at least the fiber size H_D.
+    Otherwise a seeded sample: rng.randrange(H_D) is drawn until `samples`
+    distinct floors are found, which are walked in order.  These are the
+    draws random.sample makes on a large population, and H_D may pass
+    sys.maxsize.  A depth past the model's or the target's stages is
+    refused with ValueError.  The target fiber must have as many floors
+    as the source fiber, or the injective map is not onto; the witness
+    of a mismatch is the top floor of the taller tower.  Per path:
+    floors must agree above the last exceptional level, the round trip
+    must return the path, images must not collide (compared by J_D), and
+    taking successors must commute with the map.
     The image's spacer level is N(x) by construction, so it is not
     checked.  Each path is mapped once: the successor mapped for the
     equivariance check is reused as the next floor's path.  The only
@@ -256,19 +239,27 @@ def verify_isomorphism(
     inside the diagram); they are counted under exclusions.  Mapping
     errors are recorded as failures, never raised.
     """
-    if depth > ctx.num_stages:
-        raise ValueError(f"depth {depth} exceeds the {ctx.num_stages} stages")
-    fiber = heights(ctx.source, depth)[depth]
-    if samples is None:
+    if depth > model.num_stages:
+        raise ValueError(f"depth {depth} exceeds the {model.num_stages} stages")
+    resolved = len(model.target.stages)
+    if depth > resolved and model.target.tail_period is None:
+        raise ValueError(f"depth {depth} exceeds the target's {resolved} stages")
+    if samples is not None and samples < 0:
+        raise ValueError(f"samples {samples} < 0")
+    fiber = heights(model.source, depth)[depth]
+    if samples is None or samples >= fiber:
         floors = range(fiber)
     else:
         rng = random.Random(seed)
-        floors = sorted(rng.sample(range(fiber), min(samples, fiber)))
+        drawn: set[int] = set()
+        while len(drawn) < samples:
+            drawn.add(rng.randrange(fiber))
+        floors = sorted(drawn)
     failures: list[IsoFailure] = []
-    image_fiber = heights(ctx.target, depth)[depth]
+    image_fiber = heights(model.target, depth)[depth]
     if image_fiber != fiber:
         # the walk covers only the source fiber; a taller target leaves floors unhit
-        taller = ctx.target if image_fiber > fiber else ctx.source
+        taller = model.target if image_fiber > fiber else model.source
         failures.append(
             IsoFailure(
                 "onto",
@@ -281,9 +272,9 @@ def verify_isomorphism(
     tested = 0
     ahead: _Floor | None = None  # the last successor's record
     for k in floors:
-        x = from_tower_coordinates(ctx.source, depth, k)
+        x = from_tower_coordinates(model.source, depth, k)
         tested += 1
-        rec = ahead if ahead is not None and ahead.x == x else _floor(ctx, x)
+        rec = ahead if ahead is not None and ahead.x == x else _floor(model, x)
         ahead = None
         y, jx, jy, n_exc = rec.y, rec.jx, rec.jy, rec.n_exc
         if y is None:
@@ -305,7 +296,7 @@ def verify_isomorphism(
         # preimage needs no validation; a floor J_{N+1}(y) that the source
         # lacks raises ValueError
         try:
-            if _to_source(ctx, y, jy) != x:
+            if _to_source(model, y, jy) != x:
                 failures.append(
                     IsoFailure("round-trip", "inverse image differs from the path", x)
                 )
@@ -318,11 +309,11 @@ def verify_isomorphism(
             )
         seen.add(jy.values[-1])
 
-        step_x = successor(ctx.source, x)
+        step_x = successor(model.source, x)
         if isinstance(step_x, Overflow):
             exclusions["successor-overflow"] += 1
             continue
-        step_y = successor(ctx.target, y)
+        step_y = successor(model.target, y)
         if isinstance(step_y, Overflow):
             failures.append(
                 IsoFailure(
@@ -332,7 +323,7 @@ def verify_isomorphism(
                 )
             )
             continue
-        ahead = _floor(ctx, step_x)
+        ahead = _floor(model, step_x)
         if ahead.y is None:
             failures.append(IsoFailure("equivariance", ahead.error, x))
         elif ahead.y != step_y:
@@ -345,10 +336,10 @@ def verify_isomorphism(
             )
 
     terms = []
-    for n in range(min(depth, ctx.num_stages)):
-        st = ctx.source.stage(n)
+    for n in range(min(depth, model.num_stages)):
+        st = model.source.stage(n)
         terms.append(
-            Fraction(st.spacer_sum + max(st.a) + ctx.heights[n], ctx.heights[n + 1])
+            Fraction(st.spacer_sum + max(st.a) + model.heights[n], model.heights[n + 1])
         )
     return IsoReport(
         depth=depth,

@@ -311,9 +311,8 @@ def _ratio_report(schedule: ParamSchedule, n: int, partial: Fraction) -> RatioSu
         return RatioSumReport(partial, UNKNOWN_AT_DEPTH, None)
     if tail_diverges(schedule):
         return RatioSumReport(partial, PROVED_DIVERGENT, None)
+    # tail_mass_bound gives None only in the two cases above
     bound = tail_mass_bound(schedule, n)
-    if bound is None:
-        return RatioSumReport(partial, UNKNOWN_AT_DEPTH, None)
     return RatioSumReport(partial, PROVED_CONVERGENT, partial + bound)
 
 

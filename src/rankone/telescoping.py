@@ -23,12 +23,14 @@ largest index whose tail of the stage,
 
 still exceeds max_i A[n][i], and overwrite everything above copy `cut`
 with that many spacers.  Heights are unchanged and the total spacer
-mass at most doubles plus H_n, so summability survives.
+mass at most doubles plus H_n, so summability survives.  The result is
+one ExpansiveModel, the object that ``expand`` prints and ``verify`` checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
@@ -67,9 +69,6 @@ class TelescopedSchedule:
     @property
     def num_stages(self) -> int:
         return len(self.stages)
-
-    def as_schedule(self) -> ParamSchedule:
-        return ParamSchedule(self.stages, tail_period=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,48 +115,54 @@ def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSched
 
 
 @dataclass(frozen=True)
-class ReplacedStage:
-    """One stage before and after the spacer replacement."""
-
-    original: Stage     # (Q, A)
-    spacer_max: int     # largest original run
-    cut: int            # last kept copy
-    top_run: int        # spacers installed above the kept copies
-    stage: Stage        # (Q', A') actually used
-
-
-@dataclass(frozen=True)
 class ExpansiveModel:
+    """The telescoped source, its replaced target, and the map's parameters.
+
+    cut and top_run are stored, not read off the target: the conjugacy is
+    defined by them, and verify_isomorphism checks the target against
+    them, so a model whose cut or top run alone is wrong fails there.
+    """
+
     telescoped: TelescopedSchedule
-    replaced: tuple[ReplacedStage, ...]
+    target: ParamSchedule           # replaced stages (Q', A')
+    cut: tuple[int, ...]            # last kept copy per stage
+    top_run: tuple[int, ...]        # spacers installed above the kept copies
+
+    @cached_property
+    def source(self) -> ParamSchedule:
+        return ParamSchedule(self.telescoped.stages, tail_period=None)
+
+    @property
+    def heights(self) -> tuple[int, ...]:
+        return self.telescoped.heights
+
+    @property
+    def num_stages(self) -> int:
+        return self.telescoped.num_stages
 
     @property
     def warnings(self) -> tuple[int, ...]:
         """Stages left with a single copy (q > 1 must still recur overall)."""
-        return tuple(n for n, r in enumerate(self.replaced) if r.stage.q == 1)
-
-    def replaced_schedule(self) -> ParamSchedule:
-        return ParamSchedule(tuple(r.stage for r in self.replaced), tail_period=None)
+        return tuple(n for n, st in enumerate(self.target.stages) if st.q == 1)
 
     def to_json_dict(self) -> dict:
+        rows = zip(self.telescoped.stages, self.target.stages, self.cut, self.top_run)
         return {
-            "base": self.telescoped.base.to_json_dict(),
-            "m": list(self.telescoped.levels),
-            "H": list(self.telescoped.heights),
+            **self.telescoped.to_json_dict(),
             "stages": [
                 {
-                    "Q": r.original.q,
-                    "A": list(r.original.a),
-                    "A_max": r.spacer_max,
-                    "cut": r.cut,
-                    "top_run": r.top_run,
-                    "Q_new": r.stage.q,
-                    "A_new": list(r.stage.a),
+                    "Q": st.q,
+                    "A": list(st.a),
+                    "A_max": max(st.a),
+                    "cut": cut,
+                    "top_run": top_run,
+                    "Q_new": new.q,
+                    "A_new": list(new.a),
                 }
-                for r in self.replaced
+                for st, new, cut, top_run in rows
             ],
             "warnings": list(self.warnings),
-            "replaced_schedule": self.replaced_schedule().to_json_dict(),
+            "replaced_schedule": self.target.to_json_dict(),
         }
 
 
@@ -168,7 +173,7 @@ def expansive_replace(telescoped: TelescopedSchedule) -> ExpansiveModel:
     (Q-cut-1) H + sum(A[cut:]) strictly exceeds max(A); it exists for
     Q >= 2 because the full sum at index 0 is at least H + max(A).
     """
-    replaced = []
+    stages, cuts, top_runs = [], [], []
     for n, st in enumerate(telescoped.stages):
         high = telescoped.heights[n]
         if st.q < 2:
@@ -187,8 +192,11 @@ def expansive_replace(telescoped: TelescopedSchedule) -> ExpansiveModel:
         new = Stage(cut + 1, st.a[:cut] + (top_run,))
         assert new.q * high + new.spacer_sum == st.q * high + st.spacer_sum
         assert new.spacer_sum <= 2 * st.spacer_sum + high
-        replaced.append(ReplacedStage(st, spacer_max, cut, top_run, new))
-    return ExpansiveModel(telescoped, tuple(replaced))
+        stages.append(new)
+        cuts.append(cut)
+        top_runs.append(top_run)
+    target = ParamSchedule(tuple(stages), tail_period=None)
+    return ExpansiveModel(telescoped, target, tuple(cuts), tuple(top_runs))
 
 
 def one_tower_variant(
@@ -261,7 +269,7 @@ def build_expansive(schedule: ParamSchedule, stages: int) -> ExpansiveModel:
             m.append(next(walk))
         try:
             model = expansive_replace(telescope(schedule, m))
-            if model.replaced and all(r.stage.q == 1 for r in model.replaced):
+            if model.target.stages and all(st.q == 1 for st in model.target.stages):
                 raise SpacerReplacementError("every replaced stage kept a single copy")
             return model
         except SpacerReplacementError as exc:

@@ -15,7 +15,7 @@ from conftest import CHACON, DIVERGENT, ODOMETER, seeded_levels, seeded_schedule
 from rankone import (
     PROVED_CONVERGENT,
     PROVED_DIVERGENT,
-    IsoContext,
+    ParamSchedule,
     build_block,
     build_expansive,
     code_orbit,
@@ -52,8 +52,7 @@ def _seeded_cases():
 
 def test_criterion_1_expansive_odometer_blocks(capsys):
     t0 = time.perf_counter()
-    model = build_expansive(ODOMETER, 5)
-    rep = model.replaced_schedule()
+    rep = build_expansive(ODOMETER, 5).target
     blocks = [build_block(rep, n) for n in range(6)]
     assert blocks[1] == "01"
     assert blocks[2] == "01010111"
@@ -77,7 +76,7 @@ def test_criterion_2_telescoping_preserves_blocks():
     t0 = time.perf_counter()
     for schedule, levels in _seeded_cases():
         tele = telescope(schedule, levels)
-        merged = tele.as_schedule()
+        merged = ParamSchedule(tele.stages, tail_period=None)
         for j, m in enumerate(levels):
             assert build_block(schedule, m) == build_block(merged, j)
     elapsed = time.perf_counter() - t0
@@ -91,12 +90,12 @@ def test_criterion_3_replacement_invariants():
     for schedule, levels in _seeded_cases():
         tele = telescope(schedule, levels)
         model = expansive_replace(tele)
-        rep = model.replaced_schedule()
+        rep = model.target
         assert heights(rep, tele.num_stages) == list(tele.heights)
         for st in map(rep.stage, range(tele.num_stages)):
             assert all(x < st.a[-1] for x in st.a[:-1])
-        for r, low in zip(model.replaced, tele.heights):
-            assert r.stage.spacer_sum <= 2 * r.original.spacer_sum + low
+        for new, old, low in zip(rep.stages, tele.stages, tele.heights):
+            assert new.spacer_sum <= 2 * old.spacer_sum + low
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     print(f"PASS criterion 3: replacement keeps heights, dominates runs, "
@@ -109,7 +108,7 @@ def test_criterion_4_orbit_coding_matches_blocks():
         w = build_block(CHACON, n)
         assert code_orbit(CHACON, minimal_path(CHACON, n), len(w)).word == w
 
-    rep = build_expansive(ODOMETER, 3).replaced_schedule()
+    rep = build_expansive(ODOMETER, 3).target
     for n in range(4):
         w = build_block(rep, n)
         assert code_orbit(rep, minimal_path(rep, n), len(w)).word == w
@@ -127,12 +126,12 @@ def test_criterion_4_orbit_coding_matches_blocks():
 def test_criterion_5_isomorphism_verification():
     t0 = time.perf_counter()
     for base, fiber in ((ODOMETER, 64), (CHACON, 364)):
-        ctx = IsoContext.from_model(build_expansive(base, 3))
+        ctx = build_expansive(base, 3)
         report = verify_isomorphism(ctx, 3)
         assert report.paths_tested == fiber
         assert report.passed, report.failure_counts()
 
-    ctx = IsoContext.from_model(build_expansive(CHACON, 3))
+    ctx = build_expansive(CHACON, 3)
     bad = dataclasses.replace(ctx, cut=(0,) + ctx.cut[1:])
     broken = verify_isomorphism(bad, 3)
     assert len(broken.failures) >= 1

@@ -168,6 +168,14 @@ def test_verify_text_and_json(capsys):
     assert doc["paths_tested"] == 10
 
 
+def test_verify_samples_past_sys_maxsize(capsys):
+    # H_10 of the chacon model passes sys.maxsize, so floors are drawn one by one
+    assert main(["verify", "--preset", "chacon", "--depth", "10", "--samples", "100"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("depth 10: tested 100 paths, 0 failures\n")
+    assert out.endswith("PASS\n")
+
+
 def test_pd_check(capsys):
     assert main(["pd-check", "--length", "1024", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

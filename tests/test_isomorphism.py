@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from rankone import (
     ROOT_SPACER,
     AdicPath,
     Edge,
-    IsoContext,
     IsoFailure,
     IsoReport,
     Overflow,
@@ -43,12 +43,12 @@ from rankone import (
 
 @pytest.fixture(scope="module")
 def chacon_ctx():
-    return IsoContext.from_model(build_expansive(CHACON, 3))
+    return build_expansive(CHACON, 3)
 
 
 @pytest.fixture(scope="module")
 def odometer_ctx():
-    return IsoContext.from_model(build_expansive(ODOMETER, 3))
+    return build_expansive(ODOMETER, 3)
 
 
 def test_context_shape(chacon_ctx):
@@ -148,6 +148,35 @@ def test_depth_guard(chacon_ctx):
         to_target(chacon_ctx, deep)
     with pytest.raises(ValueError):
         verify_isomorphism(chacon_ctx, 4)
+    with pytest.raises(ValueError, match="samples -1 < 0"):
+        verify_isomorphism(chacon_ctx, 2, samples=-1)
+
+
+def test_verify_refuses_a_target_of_fewer_stages(chacon_ctx):
+    # stage 1 of the target is missing: refused before any floor is read
+    short = dataclasses.replace(
+        chacon_ctx, target=ParamSchedule(chacon_ctx.target.stages[:1])
+    )
+    with pytest.raises(ValueError, match="depth 2 exceeds the target's 1 stages"):
+        verify_isomorphism(short, 2)
+    assert verify_isomorphism(short, 1).passed
+
+
+def test_verify_samples_deep_fibers():
+    # H_10 of the chacon model passes sys.maxsize, where random.sample fails
+    model = build_expansive(CHACON, 10)
+    assert heights(model.source, 10)[10] > sys.maxsize
+    report = verify_isomorphism(model, 10, samples=20, seed=3)
+    assert report.paths_tested == 20
+    assert report.passed
+
+
+@pytest.mark.parametrize("samples", [40, 41])
+def test_verify_sample_of_the_whole_fiber(chacon_ctx, samples):
+    # H_2 = 40: a sample this large walks every floor
+    assert verify_isomorphism(chacon_ctx, 2, samples=samples, seed=5) == verify_isomorphism(
+        chacon_ctx, 2
+    )
 
 
 def test_verify_exhaustive_passes(chacon_ctx, odometer_ctx):
@@ -191,8 +220,7 @@ def test_verify_json_shape(chacon_ctx):
 def test_verify_partial_replacement_context():
     # contexts built by hand from a partial replacement still verify
     tele = telescope(CHACON, [0, 1, 3])
-    model = expansive_replace(tele)
-    ctx = IsoContext.from_model(model)
+    ctx = expansive_replace(tele)
     report = verify_isomorphism(ctx, 2)
     assert report.passed
     assert report.paths_tested == 40
@@ -201,7 +229,8 @@ def test_verify_partial_replacement_context():
 def reference_verify(ctx, depth, samples=None, seed=None):
     """The verifier as one independent loop per path: every image is mapped
     anew through to_target/to_source, and injectivity is a dict keyed by
-    path; the fiber sizes are compared first."""
+    path; the fiber sizes are compared first.  A sample draws floors with
+    randrange until it holds min(samples, H_D) distinct ones."""
     if depth > ctx.num_stages:
         raise ValueError(f"depth {depth} exceeds the {ctx.num_stages} stages")
     fiber = heights(ctx.source, depth)[depth]
@@ -209,7 +238,10 @@ def reference_verify(ctx, depth, samples=None, seed=None):
         floors = range(fiber)
     else:
         rng = random.Random(seed)
-        floors = sorted(rng.sample(range(fiber), min(samples, fiber)))
+        drawn = set()
+        while len(drawn) < min(samples, fiber):
+            drawn.add(rng.randrange(fiber))
+        floors = sorted(drawn)
     failures = []
     target_fiber = heights(ctx.target, depth)[depth]
     if target_fiber != fiber:
@@ -310,9 +342,7 @@ def seeded_contexts(draw):
     """The context of a seeded random schedule over seeded levels."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     schedule = seeded_schedule(rng, draw(st.sampled_from([100, 300, 1000])))
-    return IsoContext.from_model(
-        expansive_replace(telescope(schedule, seeded_levels(rng, schedule)))
-    )
+    return expansive_replace(telescope(schedule, seeded_levels(rng, schedule)))
 
 
 @st.composite
@@ -338,7 +368,7 @@ def test_verify_matches_reference(case, samples, seed):
 
 
 PRESET_CONTEXTS = tuple(
-    IsoContext.from_model(build_expansive(schedule, 4)) for schedule in (CHACON, ODOMETER)
+    build_expansive(schedule, 4) for schedule in (CHACON, ODOMETER)
 )
 
 

@@ -119,6 +119,16 @@ def test_tail_mass_bound_values():
     assert tail_mass_bound(bare, 0) is None
 
 
+@given(any_schedules(), st.integers(0, 6))
+def test_tail_mass_bound_is_none_only_for_a_bare_or_diverging_tail(schedule, start):
+    # spacer_ratio_sum reports the bound as proved wherever these two fail
+    try:
+        bound = tail_mass_bound(schedule, start)
+    except ScheduleError:
+        return
+    assert (bound is None) == (schedule.tail_period is None or tail_diverges(schedule))
+
+
 def test_tail_mass_bound_dominates_partials():
     bound = tail_mass_bound(CHACON, 0)
     assert spacer_ratio_sum(CHACON, 40).partial < bound

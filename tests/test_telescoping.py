@@ -84,7 +84,6 @@ def test_telescope_known_values():
         Stage(9, (0, 1, 0, 0, 1, 1, 0, 1, 0)),
     )
     assert tele.num_stages == 2
-    assert tele.as_schedule() == ParamSchedule(tele.stages, tail_period=None)
 
 
 def test_telescope_level_validation():
@@ -106,7 +105,7 @@ def test_telescope_block_equality(schedule, data):
     )
     levels = [0] + inner
     tele = telescope(schedule, levels)
-    merged = tele.as_schedule()
+    merged = ParamSchedule(tele.stages, tail_period=None)
     for j, m in enumerate(levels):
         assert build_block(schedule, m) == build_block(merged, j)
     assert list(tele.heights) == [heights(schedule, m)[m] for m in levels]
@@ -123,29 +122,31 @@ def _single(stage: Stage, low: int = 1) -> TelescopedSchedule:
 def test_replace_single_stage_examples():
     # the tail 1*H + (0 + 3) = 4 beats the largest run 3 at copy 2
     model = expansive_replace(_single(Stage(4, (0, 1, 0, 3))))
-    (r,) = model.replaced
-    assert (r.cut, r.top_run, r.spacer_max) == (2, 4, 3)
-    assert r.stage == Stage(3, (0, 1, 4))
+    assert (model.cut, model.top_run) == ((2,), (4,))
+    assert model.to_json_dict()["stages"][0]["A_max"] == 3
+    assert model.target.stages == (Stage(3, (0, 1, 4)),)
 
     # degenerate: nothing above the first copy beats 0 until everything goes
     model2 = expansive_replace(_single(Stage(2, (0, 0))))
-    (r2,) = model2.replaced
-    assert (r2.cut, r2.top_run) == (0, 1)
-    assert r2.stage == Stage(1, (1,))
+    assert (model2.cut, model2.top_run) == ((0,), (1,))
+    assert model2.target.stages == (Stage(1, (1,)),)
     assert model2.warnings == (0,)
 
 
 def test_replace_chacon_model():
-    model = expansive_replace(telescope(CHACON, [0, 1, 3]))
-    assert [r.cut for r in model.replaced] == [1, 7]
-    assert [r.top_run for r in model.replaced] == [2, 5]
-    assert [r.stage for r in model.replaced] == [
+    tele = telescope(CHACON, [0, 1, 3])
+    model = expansive_replace(tele)
+    assert model.cut == (1, 7)
+    assert model.top_run == (2, 5)
+    assert model.target.stages == (
         Stage(2, (0, 2)),
         Stage(8, (0, 1, 0, 0, 1, 1, 0, 5)),
-    ]
+    )
     assert model.warnings == ()
-    rep = model.replaced_schedule()
-    assert heights(rep, 2) == [1, 4, 40]
+    assert heights(model.target, 2) == [1, 4, 40]
+    # one source schedule per model, over the telescoped stages
+    assert model.source is model.source
+    assert model.source == ParamSchedule(tele.stages, tail_period=None)
 
 
 def test_replace_rejects_single_copy_window():
@@ -157,15 +158,15 @@ def test_replace_rejects_single_copy_window():
 def test_replace_invariants(schedule):
     tele = telescope(schedule, [0, 1, schedule.prefix_len + 1])
     model = expansive_replace(tele)
-    rep = model.replaced_schedule()
+    rep = model.target
     # heights preserved stage by stage
     assert heights(rep, tele.num_stages) == list(tele.heights)
     # dominating final run
     for st in map(rep.stage, range(tele.num_stages)):
         assert all(x < st.a[-1] for x in st.a[:-1])
-    for r, low in zip(model.replaced, tele.heights):
-        assert r.top_run > r.spacer_max
-        assert r.stage.spacer_sum <= 2 * r.original.spacer_sum + low
+    for new, old, top_run, low in zip(rep.stages, tele.stages, model.top_run, tele.heights):
+        assert top_run > max(old.a)
+        assert new.spacer_sum <= 2 * old.spacer_sum + low
 
 
 def test_variant_known_values():
@@ -211,13 +212,13 @@ def test_variant_block_surgery(schedule, data):
 def test_build_expansive_known_models():
     model = build_expansive(ODOMETER, 3)
     assert model.telescoped.levels == (0, 1, 3, 6)
-    assert [r.stage for r in model.replaced] == [
+    assert model.target.stages == (
         Stage(1, (1,)),
         Stage(3, (0, 0, 2)),
         Stage(7, (0, 0, 0, 0, 0, 0, 8)),
-    ]
+    )
     assert model.warnings == (0,)
-    rep = model.replaced_schedule()
+    rep = model.target
     assert build_block(rep, 1) == "01"
     assert build_block(rep, 2) == "01010111"
 
@@ -227,7 +228,7 @@ def test_build_expansive_retries_on_degenerate_window():
     # doubled growth base widens it to four copies and succeeds
     model = build_expansive(ODOMETER, 1)
     assert model.telescoped.levels == (0, 2)
-    assert model.replaced[0].stage == Stage(3, (0, 0, 1))
+    assert model.target.stages[0] == Stage(3, (0, 0, 1))
     assert model.warnings == ()
 
 
