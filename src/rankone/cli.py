@@ -47,6 +47,8 @@ from .schedules import (
     ParamSchedule,
     ScheduleError,
     Stage,
+    _json_ints,
+    _json_object,
     choose_telescoping_levels,
     heights,
     validate,
@@ -79,11 +81,11 @@ class SystemSpec:
     telescope_levels: tuple[int, ...] | None
 
 
-def _preset_spec(name: str, levels: tuple[int, ...] | None = None) -> SystemSpec:
+def _preset_schedule(name: str) -> ParamSchedule:
     # a fresh schedule per spec, so what one command caches on it (heights,
     # stage checks) does not outlive the command
     preset = PRESET_SCHEDULES[name]
-    return SystemSpec(ParamSchedule(preset.stages, preset.tail_period), levels)
+    return ParamSchedule(preset.stages, preset.tail_period)
 
 
 def parse_spec(text: str) -> SystemSpec:
@@ -94,22 +96,16 @@ def parse_spec(text: str) -> SystemSpec:
         raise SpecFileError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise SpecFileError("expected an object at $")
-    allowed = {"schedule", "preset", "telescope_levels"}
-    for key in doc:
-        if key not in allowed:
-            raise SpecFileError(f"unknown field {key!r} at $.{key}")
-    has_schedule = "schedule" in doc
-    has_preset = "preset" in doc
-    if has_schedule == has_preset:
+    _json_object(doc, "$", SpecFileError, (), ("schedule", "preset", "telescope_levels"))
+    if ("schedule" in doc) == ("preset" in doc):
         raise SpecFileError("exactly one of 'schedule' and 'preset' is required at $")
-    if has_preset:
+    if "preset" in doc:
         if not isinstance(doc["preset"], str) or doc["preset"] not in PRESET_SCHEDULES:
             known = ", ".join(sorted(PRESET_SCHEDULES))
             raise SpecFileError(
                 f"unknown preset {doc['preset']!r} at $.preset (known: {known})"
             )
+        schedule = _preset_schedule(doc["preset"])
     else:
         try:
             schedule = ParamSchedule.from_json_dict(doc["schedule"], where="$.schedule")
@@ -117,14 +113,7 @@ def parse_spec(text: str) -> SystemSpec:
             raise SpecFileError(str(exc)) from exc
     levels = None
     if "telescope_levels" in doc:
-        raw = doc["telescope_levels"]
-        if not isinstance(raw, list) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in raw
-        ):
-            raise SpecFileError("expected an array of integers at $.telescope_levels")
-        levels = tuple(raw)
-    if has_preset:
-        return _preset_spec(doc["preset"], levels)
+        levels = _json_ints(doc["telescope_levels"], "$.telescope_levels", SpecFileError)
     return SystemSpec(schedule, levels)
 
 
@@ -365,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         spec = None
         if takes_system:
             if args.spec is None:
-                spec = _preset_spec(args.preset)
+                spec = SystemSpec(_preset_schedule(args.preset), None)
             else:
                 with open(args.spec) as fh:
                     spec = parse_spec(fh.read())

@@ -35,7 +35,16 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
-from .schedules import ParamSchedule, Stage, _level_table, heights, tail_mass_bound
+from .schedules import (
+    ParamSchedule,
+    Stage,
+    _json_array,
+    _json_int,
+    _json_object,
+    _level_table,
+    heights,
+    tail_mass_bound,
+)
 
 TOWER = "tower"
 SPACER = "spacer"
@@ -317,36 +326,22 @@ def path_to_json_dict(path: AdicPath) -> dict:
 _EDGE_INDICES = {TOWER: ("i",), SPACER: ("i", "j"), DOWN: ()}
 
 
-def _edge_int(raw: dict, key: str, n: int) -> int:
-    value = raw.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise PathError(f"edge {n}: expected an integer {key!r}")
-    return value
-
-
-def path_from_json_dict(doc: dict, schedule: ParamSchedule | None = None) -> AdicPath:
-    if not isinstance(doc, dict) or set(doc) != {"root", "edges"}:
-        raise PathError("expected an object with 'root' and 'edges'")
-    root = doc["root"]
-    if root not in (ROOT_NONSPACER, ROOT_SPACER):
-        raise PathError(f"root must be 'nonspacer' or 'spacer', got {root!r}")
-    if not isinstance(doc["edges"], list):
-        raise PathError("'edges' must be an array")
+def path_from_json_dict(doc) -> AdicPath:
+    """Strict parse of the path JSON form: an edge has a kind, its indices, and a level."""
+    _json_object(doc, "$", PathError, ("root", "edges"))
+    if doc["root"] not in (ROOT_NONSPACER, ROOT_SPACER):
+        raise PathError("root must be 'nonspacer' or 'spacer' at $.root")
     edges = []
-    for n, raw in enumerate(doc["edges"]):
-        if not isinstance(raw, dict) or "kind" not in raw:
-            raise PathError(f"edge {n}: expected an object with 'kind'")
-        if "level" in raw and _edge_int(raw, "level", n) != n:
-            raise PathError(f"edge {n}: level field says {raw['level']}")
+    for n, raw in enumerate(_json_array(doc["edges"], "$.edges", PathError)):
+        spot = f"$.edges[{n}]"
+        _json_object(raw, spot, PathError, ("kind",), ("level", "i", "j"))
         kind = raw["kind"]
         if not isinstance(kind, str) or kind not in _EDGE_INDICES:
-            raise PathError(f"edge {n}: unknown kind {kind!r}")
+            raise PathError(f"unknown edge kind {kind!r} at {spot}.kind")
         indices = _EDGE_INDICES[kind]
-        extra = next((key for key in raw if key not in ("level", "kind", *indices)), None)
-        if extra is not None:
-            raise PathError(f"edge {n}: unknown field {extra!r} on a {kind} edge")
-        edges.append(Edge(kind, *(_edge_int(raw, key, n) for key in indices)))
-    path = AdicPath(root, tuple(edges))
-    if schedule is not None:
-        validate_path(schedule, path)
-    return path
+        _json_object(raw, spot, PathError, ("kind", *indices), ("level",))
+        if "level" in raw and _json_int(raw["level"], f"{spot}.level", PathError) != n:
+            raise PathError(f"level {raw['level']} at {spot}.level, expected {n}")
+        values = (_json_int(raw[key], f"{spot}.{key}", PathError) for key in indices)
+        edges.append(Edge(kind, *values))
+    return AdicPath(doc["root"], tuple(edges))

@@ -156,54 +156,61 @@ class ParamSchedule:
     @classmethod
     def from_json_dict(cls, doc, where: str = "$") -> "ParamSchedule":
         """Strict parse of the schedule JSON form; unknown keys are rejected."""
-        if not isinstance(doc, dict):
-            raise ScheduleError(f"expected object at {where}")
-        for key in doc:
-            if key not in ("stages", "tail"):
-                raise ScheduleError(f"unknown field {key!r} at {where}.{key}")
-        if "stages" not in doc or "tail" not in doc:
-            raise ScheduleError(f"missing 'stages' or 'tail' at {where}")
-        raw_stages = doc["stages"]
-        if not isinstance(raw_stages, list):
-            raise ScheduleError(f"expected array at {where}.stages")
+        error = ScheduleError
+        _json_object(doc, where, error, ("stages", "tail"))
         stages = []
-        for idx, raw in enumerate(raw_stages):
+        for idx, raw in enumerate(_json_array(doc["stages"], f"{where}.stages", error)):
             spot = f"{where}.stages[{idx}]"
-            if not isinstance(raw, dict):
-                raise ScheduleError(f"expected object at {spot}")
-            for key in raw:
-                if key not in ("q", "a"):
-                    raise ScheduleError(f"unknown field {key!r} at {spot}.{key}")
-            if "q" not in raw or "a" not in raw:
-                raise ScheduleError(f"missing 'q' or 'a' at {spot}")
-            q, a = raw["q"], raw["a"]
-            if not isinstance(q, int) or isinstance(q, bool):
-                raise ScheduleError(f"expected integer at {spot}.q")
-            if not isinstance(a, list) or any(
-                not isinstance(x, int) or isinstance(x, bool) for x in a
-            ):
-                raise ScheduleError(f"expected array of integers at {spot}.a")
-            stages.append(Stage(q, tuple(a)))
-        raw_tail = doc["tail"]
+            _json_object(raw, spot, error, ("q", "a"))
+            q = _json_int(raw["q"], f"{spot}.q", error)
+            stages.append(Stage(q, _json_ints(raw["a"], f"{spot}.a", error)))
         spot = f"{where}.tail"
-        if not isinstance(raw_tail, dict) or "kind" not in raw_tail:
-            raise ScheduleError(f"expected object with 'kind' at {spot}")
-        kind = raw_tail["kind"]
-        if kind == "none":
-            extra = set(raw_tail) - {"kind"}
-            if extra:
-                raise ScheduleError(f"unknown field {extra.pop()!r} at {spot}")
-            period = None
-        elif kind == "periodic":
-            extra = set(raw_tail) - {"kind", "period"}
-            if extra:
-                raise ScheduleError(f"unknown field {extra.pop()!r} at {spot}")
-            period = raw_tail.get("period")
-            if not isinstance(period, int) or isinstance(period, bool):
-                raise ScheduleError(f"expected integer at {spot}.period")
-        else:
-            raise ScheduleError(f"tail kind must be 'none' or 'periodic' at {spot}.kind")
-        return cls(tuple(stages), period)
+        tail = _json_object(doc["tail"], spot, error, ("kind",), ("period",))
+        if tail["kind"] not in ("none", "periodic"):
+            raise error(f"tail kind must be 'none' or 'periodic' at {spot}.kind")
+        periodic = tail["kind"] == "periodic"
+        _json_object(tail, spot, error, ("kind", "period") if periodic else ("kind",))
+        period = _json_int(tail["period"], f"{spot}.period", error) if periodic else None
+        try:
+            return cls(tuple(stages), period)
+        except ScheduleError as exc:  # __post_init__'s period range
+            raise error(f"{exc} at {spot}.period") from None
+
+
+# the strict JSON reader of the schedule, spec and path forms: each check
+# raises the caller's error class, with a message ending " at <JSON path>"
+
+
+def _json_object(doc, where: str, error: type[Exception], required, optional=()) -> dict:
+    """doc, an object with every required field and no field outside
+    required and optional; its keys are checked in document order."""
+    if not isinstance(doc, dict):
+        raise error(f"expected an object at {where}")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise error(f"unknown field {key!r} at {where}.{key}")
+    for key in required:
+        if key not in doc:
+            raise error(f"missing field {key!r} at {where}.{key}")
+    return doc
+
+
+def _json_array(value, where: str, error: type[Exception]) -> list:
+    if not isinstance(value, list):
+        raise error(f"expected an array at {where}")
+    return value
+
+
+def _json_int(value, where: str, error: type[Exception]) -> int:
+    """value, an integer; JSON true and false are not integers."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"expected an integer at {where}")
+    return value
+
+
+def _json_ints(value, where: str, error: type[Exception]) -> tuple[int, ...]:
+    items = _json_array(value, where, error)
+    return tuple(_json_int(x, f"{where}[{i}]", error) for i, x in enumerate(items))
 
 
 def heights(schedule: ParamSchedule, n: int) -> list[int]:

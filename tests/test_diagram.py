@@ -205,7 +205,7 @@ def test_path_json_round_trip(case):
     h = heights(schedule, depth)[depth]
     for k in (0, h // 2, h - 1):
         x = from_tower_coordinates(schedule, depth, k)
-        assert path_from_json_dict(path_to_json_dict(x), schedule) == x
+        assert path_from_json_dict(path_to_json_dict(x)) == x
 
 
 def test_path_json_rejects():
@@ -218,18 +218,18 @@ def test_path_json_rejects():
 @pytest.mark.parametrize(
     "edges, needle",
     [
-        ({"level": 0}, "array"),
-        ([{"kind": TOWER}], "edge 0"),
-        ([{"kind": TOWER, "i": 0}, {"kind": SPACER, "i": 1}], "edge 1"),
-        ([{"kind": TOWER, "i": True}], "edge 0"),
-        ([{"kind": SPACER, "i": 1, "j": "0"}], "edge 0"),
+        ({"level": 0}, "expected an array at $.edges"),
+        ([{"kind": TOWER}], "missing field 'i' at $.edges[0].i"),
+        ([{"kind": TOWER, "i": 0}, {"kind": SPACER, "i": 1}], "missing field 'j' at $.edges[1].j"),
+        ([{"kind": TOWER, "i": True}], "expected an integer at $.edges[0].i"),
+        ([{"kind": SPACER, "i": 1, "j": "0"}], "expected an integer at $.edges[0].j"),
         # fields the kind does not carry, and a level that is not an integer
-        ([{"kind": TOWER, "i": 0, "j": 7}], "edge 0: unknown field 'j' on a tower edge"),
-        ([{"kind": TOWER, "i": 0, "foo": 1}], "edge 0: unknown field 'foo' on a tower edge"),
-        ([{"kind": TOWER, "i": 0}, {"kind": DOWN, "i": 5}], "edge 1: unknown field 'i' on a down edge"),
-        ([{"kind": TOWER, "i": 0}, {"kind": TOWER, "i": 0, "level": True}], "edge 1: expected an integer 'level'"),
-        ([{"kind": TOWER, "i": 0, "level": 0.0}], "edge 0: expected an integer 'level'"),
-        ([{"kind": TOWER, "i": 0, "level": 1}], "edge 0: level field says 1"),
+        ([{"kind": TOWER, "i": 0, "j": 7}], "unknown field 'j' at $.edges[0].j"),
+        ([{"kind": TOWER, "i": 0, "foo": 1}], "unknown field 'foo' at $.edges[0].foo"),
+        ([{"kind": TOWER, "i": 0}, {"kind": DOWN, "i": 5}], "unknown field 'i' at $.edges[1].i"),
+        ([{"kind": TOWER, "i": 0}, {"kind": TOWER, "i": 0, "level": True}], "expected an integer at $.edges[1].level"),
+        ([{"kind": TOWER, "i": 0, "level": 0.0}], "expected an integer at $.edges[0].level"),
+        ([{"kind": TOWER, "i": 0, "level": 1}], "level 1 at $.edges[0].level, expected 0"),
     ],
 )
 def test_path_json_rejects_bad_edges(edges, needle):
