@@ -7,7 +7,8 @@ isomorphism verification, and the period-doubling gap check.  Output is
 deterministic: identical spec, flags, and seed give identical bytes.
 
 Each subcommand accepts only the flags its handler reads (see
-``COMMANDS``); any other flag is an argparse error.
+``COMMANDS``), except ``verify --exhaustive``: no handler reads it, and
+it only excludes ``--samples``.  Any other flag is an argparse error.
 
 A handler ``_cmd_*(spec, args)`` returns ``(exit code, document, text)``
 and writes nothing to stdout; ``spec`` is None for ``pd-check``.
@@ -200,7 +201,12 @@ def _cmd_variant(spec: SystemSpec, args: argparse.Namespace) -> Result:
     if args.picks is None:
         chosen = [st.q - 1 for st in tele.stages]
     else:
-        chosen = [int(p) for p in args.picks.split(",")]
+        try:
+            chosen = [int(p) for p in args.picks.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--picks must be comma-separated integers, got {args.picks!r}"
+            ) from None
     modified = one_tower_variant(tele, chosen)
     doc = {"m": list(tele.levels), "picks": chosen, "schedule": modified.to_json_dict()}
     return 0, doc, None

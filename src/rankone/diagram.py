@@ -327,7 +327,7 @@ _EDGE_INDICES = {TOWER: ("i",), SPACER: ("i", "j"), DOWN: ()}
 
 
 def path_from_json_dict(doc) -> AdicPath:
-    """Strict parse of the path JSON form: an edge has a kind, its indices, and a level."""
+    """Strict parse of the path JSON form; an edge's "level" may be left out."""
     _json_object(doc, "$", PathError, ("root", "edges"))
     if doc["root"] not in (ROOT_NONSPACER, ROOT_SPACER):
         raise PathError("root must be 'nonspacer' or 'spacer' at $.root")

@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from conftest import WIDE_RUNS
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import rankone
 from rankone import ParamSchedule, PathError, ScheduleError, path_from_json_dict
 from rankone.cli import CHACON, SpecFileError, _build_parser, main, parse_spec
 
@@ -51,6 +55,10 @@ def test_parse_spec_preset():
         ('{"schedule": {"stages": [], "tail": {"kind": "none"}}, "k": 1}', "$.k"),
         ('{"preset": "chacon", "telescope_levels": [0, "x"]}', "$.telescope_levels"),
         ('{"schedule": {"stages": 3, "tail": {"kind": "none"}}}', "$.schedule.stages"),
+        # ParamSchedule checks the period range; the reader adds where
+        ('{"schedule": {"stages": [{"q": 2, "a": [0, 0]}], '
+         '"tail": {"kind": "periodic", "period": 3}}}',
+         "tail period 3 outside 1..1 at $.schedule.tail.period"),
     ],
 )
 def test_parse_spec_rejects(text, needle):
@@ -74,6 +82,9 @@ _JSON_VALUES = st.recursive(
 
 
 @given(_JSON_VALUES)
+# the period range is checked by ParamSchedule itself, and still located
+@example({"stages": [], "tail": {"kind": "periodic", "period": 1}})
+@example({"stages": [{"q": 2, "a": [0, 0]}], "tail": {"kind": "periodic", "period": 3}})
 def test_parsers_raise_only_their_own_errors(value):
     for parse, error in (
         (lambda v: parse_spec(json.dumps(v)), SpecFileError),
@@ -82,8 +93,29 @@ def test_parsers_raise_only_their_own_errors(value):
     ):
         try:
             parse(value)
-        except error:
-            pass
+        except error as exc:
+            # every message says where in the document it failed
+            assert " at $" in str(exc)
+
+
+def test_parse_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    # three unknown tail fields: the first in document order is named
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps({"schedule": {
+        "stages": [], "tail": {"kind": "none", "xa": 1, "yb": 2, "zc": 3},
+    }}))
+    src = str(Path(rankone.__file__).parents[1])
+    errs = set()
+    for seed in "0123":
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "rankone.cli", "validate", "--spec", str(spec)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 2
+        errs.add(run.stderr)
+    assert errs == {"error: unknown field 'xa' at $.schedule.tail.xa\n"}
 
 
 def test_heights_json_and_text(capsys):
@@ -129,6 +161,11 @@ def test_variant_default_and_bad_picks(capsys):
     assert doc["picks"] == [2, 8]  # defaults to the last copy per stage
     assert main(["variant", "--preset", "chacon", "--stages", "2", "--picks", "0,8"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a pick that is not an integer is named with the flag
+    assert main(["variant", "--preset", "chacon", "--stages", "2", "--picks", "1,x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --picks must be comma-separated integers, got '1,x'\n"
+    )
 
 
 def test_vershik_word(capsys):
@@ -174,6 +211,26 @@ def test_verify_samples_past_sys_maxsize(capsys):
     out = capsys.readouterr().out
     assert out.startswith("depth 10: tested 100 paths, 0 failures\n")
     assert out.endswith("PASS\n")
+
+
+def test_verify_walk_budget(tmp_path, capsys):
+    # this spec's depth-4 model has H_4 = 17,610,329,152 floors: refused at once
+    stages = [(1, [3]), (1, [3]), (1, [0]), (3, [2, 2, 0]), (2, [1, 2]), (3, [2, 3, 3]),
+              (1, [3])]
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps({"schedule": {
+        "stages": [{"q": q, "a": a} for q, a in stages],
+        "tail": {"kind": "periodic", "period": 5},
+    }}))
+    start = time.perf_counter()
+    assert main(["verify", "--spec", str(spec), "--depth", "4"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verify would walk 17610329152 floors, over the budget of 1048576; "
+        "pass --samples K with K <= 1048576\n"
+    )
 
 
 def test_pd_check(capsys):

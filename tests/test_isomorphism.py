@@ -152,6 +152,16 @@ def test_depth_guard(chacon_ctx):
         verify_isomorphism(chacon_ctx, 2, samples=-1)
 
 
+def test_verify_walk_budget():
+    # the odometer's depth-6 fiber has 2^21 floors; neither it nor a sample
+    # one floor past the 2^20 budget is walked, and a small sample is
+    model = build_expansive(ODOMETER, 6)
+    for samples in (None, (1 << 20) + 1):
+        with pytest.raises(ValueError, match="over the budget of 1048576"):
+            verify_isomorphism(model, 6, samples=samples)
+    assert verify_isomorphism(model, 6, samples=50, seed=1).passed
+
+
 def test_verify_refuses_a_target_of_fewer_stages(chacon_ctx):
     # stage 1 of the target is missing: refused before any floor is read
     short = dataclasses.replace(
