@@ -13,30 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schedules import ParamSchedule, UNKNOWN_AT_DEPTH, heights
-
-DEFAULT_SYMBOL_BUDGET = 1 << 26
+from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, BudgetError, ParamSchedule, heights
 
 KALIKOW_BOUNDED = "bounded"
 KALIKOW_UNBOUNDED = "unbounded"
-
-
-class BlockBudgetError(Exception):
-    """The requested block exceeds the symbol budget."""
-
-    def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"block needs {required} symbols, over the budget of {budget}"
-        )
-        self.required = required
-        self.budget = budget
 
 
 def build_block(schedule: ParamSchedule, n: int) -> str:
     """The stage-n block B_n; length h_n is checked against the budget first."""
     hs = heights(schedule, n)
     if hs[n] > DEFAULT_SYMBOL_BUDGET:
-        raise BlockBudgetError(required=hs[n], budget=DEFAULT_SYMBOL_BUDGET)
+        raise BudgetError(
+            f"block needs {hs[n]} symbols, over the budget of {DEFAULT_SYMBOL_BUDGET}"
+        )
     b = "0"
     for k in range(n):
         st = schedule.stage(k)

@@ -30,12 +30,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .blocks import (
-    BlockBudgetError,
-    build_block,
-    occurrence_spacing,
-    period_doubling_prefix,
-)
+from .blocks import build_block, occurrence_spacing, period_doubling_prefix
 from .diagram import (
     code_orbit,
     cylinder_measure_bounds,
@@ -369,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
             text = _dumps(doc)
         _emit(text, args.out)
         return code
-    except (DepthError, SpacerReplacementError, BlockBudgetError, ValueError, OSError) as exc:
+    except (DepthError, SpacerReplacementError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -73,12 +73,8 @@ from .diagram import (
     successor,
     validate_path,
 )
-from .schedules import heights
+from .schedules import VERIFY_WALK_BUDGET, BudgetError, heights
 from .telescoping import ExpansiveModel
-
-# the most floors one verify_isomorphism walk maps: chacon's depth-5 fiber
-# (797,161 floors, about 30 s) fits, and a larger fiber needs a sample
-_WALK_BUDGET = 1 << 20
 
 
 def exceptional_index(model: ExpansiveModel, path: AdicPath) -> int:
@@ -230,11 +226,11 @@ def verify_isomorphism(
     distinct floors are found, which are walked in order.  These are the
     draws random.sample makes on a large population, and H_D may pass
     sys.maxsize.  A depth past the model's or the target's stages is
-    refused with ValueError, and so is a walk of more than _WALK_BUDGET
-    = 2^20 floors (H_D, or min(samples, H_D) for a sample), before
-    anything is mapped.  The target fiber must have as many floors
-    as the source fiber, or the injective map is not onto; the witness
-    of a mismatch is the top floor of the taller tower.  Per path:
+    refused with ValueError, and a walk of more than VERIFY_WALK_BUDGET
+    = 2^20 floors (H_D, or min(samples, H_D) for a sample) with
+    BudgetError, before anything is mapped.  The target fiber must have
+    as many floors as the source fiber, or the injective map is not onto;
+    the witness of a mismatch is the top floor of the taller tower.  Per path:
     floors must agree above the last exceptional level, the round trip
     must return the path, images must not collide (compared by J_D), and
     taking successors must commute with the map.
@@ -254,10 +250,10 @@ def verify_isomorphism(
         raise ValueError(f"samples {samples} < 0")
     fiber = heights(model.source, depth)[depth]
     walked = fiber if samples is None else min(samples, fiber)
-    if walked > _WALK_BUDGET:
-        raise ValueError(
-            f"verify would walk {walked} floors, over the budget of {_WALK_BUDGET}; "
-            f"pass --samples K with K <= {_WALK_BUDGET}"
+    if walked > VERIFY_WALK_BUDGET:
+        raise BudgetError(
+            f"verify would walk {walked} floors, over the budget of {VERIFY_WALK_BUDGET}; "
+            f"pass --samples K with K <= {VERIFY_WALK_BUDGET}"
         )
     if samples is None or samples >= fiber:
         floors = range(fiber)

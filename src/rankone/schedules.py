@@ -38,6 +38,18 @@ class DepthError(Exception):
     """A stage beyond the resolvable range was requested."""
 
 
+class BudgetError(ValueError):
+    """A request would pass one of the size limits below; raised before its work starts."""
+
+
+# the longest word one call builds, and the most copies in a telescoped window (64 MB of str)
+DEFAULT_SYMBOL_BUDGET = 1 << 26
+# the most floors one verify walk maps: chacon's depth-5 fiber, 797,161 floors in 30 s, fits
+VERIFY_WALK_BUDGET = 1 << 20
+# the last level the greedy walk reads: past a q = 1 tail the next window is exponentially far
+MAX_WALK_LEVELS = 1 << 21
+
+
 @dataclass(frozen=True)
 class Stage:
     """One cut-and-stack step: q columns, a[i] spacers above column i.
@@ -410,10 +422,6 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
 # the first growth base of the greedy level selection
 GROWTH_BASE = 2
 
-# the greedy walk reads no heights past this level; on a q = 1 tail the
-# heights grow linearly, so the next window could be exponentially far up
-MAX_WALK_LEVELS = 1 << 21
-
 
 def choose_telescoping_levels(schedule: ParamSchedule, count: int) -> list[int]:
     """Greedy level selection m_0 = 0 < m_1 < ... < m_count.
@@ -432,7 +440,8 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     A bad tail stage raises at once.  Otherwise the walk resumes from the
     cached heights and resolves one stage per level past them, so it fails
     only on reaching a bad or missing stage, and on every level raises
-    DepthError rather than step past a frozen tail or MAX_WALK_LEVELS.
+    DepthError rather than step past a frozen tail, or BudgetError rather
+    than step past MAX_WALK_LEVELS.
     Each level found publishes the heights walked so far to the cache.
     """
     frozen_tail = schedule._tail_summary == (1, 0)
@@ -448,7 +457,7 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
                         f"periodic tail adds no height growth; cannot reach h >= {target}"
                     )
                 if level >= MAX_WALK_LEVELS:
-                    raise DepthError(
+                    raise BudgetError(
                         f"the greedy level walk passed level {MAX_WALK_LEVELS} "
                         "without reaching the next window's height"
                     )

@@ -34,8 +34,15 @@ from functools import cached_property
 from math import prod
 from typing import Sequence
 
-from .blocks import DEFAULT_SYMBOL_BUDGET
-from .schedules import GROWTH_BASE, ParamSchedule, Stage, _greedy_levels, heights
+from .schedules import (
+    DEFAULT_SYMBOL_BUDGET,
+    GROWTH_BASE,
+    BudgetError,
+    ParamSchedule,
+    Stage,
+    _greedy_levels,
+    heights,
+)
 
 # build_expansive's number of attempts, doubling the growth base each time
 MAX_RETRIES = 6
@@ -92,7 +99,7 @@ def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSched
         for k in range(lo, hi):
             copies *= schedule.stage(k).q
             if copies > DEFAULT_SYMBOL_BUDGET:
-                raise ValueError(
+                raise BudgetError(
                     f"window [{lo}, {hi}) makes {copies} copies by level {k}, "
                     f"over build_block's symbol budget of {DEFAULT_SYMBOL_BUDGET}"
                 )

@@ -10,7 +10,7 @@ from rankone import (
     KALIKOW_UNBOUNDED,
     UNKNOWN_AT_DEPTH,
     DEFAULT_SYMBOL_BUDGET,
-    BlockBudgetError,
+    BudgetError,
     Occurrences,
     ParamSchedule,
     Stage,
@@ -48,10 +48,12 @@ def test_block_length_prefix_and_zero_count(schedule):
 
 def test_block_budget_checked_before_building():
     required = heights(CHACON, 40)[40]
-    with pytest.raises(BlockBudgetError) as err:
+    with pytest.raises(BudgetError) as err:
         build_block(CHACON, 40)
-    assert err.value.required == required
-    assert err.value.budget == DEFAULT_SYMBOL_BUDGET < required
+    assert str(err.value) == (
+        f"block needs {required} symbols, over the budget of {DEFAULT_SYMBOL_BUDGET}"
+    )
+    assert DEFAULT_SYMBOL_BUDGET < required
 
 
 def test_kalikow_verdicts():

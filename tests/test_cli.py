@@ -14,8 +14,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rankone
-from rankone import ParamSchedule, PathError, ScheduleError, path_from_json_dict
-from rankone.cli import CHACON, SpecFileError, _build_parser, main, parse_spec
+from rankone import (
+    BudgetError,
+    ParamSchedule,
+    PathError,
+    ScheduleError,
+    path_from_json_dict,
+    telescope,
+)
+from rankone.cli import CHACON, ODOMETER, SpecFileError, _build_parser, main, parse_spec
 
 CHACON_DOC = {
     "stages": [{"q": 3, "a": [0, 1, 0]}],
@@ -551,6 +558,8 @@ def test_telescope_window_over_the_budget(tmp_path, capsys):
         "error: window [0, 30) makes 134217728 copies by level 26, "
         "over build_block's symbol budget of 67108864\n"
     )
+    with pytest.raises(BudgetError, match="makes 134217728 copies"):
+        telescope(ODOMETER, [0, 30])
     spec.write_text(json.dumps({"preset": "dyadic-odometer", "telescope_levels": [0, 18]}))
     assert main(["telescope", "--spec", str(spec)]) == 0
     assert len(json.loads(capsys.readouterr().out)["stages"][0]["A"]) == 1 << 18

@@ -17,6 +17,7 @@ from rankone import (
     ROOT_NONSPACER,
     ROOT_SPACER,
     AdicPath,
+    BudgetError,
     Edge,
     IsoFailure,
     IsoReport,
@@ -157,7 +158,7 @@ def test_verify_walk_budget():
     # one floor past the 2^20 budget is walked, and a small sample is
     model = build_expansive(ODOMETER, 6)
     for samples in (None, (1 << 20) + 1):
-        with pytest.raises(ValueError, match="over the budget of 1048576"):
+        with pytest.raises(BudgetError, match="over the budget of 1048576"):
             verify_isomorphism(model, 6, samples=samples)
     assert verify_isomorphism(model, 6, samples=50, seed=1).passed
 

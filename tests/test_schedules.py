@@ -11,6 +11,7 @@ from rankone import (
     PROVED_CONVERGENT,
     PROVED_DIVERGENT,
     UNKNOWN_AT_DEPTH,
+    BudgetError,
     DepthError,
     ParamSchedule,
     ScheduleError,
@@ -255,7 +256,7 @@ def test_choose_levels_walk_budget():
     levels = choose_telescoping_levels(linear, 6)
     assert levels == [0, 1, 2, 49, 849, 27303, 1747665]
     assert levels[-1] <= MAX_WALK_LEVELS
-    with pytest.raises(DepthError, match="passed level"):
+    with pytest.raises(BudgetError, match="passed level"):
         choose_telescoping_levels(linear, 7)
 
 
