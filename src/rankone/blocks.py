@@ -72,9 +72,15 @@ def kalikow_sup_condition(schedule: ParamSchedule, depth: int) -> KalikowReport:
 
 
 def period_doubling_prefix(length: int) -> str:
-    """Prefix of the fixed point of 0 -> 01, 1 -> 00 starting from 0."""
+    """Prefix of the fixed point of 0 -> 01, 1 -> 00 starting from 0; its
+    length is checked against the symbol budget first."""
     if length < 1:
         raise ValueError(f"length {length} < 1")
+    if length > DEFAULT_SYMBOL_BUDGET:
+        raise BudgetError(
+            f"period-doubling prefix needs {length} symbols, "
+            f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
+        )
     w = "0"
     while len(w) < length:
         # s^{n+1}(0) = s^n(0) s^n(1), and s^n(1) is s^n(0) with its last symbol flipped

@@ -20,7 +20,10 @@ else the document as JSON (a library object through its
 ``--out`` exits 2.
 
 Exit codes: 0 success, 1 a verification found violations, 2 bad input
-or an unsatisfiable request.
+or an unsatisfiable request.  A request past a size limit raises
+``BudgetError``, a ``ValueError``, before its work starts; so exhaustive
+``verify`` on greedy levels refuses depth 6 and beyond before it walks
+a level, since every growth base gives H_D >= 2^(D(D+1)/2) > 2^20.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .diagram import (
 )
 from .isomorphism import verify_isomorphism
 from .schedules import (
+    VERIFY_WALK_BUDGET,
+    BudgetError,
     DepthError,
     ParamSchedule,
     ScheduleError,
@@ -249,6 +254,14 @@ def _cmd_dot(spec: SystemSpec, args: argparse.Namespace) -> Result:
 def _cmd_verify(spec: SystemSpec, args: argparse.Namespace) -> Result:
     if args.samples is None and args.seed is not None:
         raise ValueError("--seed needs --samples: an exhaustive run uses no seed")
+    # build_expansive's growth bases are all >= 2, so greedy levels give H_D >= 2^e
+    e = args.depth * (args.depth + 1) // 2
+    whole_greedy_fiber = args.samples is None and spec.telescope_levels is None
+    if whole_greedy_fiber and e >= VERIFY_WALK_BUDGET.bit_length():
+        raise BudgetError(
+            f"verify --depth {args.depth} would walk at least 2^{e} floors, over the "
+            f"budget of {VERIFY_WALK_BUDGET}; pass --samples K with K <= {VERIFY_WALK_BUDGET}"
+        )
     model = _expansive_model(spec, args.depth)
     report = verify_isomorphism(model, args.depth, samples=args.samples, seed=args.seed or 0)
     lines = [

@@ -36,6 +36,8 @@ from math import prod
 from typing import NamedTuple
 
 from .schedules import (
+    DEFAULT_SYMBOL_BUDGET,
+    BudgetError,
     ParamSchedule,
     Stage,
     _json_array,
@@ -227,10 +229,16 @@ def code_orbit(schedule: ParamSchedule, path: AdicPath, steps: int) -> OrbitCodi
 
     Symbol rule: 1 when the current path enters through the spacer
     reservoir (root edge into column 1), else 0.  Stops early with the
-    partial word when the orbit overflows the truncation.
+    partial word when the orbit overflows the truncation.  `steps` is
+    checked against the symbol budget before the first step.
     """
     if steps < 0:
         raise ValueError(f"steps {steps} < 0")
+    if steps > DEFAULT_SYMBOL_BUDGET:
+        raise BudgetError(
+            f"orbit coding needs {steps} symbols, "
+            f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
+        )
     out = []
     cur = path
     for s in range(steps):

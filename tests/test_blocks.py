@@ -90,6 +90,8 @@ def test_period_doubling_prefix():
     assert period_doubling_prefix(16) == "0100010101000100"
     with pytest.raises(ValueError):
         period_doubling_prefix(0)
+    with pytest.raises(BudgetError, match="over the budget of 67108864"):
+        period_doubling_prefix(DEFAULT_SYMBOL_BUDGET + 1)
 
 
 def _substitution_prefix(length):

@@ -221,7 +221,9 @@ def test_verify_samples_past_sys_maxsize(capsys):
 
 
 def test_verify_walk_budget(tmp_path, capsys):
-    # this spec's depth-4 model has H_4 = 17,610,329,152 floors: refused at once
+    # this spec's depth-4 model has H_4 = 17,610,329,152 floors: refused at once.
+    # Without a spec's levels the greedy model at depth 23 has H_23 >= 2^276
+    # floors, refused before the model is built
     stages = [(1, [3]), (1, [3]), (1, [0]), (3, [2, 2, 0]), (2, [1, 2]), (3, [2, 3, 3]),
               (1, [3])]
     spec = tmp_path / "sys.json"
@@ -229,15 +231,19 @@ def test_verify_walk_budget(tmp_path, capsys):
         "stages": [{"q": q, "a": a} for q, a in stages],
         "tail": {"kind": "periodic", "period": 5},
     }}))
-    start = time.perf_counter()
-    assert main(["verify", "--spec", str(spec), "--depth", "4"]) == 2
-    assert time.perf_counter() - start < 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: verify would walk 17610329152 floors, over the budget of 1048576; "
-        "pass --samples K with K <= 1048576\n"
-    )
+    for argv, walk in (
+        (["--spec", str(spec), "--depth", "4"], "verify would walk 17610329152 floors"),
+        (["--preset", "chacon", "--depth", "23"],
+         "verify --depth 23 would walk at least 2^276 floors"),
+    ):
+        start = time.perf_counter()
+        assert main(["verify", *argv]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {walk}, over the budget of 1048576; pass --samples K with K <= 1048576\n"
+        )
 
 
 def test_pd_check(capsys):
@@ -245,6 +251,15 @@ def test_pd_check(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["gaps_all_multiples_of_4"] is True
     assert all(g % 4 == 0 for g in doc["distinct_gaps"])
+    # one symbol past the budget is refused before the word is built
+    start = time.perf_counter()
+    assert main(["pd-check", "--length", "67108865"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: period-doubling prefix needs 67108865 symbols, over the budget of 67108864\n"
+    )
 
 
 def test_schedule_less_preset_rejected(capsys):

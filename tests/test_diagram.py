@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone import (
+    DEFAULT_SYMBOL_BUDGET,
     DOWN,
+    BudgetError,
     DepthError,
     ParamSchedule,
     Stage,
@@ -164,6 +166,15 @@ def test_code_orbit_overflow():
     assert got.overflow == Overflow(2)
 
 
+def test_code_orbit_budget_checked_before_coding():
+    with pytest.raises(BudgetError) as err:
+        code_orbit(CHACON, minimal_path(CHACON, 40), DEFAULT_SYMBOL_BUDGET + 1)
+    assert str(err.value) == (
+        f"orbit coding needs {DEFAULT_SYMBOL_BUDGET + 1} symbols, "
+        f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
+    )
+
+
 def test_cylinder_measure_values():
     ex = cylinder_measure_bounds(ODOMETER, 3, 10)
     assert ex.lo == ex.hi == Fraction(1, 8)
@@ -230,6 +241,8 @@ def test_path_json_rejects():
         ([{"kind": TOWER, "i": 0}, {"kind": TOWER, "i": 0, "level": True}], "expected an integer at $.edges[1].level"),
         ([{"kind": TOWER, "i": 0, "level": 0.0}], "expected an integer at $.edges[0].level"),
         ([{"kind": TOWER, "i": 0, "level": 1}], "level 1 at $.edges[0].level, expected 0"),
+        ([{"kind": "x"}], "unknown edge kind 'x' at $.edges[0].kind"),
+        ([{"kind": [TOWER]}], "unknown edge kind ['tower'] at $.edges[0].kind"),
     ],
 )
 def test_path_json_rejects_bad_edges(edges, needle):

@@ -1,6 +1,7 @@
 """Finite-depth verification of the spacer-replacement isomorphism."""
 
 import dataclasses
+import json
 import random
 import re
 import sys
@@ -34,6 +35,7 @@ from rankone import (
     heights,
     level_indices,
     minimal_path,
+    path_from_json_dict,
     successor,
     telescope,
     to_source,
@@ -147,6 +149,8 @@ def test_depth_guard(chacon_ctx):
     deep = minimal_path(CHACON, 4)
     with pytest.raises(ValueError):
         to_target(chacon_ctx, deep)
+    with pytest.raises(ValueError, match="path depth 4 exceeds the 3 stages"):
+        to_source(chacon_ctx, deep)
     with pytest.raises(ValueError):
         verify_isomorphism(chacon_ctx, 4)
     with pytest.raises(ValueError, match="samples -1 < 0"):
@@ -440,3 +444,14 @@ def test_verify_reports_injectivity(chacon_ctx):
     report = verify_isomorphism(bad, 3)
     assert report.failure_counts()["injectivity"] == 64
     assert report == reference_verify(bad, 3)
+
+
+def test_failing_report_serializes_its_witnesses(chacon_ctx):
+    report = verify_isomorphism(mutated(chacon_ctx, "top_run", 0, -1), 3)
+    doc = json.loads(json.dumps(report.to_json_dict()))
+    assert doc["passed"] is False
+    assert doc["failure_counts"] == report.failure_counts()
+    assert len(doc["failures"]) == len(report.failures)
+    for got, failure in zip(doc["failures"], report.failures):
+        assert (got["check"], got["detail"]) == (failure.check, failure.detail)
+        assert path_from_json_dict(got["witness"]) == failure.witness

@@ -238,6 +238,11 @@ def test_build_expansive_gives_up_without_cuts():
     stuck = ParamSchedule((Stage(2, (0, 0)), Stage(1, (3,))), tail_period=1)
     with pytest.raises(SpacerReplacementError):
         build_expansive(stuck, 2)
+    # level 0 alone multiplies the height by 10^6 + 1, so every growth base
+    # up to 2^6 ends the first window there, at one copy: all six attempts fail
+    padded = ParamSchedule((Stage(1, (10**6,)), Stage(2, (0, 0))), tail_period=1)
+    with pytest.raises(SpacerReplacementError, match="no usable telescoping after 6 growth"):
+        build_expansive(padded, 2)
 
 
 def test_seeded_generators_shape():
