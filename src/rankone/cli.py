@@ -23,7 +23,9 @@ Exit codes: 0 success, 1 a verification found violations, 2 bad input
 or an unsatisfiable request.  A request past a size limit raises
 ``BudgetError``, a ``ValueError``, before its work starts; so exhaustive
 ``verify`` on greedy levels refuses depth 6 and beyond before it walks
-a level, since every growth base gives H_D >= 2^(D(D+1)/2) > 2^20.
+a level, since every growth base gives H_D >= 2^(D(D+1)/2) > 2^20, and
+from depth 6 on a sample of K > 2^20 floors, K < 2^(D(D+1)/2), is
+refused before the model is built.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .diagram import (
     export_dot,
     minimal_path,
 )
-from .isomorphism import verify_isomorphism
+from .isomorphism import _check_walk, verify_isomorphism
 from .schedules import (
     VERIFY_WALK_BUDGET,
     BudgetError,
@@ -256,12 +258,14 @@ def _cmd_verify(spec: SystemSpec, args: argparse.Namespace) -> Result:
         raise ValueError("--seed needs --samples: an exhaustive run uses no seed")
     # build_expansive's growth bases are all >= 2, so greedy levels give H_D >= 2^e
     e = args.depth * (args.depth + 1) // 2
-    whole_greedy_fiber = args.samples is None and spec.telescope_levels is None
-    if whole_greedy_fiber and e >= VERIFY_WALK_BUDGET.bit_length():
-        raise BudgetError(
-            f"verify --depth {args.depth} would walk at least 2^{e} floors, over the "
-            f"budget of {VERIFY_WALK_BUDGET}; pass --samples K with K <= {VERIFY_WALK_BUDGET}"
-        )
+    if spec.telescope_levels is None and e >= VERIFY_WALK_BUDGET.bit_length():
+        if args.samples is None:
+            raise BudgetError(
+                f"verify --depth {args.depth} would walk at least 2^{e} floors, over the "
+                f"budget of {VERIFY_WALK_BUDGET}; pass --samples K with K <= {VERIFY_WALK_BUDGET}"
+            )
+        if args.samples.bit_length() <= e:  # K < 2^e <= H_D, so the walk is K floors
+            _check_walk(args.samples)
     model = _expansive_model(spec, args.depth)
     report = verify_isomorphism(model, args.depth, samples=args.samples, seed=args.seed or 0)
     lines = [

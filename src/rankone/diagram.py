@@ -39,7 +39,6 @@ from .schedules import (
     DEFAULT_SYMBOL_BUDGET,
     BudgetError,
     ParamSchedule,
-    Stage,
     _json_array,
     _json_int,
     _json_object,
@@ -63,6 +62,11 @@ class Edge(NamedTuple):
     kind: str
     i: int = 0
     j: int = 0
+
+
+# the refill edges below a successor's moved edge
+_DOWN = Edge(DOWN)
+_TOWER_0 = Edge(TOWER, 0)
 
 
 @dataclass(frozen=True)
@@ -110,34 +114,32 @@ def validate_path(schedule: ParamSchedule, path: AdicPath) -> None:
     # paths may end in either column; depth-0 paths are a bare root edge
 
 
-def _next_edge(st: Stage, e: Edge) -> Edge | None:
-    """The edge after a tower or spacer edge into the same column-0 vertex."""
-    j = 0 if e.kind == TOWER else e.j + 1
-    if j < st.a[e.i]:
-        return Edge(SPACER, e.i, j)
-    return Edge(TOWER, e.i + 1) if e.i + 1 < st.q else None
-
-
 def minimal_path(schedule: ParamSchedule, depth: int) -> AdicPath:
     """The least path of the given depth ending in column 0."""
     for k in range(depth):
         schedule.stage(k)  # surfaces DepthError before building anything
-    return AdicPath(ROOT_NONSPACER, tuple(Edge(TOWER, 0) for _ in range(depth)))
+    return AdicPath(ROOT_NONSPACER, (_TOWER_0,) * depth)
 
 
 def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
-    """Vershik successor within the truncation, or Overflow."""
-    for pos, e in enumerate(path.edges):
-        if e.kind == DOWN:
+    """Vershik successor within the truncation, or Overflow.
+
+    The lowest tower or spacer edge with a next edge into the same
+    column-0 vertex moves to it, and the edges below refill minimally.
+    """
+    edges = path.edges
+    for pos, (kind, i, j) in enumerate(edges):
+        if kind == DOWN:
             continue  # the sole edge into its vertex, nothing to increment
-        new = _next_edge(schedule.stage(pos), e)
-        if new is None:
-            continue
-        if new.kind == TOWER:
-            root, head = ROOT_NONSPACER, (Edge(TOWER, 0),) * pos
+        st = schedule.stage(pos)
+        j = 0 if kind == TOWER else j + 1
+        if j < st.a[i]:
+            root, head, new = ROOT_SPACER, _DOWN, Edge(SPACER, i, j)
+        elif i + 1 < st.q:
+            root, head, new = ROOT_NONSPACER, _TOWER_0, Edge(TOWER, i + 1)
         else:
-            root, head = ROOT_SPACER, (Edge(DOWN),) * pos
-        return AdicPath(root, head + (new,) + path.edges[pos + 1:])
+            continue
+        return AdicPath(root, (head,) * pos + (new,) + edges[pos + 1:])
     return Overflow(path.depth)
 
 
@@ -158,6 +160,22 @@ class LevelIndices(NamedTuple):
         return self.values[n - self.start]
 
 
+def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The heights h_0.. and copy starts of the levels 0.. covering depth n.
+
+    The schedule's cached lists are read in place while they cover n;
+    heights and _level_table are called only to extend them, so a depth
+    n < 0 is refused there.  The table is read first: the heights it was
+    built from were published before it.
+    """
+    table = schedule._levels
+    hs = schedule._heights
+    if not 0 <= n <= len(table):
+        hs = heights(schedule, n)
+        table = _level_table(schedule, hs)
+    return hs, table
+
+
 def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
     """Floor numbers of the path in each tower it crosses.
 
@@ -174,8 +192,7 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
 
 def _level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
     """level_indices of a path that validate_path accepts, read off the table."""
-    hs = heights(schedule, path.depth)
-    table = _level_table(schedule, hs)
+    hs, table = _floor_tables(schedule, path.depth)
     start, j = 0, 0
     if path.root == ROOT_SPACER:
         m = next((n for n, e in enumerate(path.edges) if e.kind != DOWN), None)
@@ -198,11 +215,10 @@ def from_tower_coordinates(schedule: ParamSchedule, n: int, k: int) -> AdicPath:
     a spacer slot (the path enters from the reservoir below).  The copy
     is found by bisection on the copy starts, O(log q) per level.
     """
-    hs = heights(schedule, n)
+    hs, table = _floor_tables(schedule, n)
     if not 0 <= k < hs[n]:
         raise ValueError(f"floor {k} outside 0..{hs[n] - 1}")
-    table = _level_table(schedule, hs)
-    edges: list[Edge] = [Edge(DOWN)] * n
+    edges: list[Edge] = [_DOWN] * n
     pos = k
     for level in range(n - 1, -1, -1):
         # copy i of tower `level`, then its spacer run, fills the floors

@@ -41,8 +41,13 @@ from_tower_coordinates inverts.
 
 The walk computes one record per floor k: the path x, N(x), its floor
 coding J(x), the image y and J(y).  The equivariance check maps the
-successor of x, which in floor order is the next floor's path, so that
-record is handed on when the next x equals it.  Every image the map
+successor of x, and that record is used for floor k when its J_D is k.
+The successor enters the same column-0 vertex as x, J(x) is read off
+the path itself, and J_D is a bijection from the paths into that vertex
+onto 0..H_D - 1, so the record holds the path from_tower_coordinates
+would build for k.  That inverse builds only the first floor, a floor
+after a successor left unmapped (it overflowed on either side), and a
+sampled floor that does not follow the last one.  Every image the map
 returns is a valid path ending in column 0, and on those paths J_D is a
 bijection onto 0..H'_D - 1; two images are therefore equal exactly when
 their J_D(y) are, and injectivity is checked on these integers.
@@ -213,6 +218,15 @@ class IsoReport:
         }
 
 
+def _check_walk(walked: int) -> None:
+    """Refuse a verify walk of more than VERIFY_WALK_BUDGET floors with BudgetError."""
+    if walked > VERIFY_WALK_BUDGET:
+        raise BudgetError(
+            f"verify would walk {walked} floors, over the budget of {VERIFY_WALK_BUDGET}; "
+            f"pass --samples K with K <= {VERIFY_WALK_BUDGET}"
+        )
+
+
 def verify_isomorphism(
     model: ExpansiveModel,
     depth: int,
@@ -235,8 +249,9 @@ def verify_isomorphism(
     must return the path, images must not collide (compared by J_D), and
     taking successors must commute with the map.
     The image's spacer level is N(x) by construction, so it is not
-    checked.  Each path is mapped once: the successor mapped for the
-    equivariance check is reused as the next floor's path.  The only
+    checked.  Each path is built and mapped once: the successor mapped
+    for the equivariance check is the next floor's record when its J_D
+    is that floor, since J_D is one-to-one on the fiber.  The only
     skips are truncation overflows (the top floor has no successor
     inside the diagram); they are counted under exclusions.  Mapping
     errors are recorded as failures, never raised.
@@ -249,12 +264,7 @@ def verify_isomorphism(
     if samples is not None and samples < 0:
         raise ValueError(f"samples {samples} < 0")
     fiber = heights(model.source, depth)[depth]
-    walked = fiber if samples is None else min(samples, fiber)
-    if walked > VERIFY_WALK_BUDGET:
-        raise BudgetError(
-            f"verify would walk {walked} floors, over the budget of {VERIFY_WALK_BUDGET}; "
-            f"pass --samples K with K <= {VERIFY_WALK_BUDGET}"
-        )
+    _check_walk(fiber if samples is None else min(samples, fiber))
     if samples is None or samples >= fiber:
         floors = range(fiber)
     else:
@@ -280,11 +290,14 @@ def verify_isomorphism(
     tested = 0
     ahead: _Floor | None = None  # the last successor's record
     for k in floors:
-        x = from_tower_coordinates(model.source, depth, k)
-        tested += 1
-        rec = ahead if ahead is not None and ahead.x == x else _floor(model, x)
+        # J_D is one-to-one on the fiber, so a successor on floor k is its path
+        if ahead is not None and ahead.jx.values[-1] == k:
+            rec = ahead
+        else:
+            rec = _floor(model, from_tower_coordinates(model.source, depth, k))
         ahead = None
-        y, jx, jy, n_exc = rec.y, rec.jx, rec.jy, rec.n_exc
+        tested += 1
+        x, y, jx, jy, n_exc = rec.x, rec.y, rec.jx, rec.jy, rec.n_exc
         if y is None:
             failures.append(IsoFailure("mapping-error", rec.error, x))
             continue

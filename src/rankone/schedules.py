@@ -229,7 +229,9 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
     """Tower heights h_0..h_n from the stage recursion, exact.
 
     The heights are kept on the schedule and extended as deeper ones are
-    asked for; the caller gets a fresh list it may change.
+    asked for; the caller gets a fresh list it may change.  The path
+    functions of ``diagram`` read the kept list and the level table in
+    place while they cover the depth, and call this only to extend them.
     """
     if n < 0:
         raise ValueError(f"depth {n} < 0")

@@ -223,7 +223,8 @@ def test_verify_samples_past_sys_maxsize(capsys):
 def test_verify_walk_budget(tmp_path, capsys):
     # this spec's depth-4 model has H_4 = 17,610,329,152 floors: refused at once.
     # Without a spec's levels the greedy model at depth 23 has H_23 >= 2^276
-    # floors, refused before the model is built
+    # floors, refused before the model is built; so is a sample over the
+    # budget at depth 22, since H_22 >= 2^253 leaves the walk K floors
     stages = [(1, [3]), (1, [3]), (1, [0]), (3, [2, 2, 0]), (2, [1, 2]), (3, [2, 3, 3]),
               (1, [3])]
     spec = tmp_path / "sys.json"
@@ -235,6 +236,8 @@ def test_verify_walk_budget(tmp_path, capsys):
         (["--spec", str(spec), "--depth", "4"], "verify would walk 17610329152 floors"),
         (["--preset", "chacon", "--depth", "23"],
          "verify --depth 23 would walk at least 2^276 floors"),
+        (["--preset", "chacon", "--depth", "22", "--samples", "2000000"],
+         "verify would walk 2000000 floors"),
     ):
         start = time.perf_counter()
         assert main(["verify", *argv]) == 2

@@ -139,6 +139,9 @@ def test_from_tower_coordinates_range():
         from_tower_coordinates(CHACON, 2, 13)
     with pytest.raises(ValueError):
         from_tower_coordinates(CHACON, 2, -1)
+    # the cached table covers every depth up to 2 now; a negative one is still refused
+    with pytest.raises(ValueError, match="depth -1 < 0"):
+        from_tower_coordinates(CHACON, -1, 0)
 
 
 def test_code_orbit_matches_block():

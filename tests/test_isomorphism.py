@@ -202,6 +202,7 @@ def test_verify_exhaustive_passes(chacon_ctx, odometer_ctx):
         assert report.failures == ()
         # the single skip is the top floor, whose successor leaves depth 3
         assert report.exclusions == (("successor-overflow", 1),)
+        assert report == reference_verify(ctx, 3)
 
 
 def test_verify_mass_terms(chacon_ctx):
@@ -215,6 +216,11 @@ def test_verify_detects_wrong_cut(chacon_ctx):
     assert not report.passed
     counts = report.failure_counts()
     assert counts.get("mapping-error", 0) + counts.get("equivariance", 0) > 0
+    # the floors after a failed successor reuse its record, witnesses included;
+    # a sample reuses it only for the floor next to the last one
+    assert report == reference_verify(bad, 3)
+    sampled = verify_isomorphism(bad, 3, samples=50, seed=7)
+    assert sampled == reference_verify(bad, 3, samples=50, seed=7)
 
 
 def test_verify_sampled_deterministic(chacon_ctx):
