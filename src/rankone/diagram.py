@@ -122,11 +122,7 @@ def minimal_path(schedule: ParamSchedule, depth: int) -> AdicPath:
 
 
 def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
-    """Vershik successor within the truncation, or Overflow.
-
-    The lowest tower or spacer edge with a next edge into the same
-    column-0 vertex moves to it, and the edges below refill minimally.
-    """
+    """Vershik successor within the truncation, or Overflow."""
     edges = path.edges
     for pos, (kind, i, j) in enumerate(edges):
         if kind == DOWN:
@@ -161,13 +157,9 @@ class LevelIndices(NamedTuple):
 
 
 def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The heights h_0.. and copy starts of the levels 0.. covering depth n.
-
-    The schedule's cached lists are read in place while they cover n;
-    heights and _level_table are called only to extend them, so a depth
-    n < 0 is refused there.  The table is read first: the heights it was
-    built from were published before it.
-    """
+    """The schedule's cached heights and copy starts, read in place while
+    they cover depth n and extended (or n < 0 refused) by heights and
+    _level_table.  The table is read first: its heights were published before it."""
     table = schedule._levels
     hs = schedule._heights
     if not 0 <= n <= len(table):
