@@ -64,7 +64,7 @@ class Edge(NamedTuple):
     j: int = 0
 
 
-# the refill edges below a successor's moved edge
+# the edges that successor's refills and the path builders repeat
 _DOWN = Edge(DOWN)
 _TOWER_0 = Edge(TOWER, 0)
 
