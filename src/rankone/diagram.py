@@ -39,10 +39,10 @@ from .schedules import (
     DEFAULT_SYMBOL_BUDGET,
     BudgetError,
     ParamSchedule,
+    _floor_tables,
     _json_array,
     _json_int,
     _json_object,
-    _level_table,
     heights,
     tail_mass_bound,
 )
@@ -154,18 +154,6 @@ class LevelIndices(NamedTuple):
         if not self.start <= n < self.start + len(self.values):
             raise ValueError(f"J_{n} not defined; range is {self.start}..{self.start + len(self.values) - 1}")
         return self.values[n - self.start]
-
-
-def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The schedule's cached heights and copy starts, read in place while
-    they cover depth n and extended (or n < 0 refused) by heights and
-    _level_table.  The table is read first: its heights were published before it."""
-    table = schedule._levels
-    hs = schedule._heights
-    if not 0 <= n <= len(table):
-        hs = heights(schedule, n)
-        table = _level_table(schedule, hs)
-    return hs, table
 
 
 def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
@@ -324,22 +312,18 @@ def export_dot(schedule: ParamSchedule, depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the index fields each edge kind carries in path JSON, besides "level" and "kind"
+_EDGE_INDICES = {TOWER: ("i",), SPACER: ("i", "j"), DOWN: ()}
+
+
 def path_to_json_dict(path: AdicPath) -> dict:
     edges = []
     for n, e in enumerate(path.edges):
-        if e.kind == TOWER:
-            edges.append({"level": n, "kind": TOWER, "i": e.i})
-        elif e.kind == SPACER:
-            edges.append({"level": n, "kind": SPACER, "i": e.i, "j": e.j})
-        elif e.kind == DOWN:
-            edges.append({"level": n, "kind": DOWN})
-        else:
+        if not isinstance(e.kind, str) or e.kind not in _EDGE_INDICES:
             raise PathError(f"unknown edge kind {e.kind!r}")
+        fields = {key: getattr(e, key) for key in _EDGE_INDICES[e.kind]}
+        edges.append({"level": n, "kind": e.kind, **fields})
     return {"root": path.root, "edges": edges}
-
-
-# the index fields each edge kind carries in path JSON, besides "level" and "kind"
-_EDGE_INDICES = {TOWER: ("i",), SPACER: ("i", "j"), DOWN: ()}
 
 
 def path_from_json_dict(doc) -> AdicPath:

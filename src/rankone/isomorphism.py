@@ -287,7 +287,6 @@ def verify_isomorphism(
         )
     exclusions: Counter[str] = Counter()
     seen: set[int] = set()  # J_D of every image so far
-    tested = 0
     ahead: _Floor | None = None  # the last successor's record
     for k in floors:
         # J_D is one-to-one on the fiber, so a successor on floor k is its path
@@ -296,7 +295,6 @@ def verify_isomorphism(
         else:
             rec = _floor(model, from_tower_coordinates(model.source, depth, k))
         ahead = None
-        tested += 1
         x, y, jx, jy, n_exc = rec.x, rec.y, rec.jx, rec.jy, rec.n_exc
         if y is None:
             failures.append(IsoFailure("mapping-error", rec.error, x))
@@ -364,7 +362,7 @@ def verify_isomorphism(
         )
     return IsoReport(
         depth=depth,
-        paths_tested=tested,
+        paths_tested=len(floors),
         failures=tuple(failures),
         exclusions=tuple(sorted(exclusions.items())),
         exceptional_mass_terms=tuple(terms),

@@ -128,7 +128,7 @@ class ParamSchedule:
 
     @cached_property
     def _levels(self) -> list[tuple[int, ...]]:
-        """Copy starts of the levels resolved so far; ``_level_table`` swaps in longer copies."""
+        """Copy starts of the levels resolved so far; ``_floor_tables`` swaps in longer copies."""
         return []
 
     def stage(self, n: int) -> Stage:
@@ -229,9 +229,10 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
     """Tower heights h_0..h_n from the stage recursion, exact.
 
     The heights are kept on the schedule and extended as deeper ones are
-    asked for; the caller gets a fresh list it may change.  The path
-    functions of ``diagram`` read the kept list and the level table in
-    place while they cover the depth, and call this only to extend them.
+    asked for; the caller gets a fresh list it may change.  The kept
+    list is read in place only in this module: by ``_floor_tables``, the
+    accessor of the path functions in ``diagram``, and by
+    ``tail_mass_bound``, each after this has extended it.
     """
     if n < 0:
         raise ValueError(f"depth {n} < 0")
@@ -247,22 +248,28 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
     return hs[: n + 1]
 
 
-def _level_table(schedule: ParamSchedule, hs: list[int]) -> list[tuple[int, ...]]:
-    """The copy starts of the levels k < n, given hs = heights(schedule, n).
+def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(hs, table): the kept heights h_0..h_n at least, and table[k], the
+    copy starts of level k, for k < n at least.
 
     starts[i] = i h_k + a[0] + ... + a[i-1] is the floor of tower k+1 where
     copy i begins, so starts[q] = h_{k+1}, and the spacer run above copy i
-    fills the floors starts[i] + h_k up to starts[i + 1].  Kept on the
-    schedule and extended as a copy published whole, like the heights.
+    fills the floors starts[i] + h_k up to starts[i + 1].  While the kept
+    table covers depth n both are read in place, the table first: its
+    heights were published before it.  Otherwise ``heights`` extends them
+    (or refuses n < 0) and the longer table is published whole, like the
+    heights.
     """
     table = schedule._levels
-    if len(table) < len(hs) - 1:
+    hs = schedule._heights
+    if not 0 <= n <= len(table):
+        hs = heights(schedule, n)
         table = table[:]
-        for k in range(len(table), len(hs) - 1):
+        for k in range(len(table), n):
             st = schedule.stage(k)
             table.append(tuple(accumulate((hs[k] + x for x in st.a), initial=0)))
         vars(schedule)["_levels"] = table
-    return table
+    return hs, table
 
 
 def tail_mass_bound(schedule: ParamSchedule, start: int) -> Fraction | None:
@@ -280,16 +287,13 @@ def tail_mass_bound(schedule: ParamSchedule, start: int) -> Fraction | None:
         return None
     q_product, max_spacers = summary
     t0 = max(start, schedule.prefix_len)
-    hs = heights(schedule, t0)
-    exact = sum(
-        (Fraction(schedule.stage(k).spacer_sum, hs[k + 1]) for k in range(start, t0)),
-        Fraction(0),
-    )
+    exact = sum(_ratio_terms(schedule, t0, start), Fraction(0))
     if max_spacers == 0:
         return exact
     if q_product < 2:
         return None
-    geom = Fraction(schedule.tail_period * max_spacers, hs[t0]) * Fraction(
+    # the terms read heights(schedule, t0), so the kept heights reach t0
+    geom = Fraction(schedule.tail_period * max_spacers, schedule._heights[t0]) * Fraction(
         q_product, q_product - 1
     )
     return exact + geom
@@ -321,10 +325,10 @@ def spacer_ratio_sum(schedule: ParamSchedule, n: int) -> RatioSumReport:
     return _ratio_report(schedule, n, sum(_ratio_terms(schedule, n), Fraction(0)))
 
 
-def _ratio_terms(schedule: ParamSchedule, n: int) -> Iterator[Fraction]:
-    """The terms spacers_k / h_{k+1} for k < n."""
+def _ratio_terms(schedule: ParamSchedule, n: int, start: int = 0) -> Iterator[Fraction]:
+    """The terms spacers_k / h_{k+1} for start <= k < n."""
     hs = heights(schedule, n)
-    return (Fraction(schedule.stage(k).spacer_sum, hs[k + 1]) for k in range(n))
+    return (Fraction(schedule.stage(k).spacer_sum, hs[k + 1]) for k in range(start, n))
 
 
 def _ratio_report(schedule: ParamSchedule, n: int, partial: Fraction) -> RatioSumReport:

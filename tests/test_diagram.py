@@ -38,7 +38,7 @@ from rankone import (
     telescope,
     validate_path,
 )
-from rankone.schedules import _level_table
+from rankone.schedules import _floor_tables
 
 
 def small_cases():
@@ -285,7 +285,7 @@ def _check_floors_and_table(schedule, n, seed=0):
         x = from_tower_coordinates(schedule, n, k)
         assert x == _scan_floor(schedule, n, k)
         assert level_indices(schedule, x).at(n) == k
-    table = _level_table(schedule, hs)
+    _, table = _floor_tables(schedule, n)
     assert len(table) >= n
     for level, starts in enumerate(table[:n]):
         stage = schedule.stage(level)
