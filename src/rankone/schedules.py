@@ -46,7 +46,8 @@ class BudgetError(ValueError):
 DEFAULT_SYMBOL_BUDGET = 1 << 26
 # the most floors one verify walk maps: chacon's depth-5 fiber, 797,161 floors in 30 s, fits
 VERIFY_WALK_BUDGET = 1 << 20
-# the last level the greedy walk reads: past a q = 1 tail the next window is exponentially far
+# the deepest level the greedy walk or a telescoped window reads: past a q = 1 tail the
+# greedy walk's next window is exponentially far, and a spec's levels may name any level
 MAX_WALK_LEVELS = 1 << 21
 
 

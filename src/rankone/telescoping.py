@@ -37,6 +37,7 @@ from typing import Sequence
 from .schedules import (
     DEFAULT_SYMBOL_BUDGET,
     GROWTH_BASE,
+    MAX_WALK_LEVELS,
     BudgetError,
     ParamSchedule,
     Stage,
@@ -87,12 +88,21 @@ class TelescopedSchedule:
 
 
 def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSchedule:
-    """Collapse the windows [m_n, m_{n+1}) into single stages."""
+    """Collapse the windows [m_n, m_{n+1}) into single stages.
+
+    A last level past MAX_WALK_LEVELS, or a window of more than
+    DEFAULT_SYMBOL_BUDGET copies, is refused with BudgetError before
+    the heights are read.
+    """
     levels = tuple(levels)
     if not levels or levels[0] != 0:
         raise ValueError("levels must start at 0")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
+    if levels[-1] > MAX_WALK_LEVELS:
+        raise BudgetError(
+            f"telescoping level {levels[-1]} is over the budget of {MAX_WALK_LEVELS} levels"
+        )
     for lo, hi in zip(levels, levels[1:]):
         # a window of Q copies describes a block of at least Q symbols
         copies = 1

@@ -506,20 +506,22 @@ def test_readme_output_digest(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# past level 1 every q is 1, so heights grow by 3 per level and no
+# window above level 1 has a cut, whatever the growth base
+LINEAR_TAIL_DOC = {
+    "stages": [
+        {"q": 2, "a": [0, 2]},
+        {"q": 4, "a": [1, 3, 0, 0]},
+        {"q": 1, "a": [2]},
+        {"q": 1, "a": [3]},
+    ],
+    "tail": {"kind": "periodic", "period": 1},
+}
+
+
 def test_linear_tail_fails_fast(tmp_path, capsys):
-    # past level 1 every q is 1, so heights grow by 3 per level and no
-    # window above level 1 has a cut, whatever the growth base
-    doc = {
-        "stages": [
-            {"q": 2, "a": [0, 2]},
-            {"q": 4, "a": [1, 3, 0, 0]},
-            {"q": 1, "a": [2]},
-            {"q": 1, "a": [3]},
-        ],
-        "tail": {"kind": "periodic", "period": 1},
-    }
     spec = tmp_path / "linear.json"
-    spec.write_text(json.dumps({"schedule": doc}))
+    spec.write_text(json.dumps({"schedule": LINEAR_TAIL_DOC}))
     for argv in (
         ["verify", "--depth", "3", "--samples", "200"],
         ["verify", "--depth", "8", "--samples", "200"],
@@ -543,6 +545,23 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
         assert main([argv[0], "--spec", str(spec), *argv[1:]]) == 2
         assert time.perf_counter() - t0 < 5.0
         assert capsys.readouterr().err.startswith("error: the greedy level walk passed")
+
+
+def test_spec_levels_past_the_level_budget(tmp_path, capsys):
+    # a spec's last level is checked against MAX_WALK_LEVELS before a stage
+    # is resolved: every window of this tail has 8 copies, so no other
+    # budget would stop the walk through its stages
+    spec = tmp_path / "far.json"
+    for top in (3_000_000, 100_000_000):
+        spec.write_text(json.dumps({"schedule": LINEAR_TAIL_DOC, "telescope_levels": [0, top]}))
+        for argv in (["telescope"], ["expand"], ["verify", "--depth", "1", "--samples", "5"]):
+            t0 = time.perf_counter()
+            assert main([argv[0], "--spec", str(spec), *argv[1:]]) == 2
+            assert time.perf_counter() - t0 < 1.0
+            assert capsys.readouterr() == (
+                "",
+                f"error: telescoping level {top} is over the budget of 2097152 levels\n",
+            )
 
 
 def test_verify_wide_window(tmp_path, capsys):

@@ -254,6 +254,14 @@ def test_path_json_rejects_bad_edges(edges, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("kind, shown", [("x", "'x'"), ([TOWER], "['tower']")])
+def test_path_to_json_rejects_unknown_edge_kinds(kind, shown):
+    # a kind must be a str key of the edge-field table; a list is unhashable
+    with pytest.raises(PathError) as err:
+        path_to_json_dict(AdicPath(ROOT_NONSPACER, (Edge(TOWER, 0), Edge(kind))))
+    assert str(err.value) == f"unknown edge kind {shown}"
+
+
 # -- the level table and the bisect against per-level references -------------
 
 

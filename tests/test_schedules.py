@@ -306,6 +306,36 @@ def test_cached_resolution_matches_reference(schedule, n):
         assert stage.spacer_sum == sum(stage.a)
 
 
+def _reference_tail_bound(schedule, start):
+    """tail_mass_bound's exact terms and geometric remainder from the reference heights."""
+    tail = schedule.stages[schedule.prefix_len - schedule.tail_period:]
+    q_product = 1
+    for stage in tail:
+        q_product *= stage.q
+    max_spacers = max(sum(stage.a) for stage in tail)
+    t0 = max(start, schedule.prefix_len)
+    hs = _reference_heights(schedule, t0)
+    exact = Fraction(0)
+    for k in range(start, t0):
+        exact += Fraction(sum(_reference_stage(schedule, k).a), hs[k + 1])
+    if max_spacers == 0:
+        return exact
+    if q_product < 2:
+        return None
+    return exact + Fraction(schedule.tail_period * max_spacers, hs[t0]) * Fraction(
+        q_product, q_product - 1
+    )
+
+
+@given(schedules(max_stages=5, min_q=1, allow_bare=False).filter(lambda s: s.prefix_len >= 2))
+def test_tail_mass_bound_matches_reference(schedule):
+    # starts inside the prefix, at its end and past it; the second pass
+    # reads the heights that the first one left on the schedule
+    starts = range(schedule.prefix_len + 4)
+    for start in [*starts, *reversed(starts)]:
+        assert tail_mass_bound(schedule, start) == _reference_tail_bound(schedule, start)
+
+
 @given(any_schedules())
 def test_heights_result_is_the_callers(schedule):
     depth = 8 if schedule.tail_period is not None else schedule.prefix_len

@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rankone import (
+    BudgetError,
+    DepthError,
     ParamSchedule,
     SpacerReplacementError,
     Stage,
@@ -21,6 +23,7 @@ from rankone import (
     one_tower_variant,
     telescope,
 )
+from rankone.schedules import MAX_WALK_LEVELS
 
 
 @given(st.integers(0, 10**6), st.lists(st.integers(2, 5), min_size=1, max_size=8))
@@ -93,6 +96,20 @@ def test_telescope_level_validation():
         telescope(CHACON, [0, 2, 2])  # strictly increasing
     with pytest.raises(ValueError):
         telescope(CHACON, [0, 2, 1])
+
+
+def test_telescope_level_budget():
+    # the last level is checked before any stage is resolved; at the cap a
+    # bare prefix still fails on its first missing stage
+    short = ParamSchedule((Stage(2, (0, 1)),))
+    for schedule in (CHACON, short):
+        with pytest.raises(BudgetError) as err:
+            telescope(schedule, [0, 1, MAX_WALK_LEVELS + 1])
+        assert str(err.value) == (
+            "telescoping level 2097153 is over the budget of 2097152 levels"
+        )
+    with pytest.raises(DepthError, match="stage 1 unresolvable"):
+        telescope(short, [0, MAX_WALK_LEVELS])
 
 
 @given(schedules(allow_bare=False), st.data())
