@@ -231,9 +231,10 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
 
     The heights are kept on the schedule and extended as deeper ones are
     asked for; the caller gets a fresh list it may change.  The kept
-    list is read in place only in this module: by ``_floor_tables``, the
-    accessor of the path functions in ``diagram``, and by
-    ``tail_mass_bound``, each after this has extended it.
+    list is read in place only in this module: by the greedy walk, which
+    extends it itself, and by ``_floor_tables``, the accessor of the path
+    functions in ``diagram``, and ``tail_mass_bound``, which call this to
+    extend it.
     """
     if n < 0:
         raise ValueError(f"depth {n} < 0")

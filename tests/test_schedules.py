@@ -1,6 +1,7 @@
 """Stage schedules: resolution, heights, ratio sums, level selection."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from conftest import CHACON, DIVERGENT, ODOMETER, any_schedules, schedules
@@ -309,9 +310,7 @@ def test_cached_resolution_matches_reference(schedule, n):
 def _reference_tail_bound(schedule, start):
     """tail_mass_bound's exact terms and geometric remainder from the reference heights."""
     tail = schedule.stages[schedule.prefix_len - schedule.tail_period:]
-    q_product = 1
-    for stage in tail:
-        q_product *= stage.q
+    q_product = prod(stage.q for stage in tail)
     max_spacers = max(sum(stage.a) for stage in tail)
     t0 = max(start, schedule.prefix_len)
     hs = _reference_heights(schedule, t0)
