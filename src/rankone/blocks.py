@@ -5,27 +5,36 @@ Blocks are plain strings over {0, 1}: B_0 = "0" and
     B_{n+1} = B_n 1^{a[n][0]} B_n 1^{a[n][1]} ... B_n 1^{a[n][q_n - 1]},
 
 so len(B_n) = h_n and the number of 0s in B_n is prod_{k<n} q_k.
-Construction is guarded by a symbol budget checked against h_n before
-any string is materialized.
+Construction is guarded by a symbol budget: before any string is
+materialized, the lengths h_{k+1} = q_k h_k + sum a[k] are checked
+against it level by level, and the first one over it is refused, so a
+refusal never walks the heights past that level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, BudgetError, ParamSchedule, heights
+from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, BudgetError, ParamSchedule
 
 KALIKOW_BOUNDED = "bounded"
 KALIKOW_UNBOUNDED = "unbounded"
 
 
 def build_block(schedule: ParamSchedule, n: int) -> str:
-    """The stage-n block B_n; length h_n is checked against the budget first."""
-    hs = heights(schedule, n)
-    if hs[n] > DEFAULT_SYMBOL_BUDGET:
-        raise BudgetError(
-            f"block needs {hs[n]} symbols, over the budget of {DEFAULT_SYMBOL_BUDGET}"
-        )
+    """The stage-n block B_n; the lengths h_1..h_n are checked against the
+    budget, stopping at the first one over it, before any level is built."""
+    if n < 0:
+        raise ValueError(f"depth {n} < 0")
+    h = 1
+    for k in range(n):
+        st = schedule.stage(k)
+        h = st.q * h + st.spacer_sum
+        if h > DEFAULT_SYMBOL_BUDGET:
+            raise BudgetError(
+                f"block needs {h} symbols by level {k + 1}, "
+                f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
+            )
     b = "0"
     for k in range(n):
         st = schedule.stage(k)

@@ -130,11 +130,42 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _dumps(doc) -> str:
-    # a library result is rendered through its own to_json_dict, only here
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
+
+    Before Python 3.13 any ``indent`` sends ``json`` to its pure-Python
+    encoder, which yields once per element.  Here a container whose
+    children are all plain scalars is written by one C-encoder call, with
+    the newline and indent of its children inside the item separator, and
+    then framed; only containers holding anything else are walked.  A
+    library result is rendered through its own to_json_dict, only here.
+    """
     if not isinstance(doc, dict):
         doc = doc.to_json_dict()
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return _write(doc, "\n")
+
+
+def _write(value, newline: str) -> str:
+    # newline is "\n" plus the indent of the line value starts on
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = newline + "  "
+    sep = "," + inner
+    children = value.values() if isinstance(value, dict) else value
+    # tested at C level: a generator here costs most of the gain
+    if set(map(type, children)) <= _SCALARS:
+        text = json.dumps(value, sort_keys=True, separators=(sep, ": "))
+    elif isinstance(value, dict):
+        # each key as the encoder writes it, quotes included, cut from {key: 0}
+        text = "{" + sep.join(
+            json.dumps({k: 0})[1:-4] + ": " + _write(v, inner) for k, v in sorted(value.items())
+        ) + "}"
+    else:
+        text = "[" + sep.join(_write(v, inner) for v in value) + "]"
+    return text[0] + inner + text[1:-1] + newline + text[-1]
 
 
 def _stage_count(spec: SystemSpec, args: argparse.Namespace) -> int:
@@ -287,15 +318,16 @@ def _cmd_pd_check(spec: None, args: argparse.Namespace) -> Result:
     the word has no stage schedule, and no preset names it."""
     word = period_doubling_prefix(args.length)
     occ = occurrence_spacing(word, "0100")
-    bad = [g for g in occ.gaps if g % 4 != 0]
+    distinct = sorted(set(occ.gaps))
+    bad = [g for g in distinct if g % 4]
     doc = {
         "length": args.length,
         "occurrences": occ.count,
         "gaps_all_multiples_of_4": not bad,
-        "distinct_gaps": sorted(set(occ.gaps)),
+        "distinct_gaps": distinct,
     }
     if bad:
-        return 1, doc, f"violations: {sorted(set(bad))}"
+        return 1, doc, f"violations: {bad}"
     text = f"all gaps ≡ 0 mod 4 ({occ.count} occurrences in {args.length} symbols)"
     return 0, doc, text
 

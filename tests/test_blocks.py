@@ -1,5 +1,7 @@
 """Symbolic blocks, growth conditions, and the period-doubling word."""
 
+import time
+
 import pytest
 from conftest import CHACON, ODOMETER, schedules
 from hypothesis import given
@@ -11,6 +13,7 @@ from rankone import (
     UNKNOWN_AT_DEPTH,
     DEFAULT_SYMBOL_BUDGET,
     BudgetError,
+    DepthError,
     Occurrences,
     ParamSchedule,
     Stage,
@@ -47,13 +50,29 @@ def test_block_length_prefix_and_zero_count(schedule):
 
 
 def test_block_budget_checked_before_building():
-    required = heights(CHACON, 40)[40]
     with pytest.raises(BudgetError) as err:
         build_block(CHACON, 40)
     assert str(err.value) == (
-        f"block needs {required} symbols, over the budget of {DEFAULT_SYMBOL_BUDGET}"
+        "block needs 193710244 symbols by level 17, over the budget of 67108864"
     )
-    assert DEFAULT_SYMBOL_BUDGET < required
+    # level 17 is the first one over the budget
+    assert heights(CHACON, 16)[16] <= DEFAULT_SYMBOL_BUDGET < heights(CHACON, 17)[17]
+
+
+def test_block_budget_stops_at_the_first_level_over_it():
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="by level 17,"):
+        build_block(CHACON, 10**8)
+    assert time.perf_counter() - start < 0.2
+    # on a bare prefix the budget is passed before the missing stage 20 ...
+    bare = ParamSchedule(CHACON.stages * 20, tail_period=None)
+    with pytest.raises(BudgetError, match="by level 17,"):
+        build_block(bare, 30)
+    # ... and a missing stage below the budget is still a DepthError
+    with pytest.raises(DepthError, match="stage 10 unresolvable"):
+        build_block(ParamSchedule(CHACON.stages * 10, tail_period=None), 12)
+    with pytest.raises(ValueError, match="depth -1 < 0"):
+        build_block(CHACON, -1)
 
 
 def test_kalikow_verdicts():
