@@ -67,10 +67,10 @@ def kalikow_sup_condition(schedule: ParamSchedule, depth: int) -> KalikowReport:
         st = schedule.stage(n)
         finals += st.a[st.q - 1]
         witnesses.append(finals + max(nxt.a))
-    tail = schedule.tail_stages()
-    if not tail:
+    summary = schedule._tail_summary
+    if summary is None:
         verdict = UNKNOWN_AT_DEPTH
-    elif any(st.a[st.q - 1] > 0 for st in tail):
+    elif summary[2]:
         # every extra tail stage adds a positive final run to the sum
         verdict = KALIKOW_UNBOUNDED
     else:

@@ -46,8 +46,8 @@ class BudgetError(ValueError):
 DEFAULT_SYMBOL_BUDGET = 1 << 26
 # the most floors one verify walk maps: chacon's depth-5 fiber, 797,161 floors in 30 s, fits
 VERIFY_WALK_BUDGET = 1 << 20
-# the deepest level the greedy walk or a telescoped window reads: past a q = 1 tail the
-# greedy walk's next window is exponentially far, and a spec's levels may name any level
+# the deepest level any stage resolution reads: past a q = 1 tail the greedy walk's next
+# window is exponentially far, and a spec's levels or a --depth may name any level
 MAX_WALK_LEVELS = 1 << 21
 
 
@@ -111,15 +111,21 @@ class ParamSchedule:
         return tuple(tuple(st.issues()) for st in self.stages)
 
     @cached_property
-    def _tail_summary(self) -> tuple[int, int] | None:
-        """The periodic tail's q product and largest per-stage spacer sum;
-        None for a bare prefix.  Raises ScheduleError on a bad tail stage."""
+    def _tail_summary(self) -> tuple[int, int, bool] | None:
+        """The periodic tail's q product, its largest per-stage spacer sum,
+        and whether some tail stage ends in a positive spacer run; None for
+        a bare prefix.  Raises ScheduleError on a bad tail stage.
+
+        The only reader of ``tail_stages``: every tail question is answered
+        from this summary, so each meets the same structural check.
+        """
         tail = self.tail_stages()
         if not tail:
             return None
         if any(self._problems[-len(tail):]):
             raise ScheduleError("tail contains a structurally invalid stage")
-        return prod(st.q for st in tail), max(st.spacer_sum for st in tail)
+        final_runs = any(st.a[-1] for st in tail)
+        return prod(st.q for st in tail), max(st.spacer_sum for st in tail), final_runs
 
     @cached_property
     def _heights(self) -> list[int]:
@@ -133,9 +139,15 @@ class ParamSchedule:
         return []
 
     def stage(self, n: int) -> Stage:
-        """Resolve stage n, reading through the periodic tail when present."""
+        """Resolve stage n, reading through the periodic tail when present.
+
+        Every level walk resolves its stages here, so n >= MAX_WALK_LEVELS
+        is refused with BudgetError: no walk steps past level MAX_WALK_LEVELS.
+        """
         if n < 0:
             raise ValueError(f"stage index {n} < 0")
+        if n >= MAX_WALK_LEVELS:
+            raise BudgetError(f"level {n + 1} is over the budget of {MAX_WALK_LEVELS} levels")
         count = len(self.stages)
         if n < count:
             idx = n
@@ -287,7 +299,7 @@ def tail_mass_bound(schedule: ParamSchedule, start: int) -> Fraction | None:
     summary = schedule._tail_summary
     if summary is None:
         return None
-    q_product, max_spacers = summary
+    q_product, max_spacers, _ = summary
     t0 = max(start, schedule.prefix_len)
     exact = sum(_ratio_terms(schedule, t0, start), Fraction(0))
     if max_spacers == 0:
@@ -334,13 +346,12 @@ def _ratio_terms(schedule: ParamSchedule, n: int, start: int = 0) -> Iterator[Fr
 
 
 def _ratio_report(schedule: ParamSchedule, n: int, partial: Fraction) -> RatioSumReport:
-    if schedule.tail_period is None:
-        return RatioSumReport(partial, UNKNOWN_AT_DEPTH, None)
-    if tail_diverges(schedule):
-        return RatioSumReport(partial, PROVED_DIVERGENT, None)
-    # tail_mass_bound gives None only in the two cases above
+    # tail_mass_bound gives None exactly on a bare prefix or a divergent tail
     bound = tail_mass_bound(schedule, n)
-    return RatioSumReport(partial, PROVED_CONVERGENT, partial + bound)
+    if bound is not None:
+        return RatioSumReport(partial, PROVED_CONVERGENT, partial + bound)
+    verdict = UNKNOWN_AT_DEPTH if schedule.tail_period is None else PROVED_DIVERGENT
+    return RatioSumReport(partial, verdict, None)
 
 
 @dataclass(frozen=True)
@@ -423,7 +434,7 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
         q_gt1_infinitely_often=None if summary is None else summary[0] > 1,
         partial_sums=partials,
         ratio=ratio,
-        not_defined_everywhere_risk=summary == (1, 0),
+        not_defined_everywhere_risk=summary == (1, 0, False),
     )
 
 
@@ -447,12 +458,12 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
 
     A bad tail stage raises at once.  Otherwise the walk resumes from the
     cached heights and resolves one stage per level past them, so it fails
-    only on reaching a bad or missing stage, and on every level raises
-    DepthError rather than step past a frozen tail, or BudgetError rather
-    than step past MAX_WALK_LEVELS.
+    only on reaching a bad or missing stage or one past MAX_WALK_LEVELS
+    (``stage`` refuses those), and on every level raises DepthError rather
+    than step past a frozen tail.
     Each level found publishes the heights walked so far to the cache.
     """
-    frozen_tail = schedule._tail_summary == (1, 0)
+    frozen_tail = schedule._tail_summary == (1, 0, False)
 
     def walk() -> Iterator[int]:
         hs, level, scale = schedule._heights[:], 0, 1
@@ -463,11 +474,6 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
                 if frozen_tail and level >= schedule.prefix_len:
                     raise DepthError(
                         f"periodic tail adds no height growth; cannot reach h >= {target}"
-                    )
-                if level >= MAX_WALK_LEVELS:
-                    raise BudgetError(
-                        f"the greedy level walk passed level {MAX_WALK_LEVELS} "
-                        "without reaching the next window's height"
                     )
                 level += 1
                 if level == len(hs):

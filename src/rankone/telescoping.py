@@ -267,17 +267,17 @@ def build_expansive(schedule: ParamSchedule, stages: int) -> ExpansiveModel:
     """
     if stages < 0:
         raise ValueError(f"count {stages} < 0")
-    tail = schedule.tail_stages()
+    summary = schedule._tail_summary
     factor = GROWTH_BASE
     last_error: Exception | None = None
     for _ in range(MAX_RETRIES):
         walk = _greedy_levels(schedule, factor)
         m = [0]
         for n in range(stages):
-            # from m[n] on every stage, the periodic tail included, has q = 1:
-            # the window collapses to Q = 1 and a larger growth base only
-            # moves it further up, so retrying cannot help
-            if tail and all(st.q == 1 for st in schedule.stages[m[n]:] + tail):
+            # the tail's q product is 1 and every explicit stage from m[n] on
+            # has q = 1: the window collapses to Q = 1 and a larger growth
+            # base only moves it further up, so retrying cannot help
+            if summary and summary[0] == 1 and all(st.q == 1 for st in schedule.stages[m[n]:]):
                 raise SpacerReplacementError(
                     f"stage {n}: every level from {m[n]} on has q = 1 "
                     "(the periodic tail's q product is 1), so no growth base "

@@ -257,7 +257,7 @@ def test_choose_levels_walk_budget():
     levels = choose_telescoping_levels(linear, 6)
     assert levels == [0, 1, 2, 49, 849, 27303, 1747665]
     assert levels[-1] <= MAX_WALK_LEVELS
-    with pytest.raises(BudgetError, match="passed level"):
+    with pytest.raises(BudgetError, match="^level 2097153 is over the budget of 2097152 levels$"):
         choose_telescoping_levels(linear, 7)
 
 
