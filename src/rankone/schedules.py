@@ -42,7 +42,8 @@ class BudgetError(ValueError):
     """A request would pass one of the size limits below; raised before its work starts."""
 
 
-# the longest word one call builds, and the most copies in a telescoped window (64 MB of str)
+# the longest word one call builds, the most copies in a telescoped window (64 MB of str),
+# and the most bytes the kept heights of one schedule may take
 DEFAULT_SYMBOL_BUDGET = 1 << 26
 # the most floors one verify walk maps: chacon's depth-5 fiber, 797,161 floors in 30 s, fits
 VERIFY_WALK_BUDGET = 1 << 20
@@ -242,7 +243,9 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
     """Tower heights h_0..h_n from the stage recursion, exact.
 
     The heights are kept on the schedule and extended as deeper ones are
-    asked for; the caller gets a fresh list it may change.  The kept
+    asked for; the caller gets a fresh list it may change.  Each level is
+    checked against the size budget as it is added, so the first level at
+    which the kept heights could pass it is refused.  The kept
     list is read in place only in this module: by the greedy walk, which
     extends it itself, and by ``_floor_tables``, the accessor of the path
     functions in ``diagram``, and ``tail_mass_bound``, which call this to
@@ -258,8 +261,23 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
         for k in range(len(hs) - 1, n):
             st = schedule.stage(k)
             hs.append(st.q * hs[-1] + st.spacer_sum)
+            _check_heights_size(hs)
         vars(schedule)["_heights"] = hs
     return hs[: n + 1]
+
+
+def _check_heights_size(hs: list[int]) -> None:
+    """Refuse heights h_0..h_k that could pass DEFAULT_SYMBOL_BUDGET bytes.
+
+    Heights never decrease, so (k + 1) times the bit length of h_k, in
+    bytes, bounds their size; that bound is what is checked.
+    """
+    size = len(hs) * hs[-1].bit_length() // 8
+    if size > DEFAULT_SYMBOL_BUDGET:
+        raise BudgetError(
+            f"heights through level {len(hs) - 1} need up to {size} bytes, "
+            f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
+        )
 
 
 def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -461,7 +479,9 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     only on reaching a bad or missing stage or one past MAX_WALK_LEVELS
     (``stage`` refuses those), and on every level raises DepthError rather
     than step past a frozen tail.
-    Each level found publishes the heights walked so far to the cache.
+    Each level found publishes the heights walked so far to the cache,
+    after checking them against the size budget as ``heights`` does; a
+    refusal names the level found, not the first level over the budget.
     """
     frozen_tail = schedule._tail_summary == (1, 0, False)
 
@@ -480,6 +500,7 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
                     st = schedule.stage(level - 1)
                     hs.append(st.q * hs[-1] + st.spacer_sum)
             if len(hs) > len(schedule._heights):
+                _check_heights_size(hs)
                 vars(schedule)["_heights"] = hs[:]
             yield level
 

@@ -16,6 +16,7 @@ from rankone import (
     DepthError,
     Occurrences,
     ParamSchedule,
+    ScheduleError,
     Stage,
     build_block,
     heights,
@@ -91,6 +92,12 @@ def test_kalikow_verdicts():
     rep3 = kalikow_sup_condition(bare, 4)
     assert rep3.verdict == UNKNOWN_AT_DEPTH
     assert list(rep3.witnesses) == [2, 3, 4, 5, 6]
+
+    # the stages read at depth 0 are fine, the tail is not: its verdict
+    # comes from the tail summary, which checks every tail stage
+    bad_tail = ParamSchedule((Stage(2, (0, 0)),) * 3 + (Stage(2, (0,)),), tail_period=1)
+    with pytest.raises(ScheduleError, match="^tail contains a structurally invalid stage$"):
+        kalikow_sup_condition(bad_tail, 0)
 
 
 @given(schedules(min_q=1, allow_bare=False), st.integers(0, 12))

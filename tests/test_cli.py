@@ -581,6 +581,60 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
         )
 
 
+# past level 0 every stage is q = 1 with no spacers: the tower stops growing
+FROZEN_TAIL_DOC = {
+    "stages": [{"q": 2, "a": [0, 0]}, {"q": 1, "a": [0]}],
+    "tail": {"kind": "periodic", "period": 1},
+}
+
+
+def test_frozen_tail_risk(tmp_path, capsys):
+    spec = tmp_path / "frozen.json"
+    spec.write_text(json.dumps({"schedule": FROZEN_TAIL_DOC}))
+    assert main(["validate", "--spec", str(spec), "--format", "text"]) == 0
+    assert capsys.readouterr() == (
+        "ok: False\n"
+        "q>1 infinitely often: False\n"
+        "tail verdict: proved-convergent\n"
+        "risk: the map is not defined almost everywhere\n",
+        "",
+    )
+
+
+_HEIGHTS_OVER = "need up to {} bytes, over the budget of 67108864"
+_LEVEL_OVER = "level 2097153 is over the budget of 2097152 levels"
+
+
+@pytest.mark.parametrize(
+    "argv, seconds, error",
+    [
+        # heights past the size budget: refused at the first level over it
+        (["heights", "--preset", "dyadic-odometer", "--depth", "100000000"], 1.0,
+         "heights through level 23170 " + _HEIGHTS_OVER.format(67111905)),
+        (["validate", "--preset", "chacon", "--depth", "100000000"], 1.0,
+         "heights through level 18404 " + _HEIGHTS_OVER.format(67111531)),
+        # the greedy walk checks the heights it walked when it finds a level
+        (["telescope", "--preset", "chacon", "--stages", "1000"], 1.0,
+         "heights through level 18519 " + _HEIGHTS_OVER.format(67952195)),
+        (["verify", "--preset", "chacon", "--depth", "1000", "--samples", "5"], 1.0,
+         "heights through level 18519 " + _HEIGHTS_OVER.format(67952195)),
+        # no size budget stops these walks: stage resolution refuses the level
+        (["vershik", "--preset", "chacon", "--depth", "100000000", "--length", "5"], 5.0,
+         _LEVEL_OVER),
+        (["block", "--spec", "frozen", "--depth", "100000000"], 5.0, _LEVEL_OVER),
+    ],
+    ids=["heights", "validate", "telescope", "verify", "vershik", "block-frozen"],
+)
+def test_depth_flags_are_budgeted(tmp_path, capsys, argv, seconds, error):
+    spec = tmp_path / "frozen.json"
+    spec.write_text(json.dumps({"schedule": FROZEN_TAIL_DOC}))
+    argv = [str(spec) if arg == "frozen" else arg for arg in argv]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < seconds
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_spec_levels_past_the_level_budget(tmp_path, capsys):
     # a spec's last level is checked against MAX_WALK_LEVELS before a stage
     # is resolved: every window of this tail has 8 copies, so no other

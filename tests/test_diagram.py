@@ -176,6 +176,8 @@ def test_code_orbit_budget_checked_before_coding():
         f"orbit coding needs {DEFAULT_SYMBOL_BUDGET + 1} symbols, "
         f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
     )
+    with pytest.raises(ValueError, match="^steps -1 < 0$"):
+        code_orbit(CHACON, minimal_path(CHACON, 2), -1)
 
 
 def test_cylinder_measure_values():
@@ -189,6 +191,8 @@ def test_cylinder_measure_values():
     assert br.width < Fraction(1, 10**5)
     wide = cylinder_measure_bounds(CHACON, 1, 8)
     assert wide.width > br.width
+    with pytest.raises(ValueError, match=r"^need 0 <= n <= depth, got n=3, depth=2$"):
+        cylinder_measure_bounds(CHACON, 3, 2)
 
 
 def test_cylinder_measure_unbounded_tail():

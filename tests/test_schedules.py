@@ -51,6 +51,12 @@ def test_tail_resolution_indexing():
     assert sched.stage(5) == s1
     assert sched.stage(100) == s2  # (100 - 3) odd steps into the (s1, s2) loop
     assert sched.tail_stages() == (s1, s2)
+    with pytest.raises(ValueError, match=r"^stage index -1 < 0$"):
+        sched.stage(-1)
+    # every level walk resolves its stages here, so none reads past the level budget
+    assert CHACON.stage(MAX_WALK_LEVELS - 1) == CHACON.stages[0]
+    with pytest.raises(BudgetError, match="^level 2097153 is over the budget of 2097152 levels$"):
+        CHACON.stage(MAX_WALK_LEVELS)
 
 
 def test_bare_prefix_depth_error():
@@ -109,6 +115,24 @@ def test_json_rejects_with_position(doc, needle):
     assert needle in str(err.value)
 
 
+def test_heights_size_budget():
+    # h_n = 2^n: heights through level 23169 take at most 23170^2 / 8 bytes,
+    # under 2^26, and level 23170 is the first one that could pass it
+    odometer = ParamSchedule(ODOMETER.stages, ODOMETER.tail_period)
+    with pytest.raises(BudgetError) as err:
+        heights(odometer, 10**8)
+    assert str(err.value) == (
+        "heights through level 23170 need up to 67111905 bytes, over the budget of 67108864"
+    )
+    assert heights(odometer, 23169)[-1] == 2**23169
+    with pytest.raises(BudgetError, match="^heights through level 23170 need"):
+        heights(odometer, 23170)
+    # the greedy walk checks the heights it walked before it keeps them
+    chacon = ParamSchedule(CHACON.stages, CHACON.tail_period)
+    with pytest.raises(BudgetError, match="^heights through level 18519 need up to 67952195 bytes"):
+        choose_telescoping_levels(chacon, 1000)
+
+
 def test_tail_mass_bound_values():
     # no spacers at all: the series is exactly zero past any start
     assert tail_mass_bound(ODOMETER, 0) == 0
@@ -161,6 +185,13 @@ def test_ratio_sum_divergent_and_unknown():
 
     bare = ParamSchedule((Stage(2, (1, 0)),), tail_period=None)
     assert spacer_ratio_sum(bare, 1).verdict == UNKNOWN_AT_DEPTH
+
+    # a verdict speaks for the whole series, so the explicit stages past n
+    # are read, and a bad one refused, whether the tail diverges or not
+    for tail in (Stage(1, (1,)), Stage(3, (0, 1, 0))):
+        sick = ParamSchedule((Stage(2, (0, 0)), Stage(2, (-1, 0)), tail), tail_period=1)
+        with pytest.raises(ScheduleError, match="^stage 1: negative spacer count$"):
+            spacer_ratio_sum(sick, 1)
 
 
 def test_validate_healthy_and_sick():

@@ -238,6 +238,8 @@ def test_build_expansive_known_models():
     rep = model.target
     assert build_block(rep, 1) == "01"
     assert build_block(rep, 2) == "01010111"
+    with pytest.raises(ValueError, match="^count -1 < 0$"):
+        build_expansive(ODOMETER, -1)
 
 
 def test_build_expansive_retries_on_degenerate_window():
