@@ -581,7 +581,7 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
         )
 
 
-# past level 0 every stage is q = 1 with no spacers: the tower stops growing
+# from stage 1 on every stage is q = 1 with no spacers: the tower stops growing
 FROZEN_TAIL_DOC = {
     "stages": [{"q": 2, "a": [0, 0]}, {"q": 1, "a": [0]}],
     "tail": {"kind": "periodic", "period": 1},
