@@ -34,6 +34,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .blocks import build_block, occurrence_spacing, period_doubling_prefix
 from .diagram import (
@@ -370,6 +371,7 @@ COMMANDS = {
 }
 
 
+@cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankone",

@@ -25,13 +25,24 @@ next edge into the same vertex, refill minimally below) therefore steps
 J_n by one, and walking the whole fiber enumerates floors 0..h_n - 1 in
 lexicographic order.  Moves that fall off the truncation are returned
 as Overflow values, not raised.
+
+Each path operation has one body, a private helper that takes what it
+reads: a stage resolver stage(n), or the floor tables (hs, table) that
+``_floor_tables`` keeps on the schedule.  The public functions pass
+``schedule.stage`` and the schedule's tables, so they resolve level by
+level and raise at the first level that fails.  Walks read each level
+once per call: ``code_orbit`` steps through a memoized resolver, which
+resolves a level when a step first reaches it, and ``verify_isomorphism``
+(in ``isomorphism``) does the same and reads both tables once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import prod
 from typing import NamedTuple
 
@@ -39,6 +50,7 @@ from .schedules import (
     DEFAULT_SYMBOL_BUDGET,
     BudgetError,
     ParamSchedule,
+    Stage,
     _floor_tables,
     _json_array,
     _json_int,
@@ -89,11 +101,16 @@ class AdicPath(NamedTuple):
 
 def validate_path(schedule: ParamSchedule, path: AdicPath) -> None:
     """Check vertex compatibility and index bounds; raises PathError."""
+    _validate_path(schedule.stage, path)
+
+
+def _validate_path(stage: Callable[[int], Stage], path: AdicPath) -> None:
+    """validate_path resolving stage n through stage(n) as it reaches level n."""
     if path.root not in (ROOT_NONSPACER, ROOT_SPACER):
         raise PathError(f"unknown root edge {path.root!r}")
     column = 0 if path.root == ROOT_NONSPACER else 1
     for n, e in enumerate(path.edges):
-        st = schedule.stage(n)
+        st = stage(n)
         if column == 0:
             if e.kind != TOWER:
                 raise PathError(f"level {n}: expected a tower edge out of column 0")
@@ -123,11 +140,16 @@ def minimal_path(schedule: ParamSchedule, depth: int) -> AdicPath:
 
 def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
     """Vershik successor within the truncation, or Overflow."""
+    return _successor(schedule.stage, path)
+
+
+def _successor(stage: Callable[[int], Stage], path: AdicPath) -> AdicPath | Overflow:
+    """successor resolving stage n through stage(n) only where it tries an edge."""
     edges = path.edges
     for pos, (kind, i, j) in enumerate(edges):
         if kind == DOWN:
             continue  # the sole edge into its vertex, nothing to increment
-        st = schedule.stage(pos)
+        st = stage(pos)
         j = 0 if kind == TOWER else j + 1
         if j < st.a[i]:
             root, head, new = ROOT_SPACER, _DOWN, Edge(SPACER, i, j)
@@ -136,7 +158,7 @@ def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
         else:
             continue
         return AdicPath(root, (head,) * pos + (new,) + edges[pos + 1:])
-    return Overflow(path.depth)
+    return Overflow(len(edges))
 
 
 class LevelIndices(NamedTuple):
@@ -167,22 +189,23 @@ def level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
     in the spacer column.
     """
     validate_path(schedule, path)
-    return _level_indices(schedule, path)
+    return _level_indices(*_floor_tables(schedule, len(path.edges)), path)
 
 
-def _level_indices(schedule: ParamSchedule, path: AdicPath) -> LevelIndices:
-    """level_indices of a path that validate_path accepts, read off the table."""
-    hs, table = _floor_tables(schedule, path.depth)
+def _level_indices(hs: list[int], table: list[tuple[int, ...]], path: AdicPath) -> LevelIndices:
+    """level_indices of a path that validate_path accepts, read off floor
+    tables (as ``_floor_tables`` gives them) that cover its depth."""
+    edges = path.edges
     start, j = 0, 0
     if path.root == ROOT_SPACER:
-        m = next((n for n, e in enumerate(path.edges) if e.kind != DOWN), None)
+        m = next((n for n, e in enumerate(edges) if e.kind != DOWN), None)
         if m is None:
             raise PathError("path stays in the spacer column; no tower coordinates")
-        _, i, j = path.edges[m]
+        _, i, j = edges[m]
         start, j = m + 1, table[m][i] + hs[m] + j
     vals = [j]
-    for n in range(start, path.depth):
-        j += table[n][path.edges[n].i]
+    for n in range(start, len(edges)):
+        j += table[n][edges[n].i]
         vals.append(j)
     return LevelIndices(start, tuple(vals))
 
@@ -195,7 +218,14 @@ def from_tower_coordinates(schedule: ParamSchedule, n: int, k: int) -> AdicPath:
     a spacer slot (the path enters from the reservoir below).  The copy
     is found by bisection on the copy starts, O(log q) per level.
     """
-    hs, table = _floor_tables(schedule, n)
+    return _from_tower_coordinates(*_floor_tables(schedule, n), n, k)
+
+
+def _from_tower_coordinates(
+    hs: list[int], table: list[tuple[int, ...]], n: int, k: int
+) -> AdicPath:
+    """from_tower_coordinates read off floor tables that cover depth n;
+    a floor outside 0..h_n - 1 is refused with ValueError."""
     if not 0 <= k < hs[n]:
         raise ValueError(f"floor {k} outside 0..{hs[n] - 1}")
     edges: list[Edge] = [_DOWN] * n
@@ -235,12 +265,13 @@ def code_orbit(schedule: ParamSchedule, path: AdicPath, steps: int) -> OrbitCodi
             f"orbit coding needs {steps} symbols, "
             f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
         )
+    stage = cache(schedule.stage)  # each level resolved once, when first stepped
     out = []
     cur = path
     for s in range(steps):
         out.append("1" if cur.root == ROOT_SPACER else "0")
         if s + 1 < steps:
-            nxt = successor(schedule, cur)
+            nxt = _successor(stage, cur)
             if isinstance(nxt, Overflow):
                 return OrbitCoding("".join(out), nxt)
             cur = nxt
@@ -284,8 +315,23 @@ def export_dot(schedule: ParamSchedule, depth: int) -> str:
     """Deterministic DOT rendering of the first `depth` levels.
 
     Edge labels give the order into the next column-0 vertex, 1-based;
-    spacer edges are dashed, down edges bold.
+    spacer edges are dashed, down edges bold.  The text has depth + 1
+    rank lines and q + sum(a) + 1 edge lines per level, each at least
+    32 characters with its newline; before any line is built they are
+    counted level by level, and the first level at which they pass
+    DEFAULT_SYMBOL_BUDGET characters is refused with BudgetError.
     """
+    stages = []
+    size = 32 * (depth + 3)  # the rank lines and the two root edges
+    while size <= DEFAULT_SYMBOL_BUDGET and len(stages) < depth:
+        st = schedule.stage(len(stages))
+        stages.append(st)
+        size += 32 * (st.q + st.spacer_sum + 1)
+    if size > DEFAULT_SYMBOL_BUDGET:
+        raise BudgetError(
+            f"dot of depth {depth} needs at least {size} characters by level "
+            f"{len(stages)}, over the budget of {DEFAULT_SYMBOL_BUDGET}"
+        )
     lines = [
         "digraph bratteli {",
         "  rankdir=TB;",
@@ -296,8 +342,7 @@ def export_dot(schedule: ParamSchedule, depth: int) -> str:
         lines.append(f'  {{ rank=same; "v{lvl}_0"; "v{lvl}_1"; }}')
     lines.append('  "root" -> "v0_0" [label="1"];')
     lines.append('  "root" -> "v0_1" [label="1"];')
-    for lvl in range(depth):
-        st = schedule.stage(lvl)
+    for lvl, st in enumerate(stages):
         rank = 1
         for i in range(st.q):
             lines.append(f'  "v{lvl}_0" -> "v{lvl + 1}_0" [label="{rank}"];')

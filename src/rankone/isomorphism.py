@@ -51,6 +51,13 @@ sampled floor that does not follow the last one.  Every image the map
 returns is a valid path ending in column 0, and on those paths J_D is a
 bijection onto 0..H'_D - 1; two images are therefore equal exactly when
 their J_D(y) are, and injectivity is checked on these integers.
+
+The walk reads each level once: both sides resolve their stages through
+a memoized resolver and read their floor tables once per call, and each
+floor is mapped through the private bodies of the path functions in
+``diagram``, which take what they read.  The image is validated, J(x)
+and J(y) read off the tables, and the round trip keeps the range check
+of the floor inverse.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .diagram import (
@@ -71,21 +79,23 @@ from .diagram import (
     ROOT_SPACER,
     SPACER,
     TOWER,
+    _from_tower_coordinates,
     _level_indices,
+    _successor,
+    _validate_path,
     from_tower_coordinates,
     level_indices,
     path_to_json_dict,
-    successor,
     validate_path,
 )
-from .schedules import VERIFY_WALK_BUDGET, BudgetError, heights
+from .schedules import VERIFY_WALK_BUDGET, BudgetError, _floor_tables, heights
 from .telescoping import ExpansiveModel
 
 
 def exceptional_index(model: ExpansiveModel, path: AdicPath) -> int:
     """N(x): the last level whose edge is a spacer edge or a copy above the cut, or -1."""
     edges, cut = path.edges, model.cut
-    for n in range(min(path.depth, len(cut)) - 1, -1, -1):
+    for n in range(min(len(edges), len(cut)) - 1, -1, -1):
         e = edges[n]
         if e.kind == SPACER or (e.kind == TOWER and e.i > cut[n]):
             return n
@@ -121,25 +131,30 @@ def to_source(model: ExpansiveModel, y: AdicPath) -> AdicPath:
     """Inverse map: recover the source path on the same tower floors."""
     if y.depth > model.num_stages:
         raise ValueError(f"path depth {y.depth} exceeds the {model.num_stages} stages")
-    x = _to_source(model, y, level_indices(model.target, y))
+    jy = level_indices(model.target, y)
+    x = _to_source(*_floor_tables(model.source, jy.start), y, jy)
     validate_path(model.source, x)
     return x
 
 
-def _to_source(model: ExpansiveModel, y: AdicPath, jy: LevelIndices) -> AdicPath:
-    """to_source of a valid target path given J(y); the result is not validated.
+def _to_source(
+    hs: list[int], table: list[tuple[int, ...]], y: AdicPath, jy: LevelIndices
+) -> AdicPath:
+    """to_source of a valid target path given J(y), read off source floor
+    tables that cover level jy.start; the result is not validated.
 
     A path entering through a spacer edge at level m keeps its edges
-    above m and takes the source prefix on floor J_{m+1}(y).
+    above m and takes the source prefix on floor J_{m+1}(y), which
+    raises ValueError when the source tower m+1 has no such floor.
     """
     if y.root == ROOT_NONSPACER:
         return AdicPath(ROOT_NONSPACER, y.edges)
-    prefix = from_tower_coordinates(model.source, jy.start, jy.values[0])
+    prefix = _from_tower_coordinates(hs, table, jy.start, jy.values[0])
     return AdicPath(prefix.root, prefix.edges + y.edges[jy.start:])
 
 
 class _Floor(NamedTuple):
-    """One source path of the walk with everything computed from it.
+    """One source path of a verify walk with everything computed from it.
 
     y and jy are None when the map fails on x; error then holds why.
     """
@@ -150,18 +165,6 @@ class _Floor(NamedTuple):
     y: AdicPath | None          # the image
     jy: LevelIndices | None     # J(y)
     error: str | None
-
-
-def _floor(model: ExpansiveModel, x: AdicPath) -> _Floor:
-    """Map a valid source path through the target, validating only the image."""
-    n_exc = exceptional_index(model, x)
-    jx = _level_indices(model.source, x)
-    try:
-        y = _to_target(model, x, n_exc, jx)
-        jy = level_indices(model.target, y)
-    except ValueError as exc:
-        return _Floor(x, n_exc, jx, None, None, str(exc))
-    return _Floor(x, n_exc, jx, y, jy, None)
 
 
 @dataclass(frozen=True)
@@ -285,6 +288,24 @@ def verify_isomorphism(
                 from_tower_coordinates(taller, depth, max(fiber, image_fiber) - 1),
             )
         )
+    # both sides resolve their stages below depth and read their floor
+    # tables once per walk; the heights above already read those levels
+    source_stage, target_stage = cache(model.source.stage), cache(model.target.stage)
+    shs, stable = _floor_tables(model.source, depth)
+    ths, ttable = _floor_tables(model.target, depth)
+
+    def floor(x: AdicPath) -> _Floor:
+        """Map a valid source path through the target, validating only the image."""
+        n_exc = exceptional_index(model, x)
+        jx = _level_indices(shs, stable, x)
+        try:
+            y = _to_target(model, x, n_exc, jx)
+            _validate_path(target_stage, y)
+            jy = _level_indices(ths, ttable, y)
+        except ValueError as exc:
+            return _Floor(x, n_exc, jx, None, None, str(exc))
+        return _Floor(x, n_exc, jx, y, jy, None)
+
     exclusions: Counter[str] = Counter()
     seen: set[int] = set()  # J_D of every image so far
     ahead: _Floor | None = None  # the last successor's record
@@ -293,7 +314,7 @@ def verify_isomorphism(
         if ahead is not None and ahead.jx.values[-1] == k:
             rec = ahead
         else:
-            rec = _floor(model, from_tower_coordinates(model.source, depth, k))
+            rec = floor(_from_tower_coordinates(shs, stable, depth, k))
         ahead = None
         x, y, jx, jy, n_exc = rec.x, rec.y, rec.jx, rec.jy, rec.n_exc
         if y is None:
@@ -315,7 +336,7 @@ def verify_isomorphism(
         # preimage needs no validation; a floor J_{N+1}(y) that the source
         # lacks raises ValueError
         try:
-            if _to_source(model, y, jy) != x:
+            if _to_source(shs, stable, y, jy) != x:
                 failures.append(
                     IsoFailure("round-trip", "inverse image differs from the path", x)
                 )
@@ -328,11 +349,11 @@ def verify_isomorphism(
             )
         seen.add(jy.values[-1])
 
-        step_x = successor(model.source, x)
+        step_x = _successor(source_stage, x)
         if isinstance(step_x, Overflow):
             exclusions["successor-overflow"] += 1
             continue
-        step_y = successor(model.target, y)
+        step_y = _successor(target_stage, y)
         if isinstance(step_y, Overflow):
             failures.append(
                 IsoFailure(
@@ -342,7 +363,7 @@ def verify_isomorphism(
                 )
             )
             continue
-        ahead = _floor(model, step_x)
+        ahead = floor(step_x)
         if ahead.y is None:
             failures.append(IsoFailure("equivariance", ahead.error, x))
         elif ahead.y != step_y:
@@ -356,7 +377,7 @@ def verify_isomorphism(
 
     terms = []
     for n in range(min(depth, model.num_stages)):
-        st = model.source.stage(n)
+        st = source_stage(n)
         terms.append(
             Fraction(st.spacer_sum + max(st.a) + model.heights[n], model.heights[n + 1])
         )

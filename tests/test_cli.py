@@ -622,8 +622,12 @@ _LEVEL_OVER = "level 2097153 is over the budget of 2097152 levels"
         (["vershik", "--preset", "chacon", "--depth", "100000000", "--length", "5"], 5.0,
          _LEVEL_OVER),
         (["block", "--spec", "frozen", "--depth", "100000000"], 5.0, _LEVEL_OVER),
+        # dot counts its lines from the flag and the stages before building any
+        (["dot", "--preset", "chacon", "--depth", "100000000"], 1.0,
+         "dot of depth 100000000 needs at least 3200000096 characters by level 0, "
+         "over the budget of 67108864"),
     ],
-    ids=["heights", "validate", "telescope", "verify", "vershik", "block-frozen"],
+    ids=["heights", "validate", "telescope", "verify", "vershik", "block-frozen", "dot"],
 )
 def test_depth_flags_are_budgeted(tmp_path, capsys, argv, seconds, error):
     spec = tmp_path / "frozen.json"

@@ -22,6 +22,7 @@ from rankone import (
     AdicPath,
     Edge,
     LevelIndices,
+    OrbitCoding,
     Overflow,
     PathError,
     build_block,
@@ -215,6 +216,29 @@ def test_export_dot_deterministic():
     # 2 root + 3 towers + 1 spacer + 1 down
     assert dot2.count("->") == 7
     assert "style=dashed" in dot2
+
+
+def test_export_dot_budget():
+    # past the four header lines, every line but the closing brace takes at
+    # least 32 characters with its newline: the bound the budget counts with
+    lines = export_dot(CHACON, 3).splitlines()
+    assert min(len(line) + 1 for line in lines[4:-1]) == 32
+    # the rank lines alone pass the budget: refused before a stage is read
+    with pytest.raises(BudgetError, match=(
+        "^dot of depth 100000000 needs at least 3200000096 characters by level 0, "
+        "over the budget of 67108864$"
+    )):
+        export_dot(ParamSchedule(()), 100_000_000)
+    # 32 (2 + 10^6 + 1) more characters a level pass it at level 3
+    wide = ParamSchedule((Stage(2, (0, 10**6)),), 1)
+    with pytest.raises(BudgetError, match=(
+        "^dot of depth 5 needs at least 96000544 characters by level 3, "
+        "over the budget of 67108864$"
+    )):
+        export_dot(wide, 5)
+    # the stages are read before any line is built, in level order
+    with pytest.raises(DepthError, match="^stage 1 unresolvable"):
+        export_dot(ParamSchedule((Stage(2, (0, 1)),)), 3)
 
 
 @given(small_cases())
@@ -458,6 +482,39 @@ def test_path_functions_raise_where_each_level_is_read(schedule, cases):
             ):
                 assert _result(fn, schedule, path) == _result(ref, schedule, path)
         assert _result(from_tower_coordinates, schedule, n, k) == head
+
+
+def _ref_code_orbit(schedule, path, steps):
+    """code_orbit stepping _ref_successor, which resolves a stage at every step."""
+    out = []
+    for s in range(steps):
+        out.append("1" if path.root == ROOT_SPACER else "0")
+        if s + 1 < steps:
+            path = _ref_successor(schedule, path)
+            if isinstance(path, Overflow):
+                return OrbitCoding("".join(out), path)
+    return OrbitCoding("".join(out), None)
+
+
+@given(
+    any_schedules(),
+    st.sampled_from([ROOT_NONSPACER, ROOT_SPACER, "bogus"]),
+    _ANY_EDGES,
+    st.integers(-1, 6),
+    st.integers(-1, 120),
+    st.integers(0, 150),
+)
+def test_code_orbit_matches_stepped_successor(schedule, root, edges, n, k, steps):
+    # the orbit resolves each level once, yet reads none earlier than a
+    # successor step would: same word, overflow, or exception and text
+    paths = [AdicPath(root, tuple(edges))]
+    head = _result(_ref_from_tower_coordinates, schedule, n, k)
+    if isinstance(head, AdicPath):  # a valid head, then arbitrary edges
+        paths.append(AdicPath(head.root, head.edges + tuple(edges)))
+    for path in paths:
+        assert _result(code_orbit, schedule, path, steps) == _result(
+            _ref_code_orbit, schedule, path, steps
+        )
 
 
 def test_errors_at_the_level_read():

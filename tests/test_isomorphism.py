@@ -444,6 +444,43 @@ def test_verify_reports_a_target_of_another_height(chacon_ctx, runs, witness):
         assert report.failure_counts() == {"onto": 1}
 
 
+def test_verify_keeps_the_round_trip_range_check(chacon_ctx):
+    # runs (1, 2) give H'_1 = 5: the image of source floor 3 sits on target
+    # floor 4, which the source tower lacks, so its preimage is refused
+    bad = dataclasses.replace(
+        chacon_ctx,
+        target=ParamSchedule((Stage(2, (1, 2)),) + chacon_ctx.target.stages[1:]),
+    )
+    report = verify_isomorphism(bad, 1)
+    assert report.failures[-1] == IsoFailure(
+        "round-trip", "floor 4 outside 0..3", AdicPath(ROOT_NONSPACER, (Edge(TOWER, 2),))
+    )
+    assert report.failure_counts() == {
+        "onto": 1, "equivariance": 1, "floor-preservation": 3, "round-trip": 2,
+    }
+    assert report == reference_verify(bad, 1)
+
+
+def test_verify_resolves_each_level_once_per_walk(monkeypatch):
+    model = build_expansive(CHACON, 4)
+    resolved = []
+    original = ParamSchedule.stage
+
+    def counted(self, n):
+        resolved.append((self is model.source, n))
+        return original(self, n)
+
+    monkeypatch.setattr(ParamSchedule, "stage", counted)
+    assert verify_isomorphism(model, 4).paths_tested == 9841
+    assert len(resolved) < 100  # a resolution per edge would make 63,420
+    # with the heights and floor tables kept, only the walk's own resolvers
+    # read stages: each level of each side once
+    for samples in (None, 50):
+        resolved.clear()
+        assert verify_isomorphism(model, 4, samples=samples, seed=3).passed
+        assert sorted(resolved) == [(side, n) for side in (False, True) for n in range(4)]
+
+
 def test_verify_reports_injectivity(chacon_ctx):
     # one slot fewer in the stage-0 run: two floors of tower 1 land on one image
     bad = mutated(chacon_ctx, "top_run", 0, -1)
