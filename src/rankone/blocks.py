@@ -5,17 +5,19 @@ Blocks are plain strings over {0, 1}: B_0 = "0" and
     B_{n+1} = B_n 1^{a[n][0]} B_n 1^{a[n][1]} ... B_n 1^{a[n][q_n - 1]},
 
 so len(B_n) = h_n and the number of 0s in B_n is prod_{k<n} q_k.
-Construction is guarded by a symbol budget: before any string is
-materialized, the lengths h_{k+1} = q_k h_k + sum a[k] are checked
-against it level by level, and the first one over it is refused, so a
-refusal never walks the heights past that level.
+Every walk here reads its stages through the schedule's one stage walk,
+so a negative depth, or one past MAX_WALK_LEVELS, is refused before any
+stage is read.  Construction is also guarded by a symbol budget: before
+any string is materialized, the lengths h_{k+1} = q_k h_k + sum a[k] are
+checked against it level by level, and the first one over it is refused,
+so a refusal never walks the heights past that level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, BudgetError, ParamSchedule
+from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, BudgetError, ParamSchedule, _stages
 
 KALIKOW_BOUNDED = "bounded"
 KALIKOW_UNBOUNDED = "unbounded"
@@ -24,20 +26,16 @@ KALIKOW_UNBOUNDED = "unbounded"
 def build_block(schedule: ParamSchedule, n: int) -> str:
     """The stage-n block B_n; the lengths h_1..h_n are checked against the
     budget, stopping at the first one over it, before any level is built."""
-    if n < 0:
-        raise ValueError(f"depth {n} < 0")
     h = 1
-    for k in range(n):
-        st = schedule.stage(k)
+    for k, st in enumerate(_stages(schedule, 0, n), 1):
         h = st.q * h + st.spacer_sum
         if h > DEFAULT_SYMBOL_BUDGET:
             raise BudgetError(
-                f"block needs {h} symbols by level {k + 1}, "
+                f"block needs {h} symbols by level {k}, "
                 f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
             )
     b = "0"
-    for k in range(n):
-        st = schedule.stage(k)
+    for st in _stages(schedule, 0, n):
         b = "".join(b + "1" * st.a[i] for i in range(st.q))
     return b
 

@@ -55,6 +55,7 @@ from .schedules import (
     _json_array,
     _json_int,
     _json_object,
+    _stages,
     heights,
     tail_mass_bound,
 )
@@ -133,8 +134,8 @@ def _validate_path(stage: Callable[[int], Stage], path: AdicPath) -> None:
 
 def minimal_path(schedule: ParamSchedule, depth: int) -> AdicPath:
     """The least path of the given depth ending in column 0."""
-    for k in range(depth):
-        schedule.stage(k)  # surfaces DepthError before building anything
+    for _ in _stages(schedule, 0, depth):
+        pass  # surfaces DepthError before building anything
     return AdicPath(ROOT_NONSPACER, (_TOWER_0,) * depth)
 
 
@@ -302,7 +303,7 @@ def cylinder_measure_bounds(
     if not 0 <= n <= depth:
         raise ValueError(f"need 0 <= n <= depth, got n={n}, depth={depth}")
     hs = heights(schedule, depth)
-    copies = prod(schedule.stage(k).q for k in range(n, depth))
+    copies = prod(st.q for st in _stages(schedule, n, depth))
     hi = Fraction(copies, hs[depth])
     bound = tail_mass_bound(schedule, depth)
     if bound is None:

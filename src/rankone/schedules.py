@@ -142,13 +142,15 @@ class ParamSchedule:
     def stage(self, n: int) -> Stage:
         """Resolve stage n, reading through the periodic tail when present.
 
-        Every level walk resolves its stages here, so n >= MAX_WALK_LEVELS
-        is refused with BudgetError: no walk steps past level MAX_WALK_LEVELS.
+        A walk to a requested level reads its stages through ``_stages``,
+        which refuses the level before any stage is read; n >= MAX_WALK_LEVELS
+        is refused here too, with the same BudgetError, for the greedy walk,
+        which has no last level, and for direct calls.
         """
         if n < 0:
             raise ValueError(f"stage index {n} < 0")
         if n >= MAX_WALK_LEVELS:
-            raise BudgetError(f"level {n + 1} is over the budget of {MAX_WALK_LEVELS} levels")
+            raise _over_the_level_budget(n + 1)
         count = len(self.stages)
         if n < count:
             idx = n
@@ -239,27 +241,43 @@ def _json_ints(value, where: str, error: type[Exception]) -> tuple[int, ...]:
     return tuple(_json_int(x, f"{where}[{i}]", error) for i, x in enumerate(items))
 
 
+def _over_the_level_budget(level: int) -> BudgetError:
+    """The refusal of a walk that would read stages up to `level`, past MAX_WALK_LEVELS."""
+    return BudgetError(f"level {level} is over the budget of {MAX_WALK_LEVELS} levels")
+
+
+def _stages(schedule: ParamSchedule, start: int, stop: int) -> Iterator[Stage]:
+    """The stages of levels start..stop-1, resolved lazily in level order.
+
+    Every walk to a requested level reads its stages here.  Before any is
+    read, stop < 0 is refused with ValueError and stop > MAX_WALK_LEVELS
+    with BudgetError; a bad or missing stage raises at the level where the
+    walk reaches it.
+    """
+    if stop < 0:
+        raise ValueError(f"depth {stop} < 0")
+    if stop > MAX_WALK_LEVELS:
+        raise _over_the_level_budget(stop)
+    return map(schedule.stage, range(start, stop))
+
+
 def heights(schedule: ParamSchedule, n: int) -> list[int]:
     """Tower heights h_0..h_n from the stage recursion, exact.
 
     The heights are kept on the schedule and extended as deeper ones are
     asked for; the caller gets a fresh list it may change.  Each level is
     checked against the size budget as it is added, so the first level at
-    which the kept heights could pass it is refused.  The kept
-    list is read in place only in this module: by the greedy walk, which
-    extends it itself, and by ``_floor_tables``, the accessor of the path
-    functions in ``diagram``, and ``tail_mass_bound``, which call this to
-    extend it.
+    which the kept heights could pass it is refused.  Only this function
+    and the greedy walk, which extends the list itself, read the kept
+    list; every other reader calls this.
     """
-    if n < 0:
-        raise ValueError(f"depth {n} < 0")
     hs = schedule._heights
+    walk = _stages(schedule, len(hs) - 1, n)  # the depth rule, kept heights or not
     if len(hs) <= n:
         # extend a copy and publish it whole: a reader in another thread
         # sees the old heights or the new ones, never a partial append
         hs = hs[:]
-        for k in range(len(hs) - 1, n):
-            st = schedule.stage(k)
+        for st in walk:
             hs.append(st.q * hs[-1] + st.spacer_sum)
             _check_heights_size(hs)
         vars(schedule)["_heights"] = hs
@@ -281,24 +299,19 @@ def _check_heights_size(hs: list[int]) -> None:
 
 
 def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """(hs, table): the kept heights h_0..h_n at least, and table[k], the
-    copy starts of level k, for k < n at least.
+    """(hs, table): the heights h_0..h_n from ``heights``, and table[k],
+    the copy starts of level k, for k < n at least.
 
     starts[i] = i h_k + a[0] + ... + a[i-1] is the floor of tower k+1 where
     copy i begins, so starts[q] = h_{k+1}, and the spacer run above copy i
-    fills the floors starts[i] + h_k up to starts[i + 1].  While the kept
-    table covers depth n both are read in place, the table first: its
-    heights were published before it.  Otherwise ``heights`` extends them
-    (or refuses n < 0) and the longer table is published whole, like the
-    heights.
+    fills the floors starts[i] + h_k up to starts[i + 1].  The table is
+    kept on the schedule; a longer one is published whole, like the heights.
     """
+    hs = heights(schedule, n)
     table = schedule._levels
-    hs = schedule._heights
-    if not 0 <= n <= len(table):
-        hs = heights(schedule, n)
+    if len(table) < n:
         table = table[:]
-        for k in range(len(table), n):
-            st = schedule.stage(k)
+        for k, st in enumerate(_stages(schedule, len(table), n), len(table)):
             table.append(tuple(accumulate((hs[k] + x for x in st.a), initial=0)))
         vars(schedule)["_levels"] = table
     return hs, table
@@ -324,8 +337,7 @@ def tail_mass_bound(schedule: ParamSchedule, start: int) -> Fraction | None:
         return exact
     if q_product < 2:
         return None
-    # the terms read heights(schedule, t0), so the kept heights reach t0
-    geom = Fraction(schedule.tail_period * max_spacers, schedule._heights[t0]) * Fraction(
+    geom = Fraction(schedule.tail_period * max_spacers, heights(schedule, t0)[t0]) * Fraction(
         q_product, q_product - 1
     )
     return exact + geom
@@ -359,8 +371,8 @@ def spacer_ratio_sum(schedule: ParamSchedule, n: int) -> RatioSumReport:
 
 def _ratio_terms(schedule: ParamSchedule, n: int, start: int = 0) -> Iterator[Fraction]:
     """The terms spacers_k / h_{k+1} for start <= k < n."""
-    hs = heights(schedule, n)
-    return (Fraction(schedule.stage(k).spacer_sum, hs[k + 1]) for k in range(start, n))
+    hs = heights(schedule, n)[start + 1:]
+    return (Fraction(st.spacer_sum, h) for st, h in zip(_stages(schedule, start, n), hs))
 
 
 def _ratio_report(schedule: ParamSchedule, n: int, partial: Fraction) -> RatioSumReport:

@@ -37,11 +37,11 @@ from typing import Sequence
 from .schedules import (
     DEFAULT_SYMBOL_BUDGET,
     GROWTH_BASE,
-    MAX_WALK_LEVELS,
     BudgetError,
     ParamSchedule,
     Stage,
     _greedy_levels,
+    _stages,
     heights,
 )
 
@@ -90,24 +90,21 @@ class TelescopedSchedule:
 def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSchedule:
     """Collapse the windows [m_n, m_{n+1}) into single stages.
 
-    A last level past MAX_WALK_LEVELS, or a window of more than
-    DEFAULT_SYMBOL_BUDGET copies, is refused with BudgetError before
-    the heights are read.
+    The windows are walked in order before the heights are read: a window
+    that ends past MAX_WALK_LEVELS is refused with BudgetError before its
+    first stage is read, and one of more than DEFAULT_SYMBOL_BUDGET copies
+    at the first level that passes the budget.
     """
     levels = tuple(levels)
     if not levels or levels[0] != 0:
         raise ValueError("levels must start at 0")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
-    if levels[-1] > MAX_WALK_LEVELS:
-        raise BudgetError(
-            f"telescoping level {levels[-1]} is over the budget of {MAX_WALK_LEVELS} levels"
-        )
     for lo, hi in zip(levels, levels[1:]):
         # a window of Q copies describes a block of at least Q symbols
         copies = 1
-        for k in range(lo, hi):
-            copies *= schedule.stage(k).q
+        for k, st in enumerate(_stages(schedule, lo, hi), lo):
+            copies *= st.q
             if copies > DEFAULT_SYMBOL_BUDGET:
                 raise BudgetError(
                     f"window [{lo}, {hi}) makes {copies} copies by level {k}, "
@@ -117,9 +114,9 @@ def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSched
     stages = []
     for lo, hi in zip(levels, levels[1:]):
         runs = [0]
-        for k in range(lo, hi):
+        for st in _stages(schedule, lo, hi):
             body, last = runs[:-1], runs[-1]
-            runs = [r for x in schedule.stage(k).a for r in body + [last + x]]
+            runs = [r for x in st.a for r in body + [last + x]]
         st = Stage(len(runs), tuple(runs))
         assert st.q * hs[lo] + st.spacer_sum == hs[hi], "telescoped heights must agree"
         stages.append(st)

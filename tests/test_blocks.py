@@ -24,6 +24,7 @@ from rankone import (
     occurrence_spacing,
     period_doubling_prefix,
 )
+from rankone.schedules import MAX_WALK_LEVELS
 
 
 def test_block_known_values():
@@ -63,6 +64,9 @@ def test_block_budget_checked_before_building():
 def test_block_budget_stops_at_the_first_level_over_it():
     start = time.perf_counter()
     with pytest.raises(BudgetError, match="by level 17,"):
+        build_block(CHACON, MAX_WALK_LEVELS)
+    # a depth past the level cap is refused before any stage is read
+    with pytest.raises(BudgetError, match="^level 100000000 is over the budget of 2097152 levels$"):
         build_block(CHACON, 10**8)
     assert time.perf_counter() - start < 0.2
     # on a bare prefix the budget is passed before the missing stage 20 ...

@@ -145,14 +145,16 @@ def test_heights_json_and_text(capsys):
 def test_block_command(capsys):
     assert main(["block", "--preset", "chacon", "--depth", "2"]) == 0
     assert capsys.readouterr().out == "0010001010010\n"
-    # the lengths are checked level by level, so a huge depth costs 17 levels
-    start = time.perf_counter()
-    assert main(["block", "--preset", "chacon", "--depth", "100000000"]) == 2
-    assert time.perf_counter() - start < 0.2
-    assert capsys.readouterr() == (
-        "",
-        "error: block needs 193710244 symbols by level 17, over the budget of 67108864\n",
-    )
+    # the lengths are checked level by level, so a depth at the level cap
+    # costs 17 levels, and one past it none
+    for depth, error in (
+        ("2097152", "block needs 193710244 symbols by level 17, over the budget of 67108864"),
+        ("100000000", "level 100000000 is over the budget of 2097152 levels"),
+    ):
+        start = time.perf_counter()
+        assert main(["block", "--preset", "chacon", "--depth", depth]) == 2
+        assert time.perf_counter() - start < 0.2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_expand_emit_blocks(capsys):
@@ -602,32 +604,39 @@ def test_frozen_tail_risk(tmp_path, capsys):
 
 
 _HEIGHTS_OVER = "need up to {} bytes, over the budget of 67108864"
-_LEVEL_OVER = "level 2097153 is over the budget of 2097152 levels"
+_LEVEL_OVER = "level 100000000 is over the budget of 2097152 levels"
 
 
 @pytest.mark.parametrize(
     "argv, seconds, error",
     [
+        # a depth past the level cap is refused before any stage is read
+        (["heights", "--preset", "dyadic-odometer", "--depth", "100000000"], 0.2, _LEVEL_OVER),
+        (["validate", "--preset", "chacon", "--depth", "100000000"], 0.2, _LEVEL_OVER),
         # heights past the size budget: refused at the first level over it
-        (["heights", "--preset", "dyadic-odometer", "--depth", "100000000"], 1.0,
-         "heights through level 23170 " + _HEIGHTS_OVER.format(67111905)),
-        (["validate", "--preset", "chacon", "--depth", "100000000"], 1.0,
+        (["validate", "--preset", "chacon", "--depth", "2097152"], 1.0,
          "heights through level 18404 " + _HEIGHTS_OVER.format(67111531)),
         # the greedy walk checks the heights it walked when it finds a level
         (["telescope", "--preset", "chacon", "--stages", "1000"], 1.0,
          "heights through level 18519 " + _HEIGHTS_OVER.format(67952195)),
         (["verify", "--preset", "chacon", "--depth", "1000", "--samples", "5"], 1.0,
          "heights through level 18519 " + _HEIGHTS_OVER.format(67952195)),
-        # no size budget stops these walks: stage resolution refuses the level
-        (["vershik", "--preset", "chacon", "--depth", "100000000", "--length", "5"], 5.0,
+        # no size budget stops these walks on the frozen tail, whose heights stay 2
+        (["vershik", "--preset", "chacon", "--depth", "100000000", "--length", "5"], 0.2,
          _LEVEL_OVER),
-        (["block", "--spec", "frozen", "--depth", "100000000"], 5.0, _LEVEL_OVER),
+        (["block", "--spec", "frozen", "--depth", "100000000"], 0.2, _LEVEL_OVER),
+        (["heights", "--spec", "frozen", "--depth", "100000000"], 0.2, _LEVEL_OVER),
+        (["validate", "--spec", "frozen", "--depth", "100000000"], 0.2, _LEVEL_OVER),
+        (["measure", "--spec", "frozen", "--depth", "100000000"], 0.2, _LEVEL_OVER),
         # dot counts its lines from the flag and the stages before building any
         (["dot", "--preset", "chacon", "--depth", "100000000"], 1.0,
          "dot of depth 100000000 needs at least 3200000096 characters by level 0, "
          "over the budget of 67108864"),
     ],
-    ids=["heights", "validate", "telescope", "verify", "vershik", "block-frozen", "dot"],
+    ids=[
+        "heights", "validate", "validate-under-cap", "telescope", "verify", "vershik",
+        "block-frozen", "heights-frozen", "validate-frozen", "measure-frozen", "dot",
+    ],
 )
 def test_depth_flags_are_budgeted(tmp_path, capsys, argv, seconds, error):
     spec = tmp_path / "frozen.json"
@@ -640,8 +649,8 @@ def test_depth_flags_are_budgeted(tmp_path, capsys, argv, seconds, error):
 
 
 def test_spec_levels_past_the_level_budget(tmp_path, capsys):
-    # a spec's last level is checked against MAX_WALK_LEVELS before a stage
-    # is resolved: every window of this tail has 8 copies, so no other
+    # a window's last level is checked against MAX_WALK_LEVELS before its
+    # stages are read: every window of this tail has 8 copies, so no other
     # budget would stop the walk through its stages
     spec = tmp_path / "far.json"
     for top in (3_000_000, 100_000_000):
@@ -652,7 +661,7 @@ def test_spec_levels_past_the_level_budget(tmp_path, capsys):
             assert time.perf_counter() - t0 < 1.0
             assert capsys.readouterr() == (
                 "",
-                f"error: telescoping level {top} is over the budget of 2097152 levels\n",
+                f"error: level {top} is over the budget of 2097152 levels\n",
             )
 
 

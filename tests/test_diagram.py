@@ -58,6 +58,8 @@ def test_minimal_maximal_structure():
     # copy at every level and never touches the spacer column
     assert hi == AdicPath(ROOT_NONSPACER, (Edge(TOWER, 2), Edge(TOWER, 2)))
     assert successor(CHACON, hi) == Overflow(2)
+    with pytest.raises(ValueError, match="^depth -1 < 0$"):
+        minimal_path(CHACON, -1)
     validate_path(CHACON, lo)
     validate_path(CHACON, hi)
 

@@ -120,10 +120,13 @@ def test_heights_size_budget():
     # under 2^26, and level 23170 is the first one that could pass it
     odometer = ParamSchedule(ODOMETER.stages, ODOMETER.tail_period)
     with pytest.raises(BudgetError) as err:
-        heights(odometer, 10**8)
+        heights(odometer, 2**21)
     assert str(err.value) == (
         "heights through level 23170 need up to 67111905 bytes, over the budget of 67108864"
     )
+    # a depth past the level cap is refused before any stage is read
+    with pytest.raises(BudgetError, match="^level 100000000 is over the budget of 2097152 levels$"):
+        heights(odometer, 10**8)
     assert heights(odometer, 23169)[-1] == 2**23169
     with pytest.raises(BudgetError, match="^heights through level 23170 need"):
         heights(odometer, 23170)

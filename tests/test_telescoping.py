@@ -99,14 +99,14 @@ def test_telescope_level_validation():
 
 
 def test_telescope_level_budget():
-    # the last level is checked before any stage is resolved; at the cap a
-    # bare prefix still fails on its first missing stage
+    # a window's last level is checked before its stages are read; at the
+    # cap a bare prefix still fails on its first missing stage
     short = ParamSchedule((Stage(2, (0, 1)),))
     for schedule in (CHACON, short):
         with pytest.raises(BudgetError) as err:
             telescope(schedule, [0, 1, MAX_WALK_LEVELS + 1])
         assert str(err.value) == (
-            "telescoping level 2097153 is over the budget of 2097152 levels"
+            "level 2097153 is over the budget of 2097152 levels"
         )
     with pytest.raises(DepthError, match="stage 1 unresolvable"):
         telescope(short, [0, MAX_WALK_LEVELS])
