@@ -58,6 +58,7 @@ class KalikowReport:
 
 def kalikow_sup_condition(schedule: ParamSchedule, depth: int) -> KalikowReport:
     """Witnesses for n = 0..depth (needs stages up to depth+1)."""
+    _stages(schedule, depth, depth)  # the depth rule, before any stage is read
     witnesses = []
     finals = 0  # a[0][q_0-1] + ... + a[n][q_n-1]
     for n in range(depth + 1):

@@ -316,18 +316,27 @@ def export_dot(schedule: ParamSchedule, depth: int) -> str:
     """Deterministic DOT rendering of the first `depth` levels.
 
     Edge labels give the order into the next column-0 vertex, 1-based;
-    spacer edges are dashed, down edges bold.  The text has depth + 1
-    rank lines and q + sum(a) + 1 edge lines per level, each at least
-    32 characters with its newline; before any line is built they are
-    counted level by level, and the first level at which they pass
-    DEFAULT_SYMBOL_BUDGET characters is refused with BudgetError.
+    spacer edges are dashed, down edges bold.  The text's length is
+    counted exactly before any line is built: the fixed lines and the
+    depth + 1 rank lines from the flag alone, then level by level the
+    q + sum(a) + 1 edge lines of each stage, each line's fixed characters
+    plus the digits of its level numbers and its rank.  The first count
+    over DEFAULT_SYMBOL_BUDGET characters is refused with BudgetError.
     """
+    # 145 characters of header, root-edge and closing lines, then depth + 1 rank
+    # lines of 31 fixed characters, each naming its level twice
+    size = 145 + 31 * (depth + 1) + 2 * (1 + _digits_through(depth))
     stages = []
-    size = 32 * (depth + 3)  # the rank lines and the two root edges
-    while size <= DEFAULT_SYMBOL_BUDGET and len(stages) < depth:
-        st = schedule.stage(len(stages))
-        stages.append(st)
-        size += 32 * (st.q + st.spacer_sum + 1)
+    if size <= DEFAULT_SYMBOL_BUDGET:
+        for lvl, st in enumerate(_stages(schedule, 0, depth)):
+            stages.append(st)
+            # q tower lines (29 fixed characters) and sum(a) spacer lines (43)
+            # ranked 1..q + sum(a), and the down line (42), each naming lvl and lvl + 1
+            ranks = st.q + st.spacer_sum
+            size += 29 * st.q + 43 * st.spacer_sum + 42 + _digits_through(ranks)
+            size += (ranks + 1) * (len(str(lvl)) + len(str(lvl + 1)))
+            if size > DEFAULT_SYMBOL_BUDGET:
+                break
     if size > DEFAULT_SYMBOL_BUDGET:
         raise BudgetError(
             f"dot of depth {depth} needs at least {size} characters by level "
@@ -356,6 +365,15 @@ def export_dot(schedule: ParamSchedule, depth: int) -> str:
         lines.append(f'  "v{lvl}_1" -> "v{lvl + 1}_1" [label="1", style=bold];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _digits_through(m: int) -> int:
+    """How many decimal digits 1, 2, ..., m take together; 0 for m < 1."""
+    total, power = 0, 1
+    while power <= m:
+        total += m - power + 1  # the numbers up to m with more digits than power - 1
+        power *= 10
+    return total
 
 
 # the index fields each edge kind carries in path JSON, besides "level" and "kind"

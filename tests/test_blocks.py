@@ -102,6 +102,8 @@ def test_kalikow_verdicts():
     bad_tail = ParamSchedule((Stage(2, (0, 0)),) * 3 + (Stage(2, (0,)),), tail_period=1)
     with pytest.raises(ScheduleError, match="^tail contains a structurally invalid stage$"):
         kalikow_sup_condition(bad_tail, 0)
+    with pytest.raises(ValueError, match="^depth -1 < 0$"):
+        kalikow_sup_condition(CHACON, -1)
 
 
 @given(schedules(min_q=1, allow_bare=False), st.integers(0, 12))

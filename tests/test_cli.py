@@ -630,7 +630,7 @@ _LEVEL_OVER = "level 100000000 is over the budget of 2097152 levels"
         (["measure", "--spec", "frozen", "--depth", "100000000"], 0.2, _LEVEL_OVER),
         # dot counts its lines from the flag and the stages before building any
         (["dot", "--preset", "chacon", "--depth", "100000000"], 1.0,
-         "dot of depth 100000000 needs at least 3200000096 characters by level 0, "
+         "dot of depth 100000000 needs at least 4677777974 characters by level 0, "
          "over the budget of 67108864"),
     ],
     ids=[

@@ -222,25 +222,51 @@ def test_export_dot_deterministic():
 
 def test_export_dot_budget():
     # past the four header lines, every line but the closing brace takes at
-    # least 32 characters with its newline: the bound the budget counts with
+    # least 32 characters with its newline
     lines = export_dot(CHACON, 3).splitlines()
     assert min(len(line) + 1 for line in lines[4:-1]) == 32
     # the rank lines alone pass the budget: refused before a stage is read
     with pytest.raises(BudgetError, match=(
-        "^dot of depth 100000000 needs at least 3200000096 characters by level 0, "
+        "^dot of depth 100000000 needs at least 4677777974 characters by level 0, "
         "over the budget of 67108864$"
     )):
         export_dot(ParamSchedule(()), 100_000_000)
-    # 32 (2 + 10^6 + 1) more characters a level pass it at level 3
+    # each level adds over 4.3 * 10^7 characters: the spacer lines alone
     wide = ParamSchedule((Stage(2, (0, 10**6)),), 1)
     with pytest.raises(BudgetError, match=(
-        "^dot of depth 5 needs at least 96000544 characters by level 3, "
+        "^dot of depth 5 needs at least 101778375 characters by level 2, "
         "over the budget of 67108864$"
     )):
         export_dot(wide, 5)
     # the stages are read before any line is built, in level order
     with pytest.raises(DepthError, match="^stage 1 unresolvable"):
         export_dot(ParamSchedule((Stage(2, (0, 1)),)), 3)
+    with pytest.raises(ValueError, match="^depth -1 < 0$"):
+        export_dot(CHACON, -1)
+
+
+def _wide_stage() -> Stage:
+    # one telescoped window of 3,888 copies: four-digit ranks
+    base = ParamSchedule(tuple(Stage(len(a), tuple(a)) for a in WIDE_RUNS))
+    return telescope(base, [0, 9]).stages[0]
+
+
+@pytest.mark.parametrize(
+    "schedule, depths",
+    [(CHACON, range(13)), (ODOMETER, range(13)), (ParamSchedule((_wide_stage(),), 1), range(4))],
+    ids=["chacon", "odometer", "wide"],
+)
+def test_export_dot_count_is_exact(monkeypatch, schedule, depths):
+    # the budget counts every character: a text of N characters is refused
+    # under a budget of N - 1, with N named, and built under a budget of N
+    for depth, size in [(depth, len(export_dot(schedule, depth))) for depth in depths]:
+        monkeypatch.setattr("rankone.diagram.DEFAULT_SYMBOL_BUDGET", size - 1)
+        with pytest.raises(BudgetError, match=(
+            f"^dot of depth {depth} needs at least {size} characters by level {depth}, "
+        )):
+            export_dot(schedule, depth)
+        monkeypatch.setattr("rankone.diagram.DEFAULT_SYMBOL_BUDGET", size)
+        assert len(export_dot(schedule, depth)) == size
 
 
 @given(small_cases())
