@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, BudgetError, ParamSchedule, _stages
+from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, ParamSchedule, _check_budget, _stages
 
 KALIKOW_BOUNDED = "bounded"
 KALIKOW_UNBOUNDED = "unbounded"
@@ -25,19 +25,23 @@ KALIKOW_UNBOUNDED = "unbounded"
 
 def build_block(schedule: ParamSchedule, n: int) -> str:
     """The stage-n block B_n; the lengths h_1..h_n are checked against the
-    budget, stopping at the first one over it, before any level is built."""
+    budget, stopping at the first one over it, before any level is built.
+
+    The block is kept as b followed by a run of 1s: a single-copy level
+    only lengthens the run, so a q = 1 tail costs no rebuild, and a level
+    of q >= 2 copies joins them once, each with its run of 1s.
+    """
     h = 1
     for k, st in enumerate(_stages(schedule, 0, n), 1):
         h = st.q * h + st.spacer_sum
-        if h > DEFAULT_SYMBOL_BUDGET:
-            raise BudgetError(
-                f"block needs {h} symbols by level {k}, "
-                f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
-            )
-    b = "0"
+        _check_budget("block", h, "symbols", DEFAULT_SYMBOL_BUDGET, k)
+    b, run = "0", 0
     for st in _stages(schedule, 0, n):
-        b = "".join(b + "1" * st.a[i] for i in range(st.q))
-    return b
+        if st.q == 1:
+            run += st.a[0]
+        else:
+            b, run = "".join(b + "1" * (run + x) for x in st.a), 0
+    return b + "1" * run
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,7 @@ def kalikow_sup_condition(schedule: ParamSchedule, depth: int) -> KalikowReport:
     finals = 0  # a[0][q_0-1] + ... + a[n][q_n-1]
     for n in range(depth + 1):
         nxt = schedule.stage(n + 1)
-        st = schedule.stage(n)
-        finals += st.a[st.q - 1]
+        finals += schedule.stage(n).a[-1]
         witnesses.append(finals + max(nxt.a))
     summary = schedule._tail_summary
     if summary is None:
@@ -84,11 +87,7 @@ def period_doubling_prefix(length: int) -> str:
     length is checked against the symbol budget first."""
     if length < 1:
         raise ValueError(f"length {length} < 1")
-    if length > DEFAULT_SYMBOL_BUDGET:
-        raise BudgetError(
-            f"period-doubling prefix needs {length} symbols, "
-            f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
-        )
+    _check_budget("period-doubling prefix", length, "symbols", DEFAULT_SYMBOL_BUDGET)
     w = "0"
     while len(w) < length:
         # s^{n+1}(0) = s^n(0) s^n(1), and s^n(1) is s^n(0) with its last symbol flipped

@@ -48,9 +48,9 @@ from typing import NamedTuple
 
 from .schedules import (
     DEFAULT_SYMBOL_BUDGET,
-    BudgetError,
     ParamSchedule,
     Stage,
+    _check_budget,
     _floor_tables,
     _json_array,
     _json_int,
@@ -261,11 +261,7 @@ def code_orbit(schedule: ParamSchedule, path: AdicPath, steps: int) -> OrbitCodi
     """
     if steps < 0:
         raise ValueError(f"steps {steps} < 0")
-    if steps > DEFAULT_SYMBOL_BUDGET:
-        raise BudgetError(
-            f"orbit coding needs {steps} symbols, "
-            f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
-        )
+    _check_budget("orbit coding", steps, "symbols", DEFAULT_SYMBOL_BUDGET)
     stage = cache(schedule.stage)  # each level resolved once, when first stepped
     out = []
     cur = path
@@ -323,25 +319,20 @@ def export_dot(schedule: ParamSchedule, depth: int) -> str:
     plus the digits of its level numbers and its rank.  The first count
     over DEFAULT_SYMBOL_BUDGET characters is refused with BudgetError.
     """
+    what = f"dot of depth {depth}"
     # 145 characters of header, root-edge and closing lines, then depth + 1 rank
     # lines of 31 fixed characters, each naming its level twice
     size = 145 + 31 * (depth + 1) + 2 * (1 + _digits_through(depth))
+    _check_budget(what, size, "characters", DEFAULT_SYMBOL_BUDGET, 0, bound="at least ")
     stages = []
-    if size <= DEFAULT_SYMBOL_BUDGET:
-        for lvl, st in enumerate(_stages(schedule, 0, depth)):
-            stages.append(st)
-            # q tower lines (29 fixed characters) and sum(a) spacer lines (43)
-            # ranked 1..q + sum(a), and the down line (42), each naming lvl and lvl + 1
-            ranks = st.q + st.spacer_sum
-            size += 29 * st.q + 43 * st.spacer_sum + 42 + _digits_through(ranks)
-            size += (ranks + 1) * (len(str(lvl)) + len(str(lvl + 1)))
-            if size > DEFAULT_SYMBOL_BUDGET:
-                break
-    if size > DEFAULT_SYMBOL_BUDGET:
-        raise BudgetError(
-            f"dot of depth {depth} needs at least {size} characters by level "
-            f"{len(stages)}, over the budget of {DEFAULT_SYMBOL_BUDGET}"
-        )
+    for lvl, st in enumerate(_stages(schedule, 0, depth)):
+        stages.append(st)
+        # q tower lines (29 fixed characters) and sum(a) spacer lines (43)
+        # ranked 1..q + sum(a), and the down line (42), each naming lvl and lvl + 1
+        ranks = st.q + st.spacer_sum
+        size += 29 * st.q + 43 * st.spacer_sum + 42 + _digits_through(ranks)
+        size += (ranks + 1) * (len(str(lvl)) + len(str(lvl + 1)))
+        _check_budget(what, size, "characters", DEFAULT_SYMBOL_BUDGET, lvl + 1, bound="at least ")
     lines = [
         "digraph bratteli {",
         "  rankdir=TB;",

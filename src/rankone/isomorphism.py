@@ -88,8 +88,8 @@ from .diagram import (
     path_to_json_dict,
     validate_path,
 )
-from .schedules import VERIFY_WALK_BUDGET, BudgetError, _floor_tables, heights
-from .telescoping import ExpansiveModel
+from .schedules import VERIFY_WALK_BUDGET, ParamSchedule, _check_budget, _floor_tables, heights
+from .telescoping import ExpansiveModel, _checked_levels
 
 
 def exceptional_index(model: ExpansiveModel, path: AdicPath) -> int:
@@ -221,13 +221,32 @@ class IsoReport:
         }
 
 
-def _check_walk(walked: int) -> None:
-    """Refuse a verify walk of more than VERIFY_WALK_BUDGET floors with BudgetError."""
-    if walked > VERIFY_WALK_BUDGET:
-        raise BudgetError(
-            f"verify would walk {walked} floors, over the budget of {VERIFY_WALK_BUDGET}; "
-            f"pass --samples K with K <= {VERIFY_WALK_BUDGET}"
-        )
+# what a refused verify walk suggests instead
+_SAMPLES_HINT = f"; pass --samples K with K <= {VERIFY_WALK_BUDGET}"
+
+
+def _precheck_walk(schedule: ParamSchedule, levels, depth: int, samples: int | None) -> None:
+    """Refuse a verify walk of more than VERIFY_WALK_BUDGET floors before
+    the model it walks is built, as far as its size is known by then.
+
+    On greedy levels every growth base is at least 2, so H_D >= 2^e with
+    e = D(D+1)/2: without a sample the walk is refused by comparing
+    exponents, since 2^e cannot be built at every depth, and a sample of
+    K < 2^e floors walks K.  On a spec's levels, unless a sample of
+    K <= 2^20 floors fits anyway, H_D = h_{m_D} is read once the levels
+    pass telescope's checks, and the walk is H_D floors, or min(K, H_D).
+    """
+    if levels is None:
+        e = depth * (depth + 1) // 2
+        if samples is None:
+            _check_budget(f"verify --depth {depth}", e, "floors", VERIFY_WALK_BUDGET,
+                          bound="at least 2^", power=True, hint=_SAMPLES_HINT)
+        elif samples.bit_length() <= e:  # K < 2^e <= H_D, so the walk is K floors
+            _check_budget("verify", samples, "floors", VERIFY_WALK_BUDGET, hint=_SAMPLES_HINT)
+    elif depth < len(levels) and (samples is None or samples > VERIFY_WALK_BUDGET):
+        levels, hs = _checked_levels(schedule, levels)
+        walked = min(hs[levels[depth]], samples or hs[levels[depth]])
+        _check_budget("verify", walked, "floors", VERIFY_WALK_BUDGET, hint=_SAMPLES_HINT)
 
 
 def verify_isomorphism(
@@ -267,7 +286,8 @@ def verify_isomorphism(
     if samples is not None and samples < 0:
         raise ValueError(f"samples {samples} < 0")
     fiber = heights(model.source, depth)[depth]
-    _check_walk(fiber if samples is None else min(samples, fiber))
+    walked = fiber if samples is None else min(samples, fiber)
+    _check_budget("verify", walked, "floors", VERIFY_WALK_BUDGET, hint=_SAMPLES_HINT)
     if samples is None or samples >= fiber:
         floors = range(fiber)
     else:

@@ -39,7 +39,8 @@ class DepthError(Exception):
 
 
 class BudgetError(ValueError):
-    """A request would pass one of the size limits below; raised before its work starts."""
+    """A request would pass one of the size limits below; raised before its work starts,
+    only by ``_check_budget``, whose message every refusal shares."""
 
 
 # the longest word one call builds, the most copies in a telescoped window (64 MB of str),
@@ -150,7 +151,7 @@ class ParamSchedule:
         if n < 0:
             raise ValueError(f"stage index {n} < 0")
         if n >= MAX_WALK_LEVELS:
-            raise _over_the_level_budget(n + 1)
+            _check_budget("stage walk", n + 1, "levels", MAX_WALK_LEVELS)
         count = len(self.stages)
         if n < count:
             idx = n
@@ -241,9 +242,19 @@ def _json_ints(value, where: str, error: type[Exception]) -> tuple[int, ...]:
     return tuple(_json_int(x, f"{where}[{i}]", error) for i, x in enumerate(items))
 
 
-def _over_the_level_budget(level: int) -> BudgetError:
-    """The refusal of a walk that would read stages up to `level`, past MAX_WALK_LEVELS."""
-    return BudgetError(f"level {level} is over the budget of {MAX_WALK_LEVELS} levels")
+def _check_budget(what: str, need: int, unit: str, budget: int, level: int | None = None, *,
+                  bound: str = "", power: bool = False, hint: str = "") -> None:
+    """Refuse a request that needs more than its budget with BudgetError.
+
+    The one place a cost meets a budget, so every refusal reads "<what>
+    needs <bound><need> <unit>[ by level <level>], over the budget of
+    <budget><hint>".  With ``power`` the need is the exponent e of a cost
+    2^e too large to build as an int, compared by its exponent; its bound
+    then ends in "2^".
+    """
+    if need >= budget.bit_length() if power else need > budget:
+        at = "" if level is None else f" by level {level}"
+        raise BudgetError(f"{what} needs {bound}{need} {unit}{at}, over the budget of {budget}{hint}")
 
 
 def _stages(schedule: ParamSchedule, start: int, stop: int) -> Iterator[Stage]:
@@ -256,8 +267,7 @@ def _stages(schedule: ParamSchedule, start: int, stop: int) -> Iterator[Stage]:
     """
     if stop < 0:
         raise ValueError(f"depth {stop} < 0")
-    if stop > MAX_WALK_LEVELS:
-        raise _over_the_level_budget(stop)
+    _check_budget("stage walk", stop, "levels", MAX_WALK_LEVELS)
     return map(schedule.stage, range(start, stop))
 
 
@@ -279,23 +289,16 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
         hs = hs[:]
         for st in walk:
             hs.append(st.q * hs[-1] + st.spacer_sum)
-            _check_heights_size(hs)
+            _check_budget("height list", _heights_bytes(hs), "bytes", DEFAULT_SYMBOL_BUDGET,
+                          len(hs) - 1, bound="up to ")
         vars(schedule)["_heights"] = hs
     return hs[: n + 1]
 
 
-def _check_heights_size(hs: list[int]) -> None:
-    """Refuse heights h_0..h_k that could pass DEFAULT_SYMBOL_BUDGET bytes.
-
-    Heights never decrease, so (k + 1) times the bit length of h_k, in
-    bytes, bounds their size; that bound is what is checked.
-    """
-    size = len(hs) * hs[-1].bit_length() // 8
-    if size > DEFAULT_SYMBOL_BUDGET:
-        raise BudgetError(
-            f"heights through level {len(hs) - 1} need up to {size} bytes, "
-            f"over the budget of {DEFAULT_SYMBOL_BUDGET}"
-        )
+def _heights_bytes(hs: list[int]) -> int:
+    """A bound on the bytes of h_0..h_k: heights never decrease, so it is
+    (k + 1) times the bytes of h_k."""
+    return len(hs) * hs[-1].bit_length() // 8
 
 
 def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -512,7 +515,8 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
                     st = schedule.stage(level - 1)
                     hs.append(st.q * hs[-1] + st.spacer_sum)
             if len(hs) > len(schedule._heights):
-                _check_heights_size(hs)
+                _check_budget("height list", _heights_bytes(hs), "bytes", DEFAULT_SYMBOL_BUDGET,
+                              len(hs) - 1, bound="up to ")
                 vars(schedule)["_heights"] = hs[:]
             yield level
 

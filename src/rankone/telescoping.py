@@ -37,9 +37,9 @@ from typing import Sequence
 from .schedules import (
     DEFAULT_SYMBOL_BUDGET,
     GROWTH_BASE,
-    BudgetError,
     ParamSchedule,
     Stage,
+    _check_budget,
     _greedy_levels,
     _stages,
     heights,
@@ -87,13 +87,14 @@ class TelescopedSchedule:
         }
 
 
-def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSchedule:
-    """Collapse the windows [m_n, m_{n+1}) into single stages.
+def _checked_levels(schedule: ParamSchedule, levels: Sequence[int]) -> tuple[tuple, list]:
+    """levels as a tuple, once they start at 0 and increase strictly, and
+    the heights h_0..h_{m_N} through the last of them.
 
-    The windows are walked in order before the heights are read: a window
-    that ends past MAX_WALK_LEVELS is refused with BudgetError before its
-    first stage is read, and one of more than DEFAULT_SYMBOL_BUDGET copies
-    at the first level that passes the budget.
+    The windows are walked in order before the heights are read: one that
+    ends past MAX_WALK_LEVELS is refused with BudgetError before its first
+    stage is read, and one of more than DEFAULT_SYMBOL_BUDGET copies, as
+    many as build_block's symbols, at the first level that passes it.
     """
     levels = tuple(levels)
     if not levels or levels[0] != 0:
@@ -102,15 +103,19 @@ def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSched
         raise ValueError("levels must be strictly increasing")
     for lo, hi in zip(levels, levels[1:]):
         # a window of Q copies describes a block of at least Q symbols
-        copies = 1
+        what, copies = f"window [{lo}, {hi})", 1
         for k, st in enumerate(_stages(schedule, lo, hi), lo):
             copies *= st.q
-            if copies > DEFAULT_SYMBOL_BUDGET:
-                raise BudgetError(
-                    f"window [{lo}, {hi}) makes {copies} copies by level {k}, "
-                    f"over build_block's symbol budget of {DEFAULT_SYMBOL_BUDGET}"
-                )
-    hs = heights(schedule, levels[-1])
+            _check_budget(what, copies, "copies", DEFAULT_SYMBOL_BUDGET, k)
+    return levels, heights(schedule, levels[-1])
+
+
+def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSchedule:
+    """Collapse the windows [m_n, m_{n+1}) into single stages.
+
+    The levels pass ``_checked_levels`` before any window is built.
+    """
+    levels, hs = _checked_levels(schedule, levels)
     stages = []
     for lo, hi in zip(levels, levels[1:]):
         runs = [0]

@@ -51,6 +51,39 @@ def test_block_length_prefix_and_zero_count(schedule):
             zeros *= schedule.stage(n).q
 
 
+def _block_by_levels(schedule, n):
+    """B_n by the recursion itself, rebuilding the whole word at every level."""
+    b = "0"
+    for k in range(n):
+        st = schedule.stage(k)
+        b = "".join(b + "1" * st.a[i] for i in range(st.q))
+    return b
+
+
+@given(schedules(max_stages=5, min_q=1, max_q=3), st.integers(0, 9))
+def test_block_matches_the_per_level_recursion(schedule, depth):
+    # single-copy stages only lengthen the pending run of 1s; the word must
+    # be the one the level-by-level rebuild gives
+    if schedule.tail_period is None:
+        depth = min(depth, schedule.prefix_len)
+    assert build_block(schedule, depth) == _block_by_levels(schedule, depth)
+
+
+def test_block_on_a_linear_tail_is_linear_time():
+    # q = 1 past level 2: B_n is B_2 followed by 2 + 3 (n - 3) spacers, and
+    # building it costs the length of the word, not the sum of h_k
+    linear = ParamSchedule(
+        (Stage(2, (0, 2)), Stage(4, (1, 3, 0, 0)), Stage(1, (2,)), Stage(1, (3,))),
+        tail_period=1,
+    )
+    depth = 200_000
+    start = time.perf_counter()
+    word = build_block(linear, depth)
+    assert time.perf_counter() - start < 2.0
+    assert word == build_block(linear, 2) + "1" * (2 + 3 * (depth - 3))
+    assert len(word) == heights(linear, depth)[depth]
+
+
 def test_block_budget_checked_before_building():
     with pytest.raises(BudgetError) as err:
         build_block(CHACON, 40)
@@ -61,17 +94,20 @@ def test_block_budget_checked_before_building():
     assert heights(CHACON, 16)[16] <= DEFAULT_SYMBOL_BUDGET < heights(CHACON, 17)[17]
 
 
+_LEVEL_17 = "^block needs 193710244 symbols by level 17, over the budget of 67108864$"
+
+
 def test_block_budget_stops_at_the_first_level_over_it():
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="by level 17,"):
+    with pytest.raises(BudgetError, match=_LEVEL_17):
         build_block(CHACON, MAX_WALK_LEVELS)
     # a depth past the level cap is refused before any stage is read
-    with pytest.raises(BudgetError, match="^level 100000000 is over the budget of 2097152 levels$"):
+    with pytest.raises(BudgetError, match="^stage walk needs 100000000 levels, over the budget of 2097152$"):
         build_block(CHACON, 10**8)
     assert time.perf_counter() - start < 0.2
     # on a bare prefix the budget is passed before the missing stage 20 ...
     bare = ParamSchedule(CHACON.stages * 20, tail_period=None)
-    with pytest.raises(BudgetError, match="by level 17,"):
+    with pytest.raises(BudgetError, match=_LEVEL_17):
         build_block(bare, 30)
     # ... and a missing stage below the budget is still a DepthError
     with pytest.raises(DepthError, match="stage 10 unresolvable"):
@@ -122,7 +158,9 @@ def test_period_doubling_prefix():
     assert period_doubling_prefix(16) == "0100010101000100"
     with pytest.raises(ValueError):
         period_doubling_prefix(0)
-    with pytest.raises(BudgetError, match="over the budget of 67108864"):
+    with pytest.raises(BudgetError, match=(
+        "^period-doubling prefix needs 67108865 symbols, over the budget of 67108864$"
+    )):
         period_doubling_prefix(DEFAULT_SYMBOL_BUDGET + 1)
 
 

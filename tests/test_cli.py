@@ -4,6 +4,7 @@ import hashlib
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import time
@@ -149,7 +150,7 @@ def test_block_command(capsys):
     # costs 17 levels, and one past it none
     for depth, error in (
         ("2097152", "block needs 193710244 symbols by level 17, over the budget of 67108864"),
-        ("100000000", "level 100000000 is over the budget of 2097152 levels"),
+        ("100000000", "stage walk needs 100000000 levels, over the budget of 2097152"),
     ):
         start = time.perf_counter()
         assert main(["block", "--preset", "chacon", "--depth", depth]) == 2
@@ -243,7 +244,9 @@ def test_verify_walk_budget(tmp_path, capsys):
     # this spec's depth-4 model has H_4 = 17,610,329,152 floors: refused at once.
     # Without a spec's levels the greedy model at depth 23 has H_23 >= 2^276
     # floors, refused before the model is built; so is a sample over the
-    # budget at depth 22, since H_22 >= 2^253 leaves the walk K floors
+    # budget at depth 22, since H_22 >= 2^253 leaves the walk K floors.
+    # A spec's levels give H_D = h_{m_D} before any window is built: the
+    # odometer's [0, 21, 42] has H_2 = 2^42 floors
     stages = [(1, [3]), (1, [3]), (1, [0]), (3, [2, 2, 0]), (2, [1, 2]), (3, [2, 3, 3]),
               (1, [3])]
     spec = tmp_path / "sys.json"
@@ -251,12 +254,15 @@ def test_verify_walk_budget(tmp_path, capsys):
         "stages": [{"q": q, "a": a} for q, a in stages],
         "tail": {"kind": "periodic", "period": 5},
     }}))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"preset": "dyadic-odometer", "telescope_levels": [0, 21, 42]}))
     for argv, walk in (
-        (["--spec", str(spec), "--depth", "4"], "verify would walk 17610329152 floors"),
+        (["--spec", str(spec), "--depth", "4"], "verify needs 17610329152 floors"),
+        (["--spec", str(wide), "--depth", "2"], "verify needs 4398046511104 floors"),
         (["--preset", "chacon", "--depth", "23"],
-         "verify --depth 23 would walk at least 2^276 floors"),
+         "verify --depth 23 needs at least 2^276 floors"),
         (["--preset", "chacon", "--depth", "22", "--samples", "2000000"],
-         "verify would walk 2000000 floors"),
+         "verify needs 2000000 floors"),
     ):
         start = time.perf_counter()
         assert main(["verify", *argv]) == 2
@@ -266,6 +272,44 @@ def test_verify_walk_budget(tmp_path, capsys):
         assert captured.err == (
             f"error: {walk}, over the budget of 1048576; pass --samples K with K <= 1048576\n"
         )
+
+
+# the shape of every size refusal, as CI greps it
+_REFUSAL = re.compile(
+    r"^error: .+ needs (at least |up to )?(\d+|2\^\d+) [a-z]+( by level \d+)?, "
+    r"over the budget of \d+(; .+)?$"
+)
+
+
+def test_size_refusals_share_one_shape(tmp_path, capsys):
+    # the size-refusal commands of CI's timeout-3 loop, through main
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps({"schedule": LINEAR_TAIL_DOC, "telescope_levels": [0, 10**8]}))
+    frozen = tmp_path / "frozen.json"
+    frozen.write_text(json.dumps({"schedule": FROZEN_TAIL_DOC}))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"preset": "dyadic-odometer", "telescope_levels": [0, 21, 42]}))
+    for args in (
+        "verify --preset chacon --depth 23",
+        "verify --preset chacon --depth 23 --samples 2000000",
+        f"verify --spec {wide} --depth 2",
+        "pd-check --length 67108865",
+        "block --preset chacon --depth 40",
+        "block --preset chacon --depth 100000000",
+        "heights --preset dyadic-odometer --depth 100000000",
+        "validate --preset chacon --depth 100000000",
+        "telescope --preset chacon --stages 1000",
+        "verify --preset chacon --depth 1000 --samples 5",
+        "dot --preset chacon --depth 100000000",
+        "dot --preset chacon --depth 300000",
+        f"heights --spec {frozen} --depth 100000000",
+        "vershik --preset chacon --depth 100000000 --length 5",
+        f"telescope --spec {far}",
+    ):
+        assert main(args.split()) == 2, args
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and _REFUSAL.match(err.rstrip("\n")), (args, err)
 
 
 def test_pd_check(capsys):
@@ -579,7 +623,7 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
         assert time.perf_counter() - t0 < 5.0
         assert capsys.readouterr() == (
             "",
-            "error: level 2097153 is over the budget of 2097152 levels\n",
+            "error: stage walk needs 2097153 levels, over the budget of 2097152\n",
         )
 
 
@@ -603,8 +647,8 @@ def test_frozen_tail_risk(tmp_path, capsys):
     )
 
 
-_HEIGHTS_OVER = "need up to {} bytes, over the budget of 67108864"
-_LEVEL_OVER = "level 100000000 is over the budget of 2097152 levels"
+_HEIGHTS_OVER = "height list needs up to {} bytes by level {}, over the budget of 67108864"
+_LEVEL_OVER = "stage walk needs 100000000 levels, over the budget of 2097152"
 
 
 @pytest.mark.parametrize(
@@ -615,12 +659,12 @@ _LEVEL_OVER = "level 100000000 is over the budget of 2097152 levels"
         (["validate", "--preset", "chacon", "--depth", "100000000"], 0.2, _LEVEL_OVER),
         # heights past the size budget: refused at the first level over it
         (["validate", "--preset", "chacon", "--depth", "2097152"], 1.0,
-         "heights through level 18404 " + _HEIGHTS_OVER.format(67111531)),
+         _HEIGHTS_OVER.format(67111531, 18404)),
         # the greedy walk checks the heights it walked when it finds a level
         (["telescope", "--preset", "chacon", "--stages", "1000"], 1.0,
-         "heights through level 18519 " + _HEIGHTS_OVER.format(67952195)),
+         _HEIGHTS_OVER.format(67952195, 18519)),
         (["verify", "--preset", "chacon", "--depth", "1000", "--samples", "5"], 1.0,
-         "heights through level 18519 " + _HEIGHTS_OVER.format(67952195)),
+         _HEIGHTS_OVER.format(67952195, 18519)),
         # no size budget stops these walks on the frozen tail, whose heights stay 2
         (["vershik", "--preset", "chacon", "--depth", "100000000", "--length", "5"], 0.2,
          _LEVEL_OVER),
@@ -661,7 +705,7 @@ def test_spec_levels_past_the_level_budget(tmp_path, capsys):
             assert time.perf_counter() - t0 < 1.0
             assert capsys.readouterr() == (
                 "",
-                f"error: level {top} is over the budget of 2097152 levels\n",
+                f"error: stage walk needs {top} levels, over the budget of 2097152\n",
             )
 
 
@@ -693,10 +737,12 @@ def test_telescope_window_over_the_budget(tmp_path, capsys):
     assert main(["telescope", "--spec", str(spec)]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err == (
-        "error: window [0, 30) makes 134217728 copies by level 26, "
-        "over build_block's symbol budget of 67108864\n"
+        "error: window [0, 30) needs 134217728 copies by level 26, "
+        "over the budget of 67108864\n"
     )
-    with pytest.raises(BudgetError, match="makes 134217728 copies"):
+    with pytest.raises(BudgetError, match=(
+        r"^window \[0, 30\) needs 134217728 copies by level 26, over the budget of 67108864$"
+    )):
         telescope(ODOMETER, [0, 30])
     spec.write_text(json.dumps({"preset": "dyadic-odometer", "telescope_levels": [0, 18]}))
     assert main(["telescope", "--spec", str(spec)]) == 0

@@ -263,6 +263,7 @@ def test_export_dot_count_is_exact(monkeypatch, schedule, depths):
         monkeypatch.setattr("rankone.diagram.DEFAULT_SYMBOL_BUDGET", size - 1)
         with pytest.raises(BudgetError, match=(
             f"^dot of depth {depth} needs at least {size} characters by level {depth}, "
+            f"over the budget of {size - 1}$"
         )):
             export_dot(schedule, depth)
         monkeypatch.setattr("rankone.diagram.DEFAULT_SYMBOL_BUDGET", size)

@@ -161,8 +161,11 @@ def test_verify_walk_budget():
     # the odometer's depth-6 fiber has 2^21 floors; neither it nor a sample
     # one floor past the 2^20 budget is walked, and a small sample is
     model = build_expansive(ODOMETER, 6)
-    for samples in (None, (1 << 20) + 1):
-        with pytest.raises(BudgetError, match="over the budget of 1048576"):
+    for samples, walked in ((None, 1 << 21), ((1 << 20) + 1, (1 << 20) + 1)):
+        with pytest.raises(BudgetError, match=(
+            f"^verify needs {walked} floors, over the budget of 1048576; "
+            r"pass --samples K with K <= 1048576$"
+        )):
             verify_isomorphism(model, 6, samples=samples)
     assert verify_isomorphism(model, 6, samples=50, seed=1).passed
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from conftest import CHACON, DIVERGENT, ODOMETER, any_schedules, schedules
@@ -55,7 +56,7 @@ def test_tail_resolution_indexing():
         sched.stage(-1)
     # every level walk resolves its stages here, so none reads past the level budget
     assert CHACON.stage(MAX_WALK_LEVELS - 1) == CHACON.stages[0]
-    with pytest.raises(BudgetError, match="^level 2097153 is over the budget of 2097152 levels$"):
+    with pytest.raises(BudgetError, match="^stage walk needs 2097153 levels, over the budget of 2097152$"):
         CHACON.stage(MAX_WALK_LEVELS)
 
 
@@ -122,18 +123,29 @@ def test_heights_size_budget():
     with pytest.raises(BudgetError) as err:
         heights(odometer, 2**21)
     assert str(err.value) == (
-        "heights through level 23170 need up to 67111905 bytes, over the budget of 67108864"
+        "height list needs up to 67111905 bytes by level 23170, over the budget of 67108864"
     )
     # a depth past the level cap is refused before any stage is read
-    with pytest.raises(BudgetError, match="^level 100000000 is over the budget of 2097152 levels$"):
+    with pytest.raises(BudgetError, match="^stage walk needs 100000000 levels, over the budget of 2097152$"):
         heights(odometer, 10**8)
     assert heights(odometer, 23169)[-1] == 2**23169
-    with pytest.raises(BudgetError, match="^heights through level 23170 need"):
+    with pytest.raises(BudgetError, match=(
+        "^height list needs up to 67111905 bytes by level 23170, over the budget of 67108864$"
+    )):
         heights(odometer, 23170)
     # the greedy walk checks the heights it walked before it keeps them
     chacon = ParamSchedule(CHACON.stages, CHACON.tail_period)
-    with pytest.raises(BudgetError, match="^heights through level 18519 need up to 67952195 bytes"):
+    with pytest.raises(BudgetError, match=(
+        "^height list needs up to 67952195 bytes by level 18519, over the budget of 67108864$"
+    )):
         choose_telescoping_levels(chacon, 1000)
+
+
+def test_one_budget_check():
+    # every size refusal is raised by _check_budget, so all share one message shape
+    src = Path(__file__).resolve().parents[1] / "src" / "rankone"
+    text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
+    assert text.count("raise BudgetError") == 1
 
 
 def test_tail_mass_bound_values():
@@ -291,7 +303,7 @@ def test_choose_levels_walk_budget():
     levels = choose_telescoping_levels(linear, 6)
     assert levels == [0, 1, 2, 49, 849, 27303, 1747665]
     assert levels[-1] <= MAX_WALK_LEVELS
-    with pytest.raises(BudgetError, match="^level 2097153 is over the budget of 2097152 levels$"):
+    with pytest.raises(BudgetError, match="^stage walk needs 2097153 levels, over the budget of 2097152$"):
         choose_telescoping_levels(linear, 7)
 
 

@@ -106,7 +106,7 @@ def test_telescope_level_budget():
         with pytest.raises(BudgetError) as err:
             telescope(schedule, [0, 1, MAX_WALK_LEVELS + 1])
         assert str(err.value) == (
-            "level 2097153 is over the budget of 2097152 levels"
+            "stage walk needs 2097153 levels, over the budget of 2097152"
         )
     with pytest.raises(DepthError, match="stage 1 unresolvable"):
         telescope(short, [0, MAX_WALK_LEVELS])
