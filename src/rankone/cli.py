@@ -29,7 +29,8 @@ checks its walk before the model is built: on greedy levels every
 growth base gives H_D >= 2^(D(D+1)/2), so exhaustive verify refuses
 depth 6 and beyond before it walks a level, and from depth 6 on a
 sample of K > 2^20 floors, K < 2^(D(D+1)/2); on a spec's levels H_D is
-read once the levels pass telescope's checks, before any window is built.
+read once the levels pass telescope's list checks, before any window
+is built.
 """
 
 from __future__ import annotations

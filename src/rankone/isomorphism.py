@@ -234,7 +234,8 @@ def _precheck_walk(schedule: ParamSchedule, levels, depth: int, samples: int | N
     exponents, since 2^e cannot be built at every depth, and a sample of
     K < 2^e floors walks K.  On a spec's levels, unless a sample of
     K <= 2^20 floors fits anyway, H_D = h_{m_D} is read once the levels
-    pass telescope's checks, and the walk is H_D floors, or min(K, H_D).
+    pass telescope's list checks, and the walk is H_D floors, or
+    min(K, H_D); heights keeps what it read for the build.
     """
     if levels is None:
         e = depth * (depth + 1) // 2
@@ -244,8 +245,8 @@ def _precheck_walk(schedule: ParamSchedule, levels, depth: int, samples: int | N
         elif samples.bit_length() <= e:  # K < 2^e <= H_D, so the walk is K floors
             _check_budget("verify", samples, "floors", VERIFY_WALK_BUDGET, hint=_SAMPLES_HINT)
     elif depth < len(levels) and (samples is None or samples > VERIFY_WALK_BUDGET):
-        levels, hs = _checked_levels(schedule, levels)
-        walked = min(hs[levels[depth]], samples or hs[levels[depth]])
+        fiber = heights(schedule, _checked_levels(levels)[depth])[-1]
+        walked = min(fiber, samples or fiber)
         _check_budget("verify", walked, "floors", VERIFY_WALK_BUDGET, hint=_SAMPLES_HINT)
 
 
@@ -288,12 +289,11 @@ def verify_isomorphism(
     fiber = heights(model.source, depth)[depth]
     walked = fiber if samples is None else min(samples, fiber)
     _check_budget("verify", walked, "floors", VERIFY_WALK_BUDGET, hint=_SAMPLES_HINT)
-    if samples is None or samples >= fiber:
-        floors = range(fiber)
-    else:
+    floors = range(fiber)
+    if walked < fiber:
         rng = random.Random(seed)
         drawn: set[int] = set()
-        while len(drawn) < samples:
+        while len(drawn) < walked:
             drawn.add(rng.randrange(fiber))
         floors = sorted(drawn)
     failures: list[IsoFailure] = []

@@ -87,35 +87,33 @@ class TelescopedSchedule:
         }
 
 
-def _checked_levels(schedule: ParamSchedule, levels: Sequence[int]) -> tuple[tuple, list]:
-    """levels as a tuple, once they start at 0 and increase strictly, and
-    the heights h_0..h_{m_N} through the last of them.
-
-    The windows are walked in order before the heights are read: one that
-    ends past MAX_WALK_LEVELS is refused with BudgetError before its first
-    stage is read, and one of more than DEFAULT_SYMBOL_BUDGET copies, as
-    many as build_block's symbols, at the first level that passes it.
-    """
+def _checked_levels(levels: Sequence[int]) -> tuple[int, ...]:
+    """levels as a tuple, once they start at 0 and increase strictly."""
     levels = tuple(levels)
     if not levels or levels[0] != 0:
         raise ValueError("levels must start at 0")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
+    return levels
+
+
+def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSchedule:
+    """Collapse the windows [m_n, m_{n+1}) into single stages.
+
+    Once the levels pass ``_checked_levels``, the windows are walked in
+    order before the heights are read: a window that ends past
+    MAX_WALK_LEVELS is refused with BudgetError before its first stage is
+    read, and one of more than DEFAULT_SYMBOL_BUDGET copies, as many as
+    build_block's symbols, at the first level that passes the budget.
+    """
+    levels = _checked_levels(levels)
     for lo, hi in zip(levels, levels[1:]):
         # a window of Q copies describes a block of at least Q symbols
         what, copies = f"window [{lo}, {hi})", 1
         for k, st in enumerate(_stages(schedule, lo, hi), lo):
             copies *= st.q
             _check_budget(what, copies, "copies", DEFAULT_SYMBOL_BUDGET, k)
-    return levels, heights(schedule, levels[-1])
-
-
-def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSchedule:
-    """Collapse the windows [m_n, m_{n+1}) into single stages.
-
-    The levels pass ``_checked_levels`` before any window is built.
-    """
-    levels, hs = _checked_levels(schedule, levels)
+    hs = heights(schedule, levels[-1])
     stages = []
     for lo, hi in zip(levels, levels[1:]):
         runs = [0]
