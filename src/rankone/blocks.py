@@ -108,9 +108,11 @@ def occurrence_spacing(w: str, pattern: str) -> Occurrences:
         raise ValueError("empty pattern")
     if len(pattern) > len(w):
         raise ValueError("pattern longer than the word")
-    gaps, prev = [], w.find(pattern)
-    i = w.find(pattern, prev + 1)  # -1 too when there is no match at all
+    find, gaps = w.find, []
+    add = gaps.append
+    prev = find(pattern)
+    i = find(pattern, prev + 1)  # -1 too when there is no match at all
     while i != -1:
-        gaps.append(i - prev)
-        prev, i = i, w.find(pattern, i + 1)
+        add(i - prev)
+        prev, i = i, find(pattern, i + 1)
     return Occurrences(len(gaps) + 1 if prev != -1 else 0, tuple(gaps))

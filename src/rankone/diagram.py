@@ -34,12 +34,16 @@ level and raise at the first level that fails.  Walks read each level
 once per call: ``code_orbit`` steps through a memoized resolver, which
 resolves a level when a step first reaches it, and ``verify_isomorphism``
 (in ``isomorphism``) does the same and reads both tables once.
+
+The successor rule itself has one body, ``_step``, which names the level
+that advances and its new edge.  ``successor`` builds the next path from
+that move; ``code_orbit`` applies it in place to one list of edges.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -147,19 +151,33 @@ def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
 def _successor(stage: Callable[[int], Stage], path: AdicPath) -> AdicPath | Overflow:
     """successor resolving stage n through stage(n) only where it tries an edge."""
     edges = path.edges
+    step = _step(stage, edges)
+    if step is None:
+        return Overflow(len(edges))
+    pos, new = step
+    if new.kind == SPACER:
+        return AdicPath(ROOT_SPACER, (_DOWN,) * pos + (new,) + edges[pos + 1:])
+    return AdicPath(ROOT_NONSPACER, (_TOWER_0,) * pos + (new,) + edges[pos + 1:])
+
+
+def _step(stage: Callable[[int], Stage], edges: Sequence[Edge]) -> tuple[int, Edge] | None:
+    """The successor's move on a path's edges: (pos, new) when the lowest
+    edge that can advance sits at level pos and becomes new, else None.
+
+    The successor replaces that edge and refills the levels below pos
+    minimally: with down edges under a spacer edge (the path then enters
+    through the spacer root) and with tower(0) under a tower edge.
+    """
     for pos, (kind, i, j) in enumerate(edges):
         if kind == DOWN:
             continue  # the sole edge into its vertex, nothing to increment
         st = stage(pos)
         j = 0 if kind == TOWER else j + 1
         if j < st.a[i]:
-            root, head, new = ROOT_SPACER, _DOWN, Edge(SPACER, i, j)
-        elif i + 1 < st.q:
-            root, head, new = ROOT_NONSPACER, _TOWER_0, Edge(TOWER, i + 1)
-        else:
-            continue
-        return AdicPath(root, (head,) * pos + (new,) + edges[pos + 1:])
-    return Overflow(len(edges))
+            return pos, Edge(SPACER, i, j)
+        if i + 1 < st.q:
+            return pos, Edge(TOWER, i + 1)
+    return None
 
 
 class LevelIndices(NamedTuple):
@@ -257,21 +275,27 @@ def code_orbit(schedule: ParamSchedule, path: AdicPath, steps: int) -> OrbitCodi
     Symbol rule: 1 when the current path enters through the spacer
     reservoir (root edge into column 1), else 0.  Stops early with the
     partial word when the orbit overflows the truncation.  `steps` is
-    checked against the symbol budget before the first step.
+    checked against the symbol budget before the first step.  The orbit
+    is kept as a root flag and a list of edges that each ``_step`` move
+    changes in place, so no path is built per symbol.
     """
     if steps < 0:
         raise ValueError(f"steps {steps} < 0")
     _check_budget("orbit coding", steps, "symbols", DEFAULT_SYMBOL_BUDGET)
     stage = cache(schedule.stage)  # each level resolved once, when first stepped
     out = []
-    cur = path
+    spacer, edges = path.root == ROOT_SPACER, list(path.edges)
     for s in range(steps):
-        out.append("1" if cur.root == ROOT_SPACER else "0")
+        out.append("1" if spacer else "0")
         if s + 1 < steps:
-            nxt = _successor(stage, cur)
-            if isinstance(nxt, Overflow):
-                return OrbitCoding("".join(out), nxt)
-            cur = nxt
+            step = _step(stage, edges)
+            if step is None:
+                return OrbitCoding("".join(out), Overflow(len(edges)))
+            pos, new = step
+            spacer = new.kind == SPACER
+            if pos:
+                edges[:pos] = (_DOWN if spacer else _TOWER_0,) * pos
+            edges[pos] = new
     return OrbitCoding("".join(out), None)
 
 

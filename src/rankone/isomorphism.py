@@ -88,7 +88,14 @@ from .diagram import (
     path_to_json_dict,
     validate_path,
 )
-from .schedules import VERIFY_WALK_BUDGET, ParamSchedule, _check_budget, _floor_tables, heights
+from .schedules import (
+    VERIFY_WALK_BUDGET,
+    ParamSchedule,
+    _check_budget,
+    _exact_sum,
+    _floor_tables,
+    heights,
+)
 from .telescoping import ExpansiveModel, _checked_levels
 
 
@@ -195,7 +202,7 @@ class IsoReport:
 
     @property
     def exceptional_mass_partial_sum(self) -> Fraction:
-        return sum(self.exceptional_mass_terms, Fraction(0))
+        return _exact_sum(self.exceptional_mass_terms)
 
     def failure_counts(self) -> dict[str, int]:
         counts: Counter[str] = Counter(f.check for f in self.failures)
@@ -232,10 +239,11 @@ def _precheck_walk(schedule: ParamSchedule, levels, depth: int, samples: int | N
     On greedy levels every growth base is at least 2, so H_D >= 2^e with
     e = D(D+1)/2: without a sample the walk is refused by comparing
     exponents, since 2^e cannot be built at every depth, and a sample of
-    K < 2^e floors walks K.  On a spec's levels, unless a sample of
-    K <= 2^20 floors fits anyway, H_D = h_{m_D} is read once the levels
-    pass telescope's list checks, and the walk is H_D floors, or
-    min(K, H_D); heights keeps what it read for the build.
+    K < 2^e floors walks K.  A spec's levels must first pass telescope's
+    list checks, and a depth past their windows is refused as
+    ``verify_isomorphism`` refuses it.  Then, unless a sample of K <= 2^20
+    floors fits anyway, H_D = h_{m_D} is read and the walk is H_D floors,
+    or min(K, H_D); heights keeps what it read for the build.
     """
     if levels is None:
         e = depth * (depth + 1) // 2
@@ -244,10 +252,14 @@ def _precheck_walk(schedule: ParamSchedule, levels, depth: int, samples: int | N
                           bound="at least 2^", power=True, hint=_SAMPLES_HINT)
         elif samples.bit_length() <= e:  # K < 2^e <= H_D, so the walk is K floors
             _check_budget("verify", samples, "floors", VERIFY_WALK_BUDGET, hint=_SAMPLES_HINT)
-    elif depth < len(levels) and (samples is None or samples > VERIFY_WALK_BUDGET):
-        fiber = heights(schedule, _checked_levels(levels)[depth])[-1]
-        walked = min(fiber, samples or fiber)
-        _check_budget("verify", walked, "floors", VERIFY_WALK_BUDGET, hint=_SAMPLES_HINT)
+    else:
+        levels = _checked_levels(levels)
+        if depth >= len(levels):
+            raise ValueError(f"depth {depth} exceeds the {len(levels) - 1} stages")
+        if samples is None or samples > VERIFY_WALK_BUDGET:
+            fiber = heights(schedule, levels[depth])[-1]
+            walked = min(fiber, samples or fiber)
+            _check_budget("verify", walked, "floors", VERIFY_WALK_BUDGET, hint=_SAMPLES_HINT)
 
 
 def verify_isomorphism(

@@ -18,7 +18,7 @@ All arithmetic here is exact: heights are Python ints, ratios are
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -323,7 +323,8 @@ def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tupl
 def tail_mass_bound(schedule: ParamSchedule, start: int) -> Fraction | None:
     """Rigorous upper bound on sum_{k>=start} spacers_k / h_{k+1}.
 
-    Exact terms are used up to the end of the explicit prefix; past it,
+    Exact terms, added pairwise by ``_exact_sum``, are used up to the end
+    of the explicit prefix; past it,
     one full tail period multiplies the height by at least the period's
     q-product R, so the remaining terms are dominated by the geometric
     series (period * max_spacers / h) * R/(R-1) when R >= 2.  Returns
@@ -335,7 +336,7 @@ def tail_mass_bound(schedule: ParamSchedule, start: int) -> Fraction | None:
         return None
     q_product, max_spacers, _ = summary
     t0 = max(start, schedule.prefix_len)
-    exact = sum(_ratio_terms(schedule, t0, start), Fraction(0))
+    exact = _exact_sum(_ratio_terms(schedule, t0, start))
     if max_spacers == 0:
         return exact
     if q_product < 2:
@@ -368,8 +369,28 @@ class RatioSumReport:
 
 
 def spacer_ratio_sum(schedule: ParamSchedule, n: int) -> RatioSumReport:
-    """Exact partial sum sum_{k<n} spacers_k / h_{k+1} with a tail verdict."""
-    return _ratio_report(schedule, n, sum(_ratio_terms(schedule, n), Fraction(0)))
+    """Exact partial sum sum_{k<n} spacers_k / h_{k+1} with a tail verdict;
+    the terms are added pairwise, by ``_exact_sum``."""
+    return _ratio_report(schedule, n, _exact_sum(_ratio_terms(schedule, n)))
+
+
+def _exact_sum(terms: Iterable[Fraction]) -> Fraction:
+    """sum(terms, Fraction(0)), added pairwise like a binary counter.
+
+    After i terms, parts holds one sum of 2^b consecutive terms for each
+    set bit b of i, largest first: term i merges the parts of the low set
+    bits of i, so only O(log n) partial sums are kept and each addition
+    meets operands of about the same size.  On a series whose denominators
+    grow with every term that is much cheaper than a running total.  The
+    sum is exact either way, so it equals the sequential one.
+    """
+    parts: list[Fraction] = []
+    for count, term in enumerate(terms):
+        while count & 1:
+            term = parts.pop() + term
+            count >>= 1
+        parts.append(term)
+    return sum(reversed(parts), Fraction(0))
 
 
 def _ratio_terms(schedule: ParamSchedule, n: int, start: int = 0) -> Iterator[Fraction]:
@@ -440,7 +461,10 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
 
     On a bare prefix those are the stages below ``depth``.  With a periodic
     tail they are all explicit stages: the tail recurs past any depth, and
-    its bound sums exact terms through the whole prefix.
+    its bound sums exact terms through the whole prefix.  The partial sums
+    are kept one per level, so they are added one after another, after
+    ``_check_partial_sums`` has bounded their size: partial sums that could
+    pass the size budget are refused with BudgetError before any is added.
     """
     problems = schedule._problems
     periodic = schedule.tail_period is not None
@@ -458,6 +482,7 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
     partials: tuple[Fraction, ...] = ()
     ratio = None
     if not issues:
+        _check_partial_sums(schedule, n)
         sums = list(accumulate(_ratio_terms(schedule, n), initial=Fraction(0)))
         partials = tuple(sums[1:])
         ratio = _ratio_report(schedule, n, sums[-1])
@@ -469,6 +494,26 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
         ratio=ratio,
         not_defined_everywhere_risk=summary == (1, 0, False),
     )
+
+
+def _check_partial_sums(schedule: ParamSchedule, n: int) -> None:
+    """Refuse the partial sums S_1..S_n of the spacer-ratio series, level
+    by level from the heights, at the first level k whose sums S_1..S_k
+    could take more than DEFAULT_SYMBOL_BUDGET bytes.
+
+    S_k = sum_{j<k} spacers_j / h_{j+1} has a denominator dividing the
+    product of the h_{j+1} with spacers_j > 0, and S_k is at most the
+    number of those terms, so S_k takes at most twice that product's bits.
+    The heights come from ``heights`` first, so heights past their own
+    budget are refused as they are everywhere else.
+    """
+    bits = total = 0
+    for k, (st, h) in enumerate(zip(_stages(schedule, 0, n), heights(schedule, n)[1:]), 1):
+        if st.spacer_sum:
+            bits += h.bit_length()
+        total += 2 * bits
+        _check_budget("partial sum list", total // 8, "bytes", DEFAULT_SYMBOL_BUDGET, k,
+                      bound="up to ")
 
 
 # the first growth base of the greedy level selection

@@ -13,7 +13,9 @@ digit when all are maximal).
 
 ``telescope`` reads that rule one digit at a time, by the block
 recursion: level k turns the window's runs R so far into the
-concatenation over g < q_k of R[:-1] + [R[-1] + a[k][g]].
+concatenation over g < q_k of R[:-1] + [R[-1] + a[k][g]].  It builds
+that by repetition: R * q_k, then the q_k run ends, at the positions
+g len(R) + len(R) - 1, set to R[-1] + a[k][g].
 
 The replacement then rebuilds each stage so that its final spacer run
 strictly dominates all others: keep copies 0..cut, where cut is the
@@ -118,8 +120,10 @@ def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSched
     for lo, hi in zip(levels, levels[1:]):
         runs = [0]
         for st in _stages(schedule, lo, hi):
-            body, last = runs[:-1], runs[-1]
-            runs = [r for x in st.a for r in body + [last + x]]
+            m, last = len(runs), runs[-1]
+            runs *= st.q
+            for end, x in zip(range(m - 1, m * st.q, m), st.a):
+                runs[end] = last + x
         st = Stage(len(runs), tuple(runs))
         assert st.q * hs[lo] + st.spacer_sum == hs[hi], "telescoped heights must agree"
         stages.append(st)

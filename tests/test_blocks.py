@@ -4,7 +4,7 @@ import time
 
 import pytest
 from conftest import CHACON, ODOMETER, schedules
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rankone import (
@@ -198,3 +198,15 @@ def test_occurrence_spacing():
         occurrence_spacing("01", "")
     with pytest.raises(ValueError):
         occurrence_spacing("01", "010")
+
+
+@given(st.text("01", min_size=1, max_size=80), st.text("01", min_size=1, max_size=5))
+@example("0000000", "00")
+@example("0101010", "010")
+def test_occurrence_spacing_matches_a_scan(w, pattern):
+    # every start position, overlapping matches included
+    if len(pattern) > len(w):
+        pattern = pattern[: len(w)]
+    starts = [i for i in range(len(w)) if w.startswith(pattern, i)]
+    gaps = tuple(b - a for a, b in zip(starts, starts[1:]))
+    assert occurrence_spacing(w, pattern) == Occurrences(len(starts), gaps)

@@ -298,6 +298,7 @@ def test_size_refusals_share_one_shape(tmp_path, capsys):
         "block --preset chacon --depth 100000000",
         "heights --preset dyadic-odometer --depth 100000000",
         "validate --preset chacon --depth 100000000",
+        "validate --preset chacon --depth 1004",
         "telescope --preset chacon --stages 1000",
         "verify --preset chacon --depth 1000 --samples 5",
         "dot --preset chacon --depth 100000000",
@@ -627,6 +628,22 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
         )
 
 
+def test_validate_partial_sums_fail_fast(tmp_path, capsys):
+    # a linear tail's heights stay small, but each partial sum S_k takes up to
+    # 2 * sum_{j<=k} bits(h_j) bits, and S_1..S_k together pass 2^26 bytes at
+    # level 6527: refused there, before any sum is added
+    spec = tmp_path / "linear.json"
+    spec.write_text(json.dumps({"schedule": LINEAR_TAIL_DOC}))
+    t0 = time.perf_counter()
+    assert main(["validate", "--spec", str(spec), "--depth", "200000"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr() == (
+        "",
+        "error: partial sum list needs up to 67118900 bytes by level 6527, "
+        "over the budget of 67108864\n",
+    )
+
+
 # from stage 1 on every stage is q = 1 with no spacers: the tower stops growing
 FROZEN_TAIL_DOC = {
     "stages": [{"q": 2, "a": [0, 0]}, {"q": 1, "a": [0]}],
@@ -690,6 +707,16 @@ def test_depth_flags_are_budgeted(tmp_path, capsys, argv, seconds, error):
     assert main(argv) == 2
     assert time.perf_counter() - t0 < seconds
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_verify_depth_past_the_spec_windows(tmp_path, capsys):
+    # the spec's two windows decide the depth before any window is built
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"preset": "dyadic-odometer", "telescope_levels": [0, 21, 42]}))
+    t0 = time.perf_counter()
+    assert main(["verify", "--spec", str(spec), "--depth", "3"]) == 2
+    assert time.perf_counter() - t0 < 0.2
+    assert capsys.readouterr() == ("", "error: depth 3 exceeds the 2 stages\n")
 
 
 def test_spec_levels_past_the_level_budget(tmp_path, capsys):

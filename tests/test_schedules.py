@@ -25,7 +25,7 @@ from rankone import (
     tail_mass_bound,
     validate,
 )
-from rankone.schedules import MAX_WALK_LEVELS
+from rankone.schedules import MAX_WALK_LEVELS, _check_partial_sums, _ratio_terms
 
 
 def test_heights_known_values():
@@ -266,6 +266,43 @@ def test_validate_bare_prefix():
     deep = validate(bare, 8)
     assert deep.partial_sums == report.partial_sums == (Fraction(1, 3),)
     assert deep.ratio == spacer_ratio_sum(bare, 1)
+
+
+@given(schedules(max_stages=60), st.integers(0, 60))
+def test_exact_totals_equal_the_sequential_sum(schedule, n):
+    # the pairwise totals against the sequential sum they replaced
+    def sequential(stop, start=0):
+        return sum(_ratio_terms(schedule, stop, start), Fraction(0))
+
+    if schedule.tail_period is None:
+        n = min(n, schedule.prefix_len)
+    total = spacer_ratio_sum(schedule, n).partial
+    assert type(total) is Fraction and total == sequential(n)
+    report = validate(schedule, n)
+    assert report.ratio.partial == total
+    assert report.partial_sums[-1:] == ((total,) if n else ())
+    if schedule.tail_period is not None:
+        # the bound from n sums exactly through the prefix, then adds the
+        # geometric remainder, which is the bound from the prefix's end on
+        t0 = max(n, schedule.prefix_len)
+        rest = tail_mass_bound(schedule, t0)
+        bound = tail_mass_bound(schedule, n)
+        assert bound == (None if rest is None else sequential(t0, n) + rest)
+        assert bound is None or type(bound) is Fraction
+
+
+def test_validate_partial_sum_budget():
+    # each of chacon's partial sums S_k takes up to 2 * sum_{j<=k} bits(h_j)
+    # bits; S_1..S_k together first pass 2^26 bytes at level 1004, refused
+    # before any sum is added
+    _check_partial_sums(ParamSchedule(CHACON.stages, 1), 1003)
+    with pytest.raises(BudgetError, match=(
+        "^partial sum list needs up to 67172610 bytes by level 1004, "
+        "over the budget of 67108864$"
+    )):
+        validate(ParamSchedule(CHACON.stages, 1), 1004)
+    # a zero term adds nothing to the denominators: the odometer's sums stay 0
+    assert validate(ParamSchedule(ODOMETER.stages, 1), 2000).partial_sums[-1] == 0
 
 
 def test_choose_levels_known():
