@@ -51,6 +51,9 @@ VERIFY_WALK_BUDGET = 1 << 20
 # the deepest level any stage resolution reads: past a q = 1 tail the greedy walk's next
 # window is exponentially far, and a spec's levels or a --depth may name any level
 MAX_WALK_LEVELS = 1 << 21
+# MAX_WALK_LEVELS + 1 heights, each below this one, fit DEFAULT_SYMBOL_BUDGET bytes: the
+# height walk sizes only larger heights, since a budget check on every level costs time
+_SMALL_HEIGHT = 1 << (8 * DEFAULT_SYMBOL_BUDGET // (MAX_WALK_LEVELS + 1))
 
 
 @dataclass(frozen=True)
@@ -131,19 +134,20 @@ class ParamSchedule:
 
     @cached_property
     def _heights(self) -> list[int]:
-        """h_0..h_k for the k stages resolved so far; ``heights`` and the
-        greedy walk replace it with a longer list, never change it in place."""
+        """h_0..h_k for the k stages resolved so far; ``_height_walk`` is its
+        only writer and extends it in place."""
         return [1]
 
     @cached_property
     def _levels(self) -> list[tuple[int, ...]]:
-        """Copy starts of the levels resolved so far; ``_floor_tables`` swaps in longer copies."""
+        """Copy starts of the levels resolved so far; ``_floor_tables`` is its
+        only writer and extends it in place."""
         return []
 
     def stage(self, n: int) -> Stage:
         """Resolve stage n, reading through the periodic tail when present.
 
-        A walk to a requested level reads its stages through ``_stages``,
+        A walk to a requested level meets its depth rule in ``_stages``,
         which refuses the level before any stage is read; n >= MAX_WALK_LEVELS
         is refused here too, with the same BudgetError, for the greedy walk,
         which has no last level, and for direct calls.
@@ -260,10 +264,10 @@ def _check_budget(what: str, need: int, unit: str, budget: int, level: int | Non
 def _stages(schedule: ParamSchedule, start: int, stop: int) -> Iterator[Stage]:
     """The stages of levels start..stop-1, resolved lazily in level order.
 
-    Every walk to a requested level reads its stages here.  Before any is
-    read, stop < 0 is refused with ValueError and stop > MAX_WALK_LEVELS
-    with BudgetError; a bad or missing stage raises at the level where the
-    walk reaches it.
+    Every walk to a requested level meets its depth rule here.  Before any
+    stage is read, stop < 0 is refused with ValueError and stop >
+    MAX_WALK_LEVELS with BudgetError; a bad or missing stage raises at the
+    level where the walk reaches it.
     """
     if stop < 0:
         raise ValueError(f"depth {stop} < 0")
@@ -274,31 +278,46 @@ def _stages(schedule: ParamSchedule, start: int, stop: int) -> Iterator[Stage]:
 def heights(schedule: ParamSchedule, n: int) -> list[int]:
     """Tower heights h_0..h_n from the stage recursion, exact.
 
-    The heights are kept on the schedule and extended as deeper ones are
-    asked for; the caller gets a fresh list it may change.  Each level is
-    checked against the size budget as it is added, so the first level at
-    which the kept heights could pass it is refused.  Only this function
-    and the greedy walk, which extends the list itself, read the kept
-    list; every other reader calls this.
+    Past the depth rule of ``_stages``, the height walk is advanced to
+    level n, so the first level at which the kept heights could pass the
+    size budget is refused.  The caller gets a fresh list it may change;
+    every reader of the heights but the greedy walk and the partial-sum
+    check, which read them level by level from the walk, calls this.
     """
+    _stages(schedule, n, n)  # the depth rule, kept heights or not
     hs = schedule._heights
-    walk = _stages(schedule, len(hs) - 1, n)  # the depth rule, kept heights or not
-    if len(hs) <= n:
-        # extend a copy and publish it whole: a reader in another thread
-        # sees the old heights or the new ones, never a partial append
-        hs = hs[:]
-        for st in walk:
-            hs.append(st.q * hs[-1] + st.spacer_sum)
-            _check_budget("height list", _heights_bytes(hs), "bytes", DEFAULT_SYMBOL_BUDGET,
-                          len(hs) - 1, bound="up to ")
-        vars(schedule)["_heights"] = hs
+    k = len(hs)
+    if k <= n:
+        next(islice(_height_walk(schedule, k), n - k, None))
     return hs[: n + 1]
 
 
-def _heights_bytes(hs: list[int]) -> int:
-    """A bound on the bytes of h_0..h_k: heights never decrease, so it is
-    (k + 1) times the bytes of h_k."""
-    return len(hs) * hs[-1].bit_length() // 8
+def _height_walk(schedule: ParamSchedule, k: int) -> Iterator[int]:
+    """h_k, h_{k+1}, ...: the kept heights, then one resolved stage per level;
+    k is at most the number of heights kept.
+
+    The only writer of ``schedule._heights``.  A level past the kept list
+    is checked against the size budget before it is kept: heights never
+    decrease, so (k + 1) times the bytes of h_k bounds h_0..h_k.  Each
+    entry is written at its index from the entry below it, so a walker in
+    another thread at the same level rewrites the same value and a reader
+    never sees a wrong list.  A bad or missing stage, or one past
+    MAX_WALK_LEVELS, raises where ``stage`` reads it.
+    """
+    hs = schedule._heights
+    while k < len(hs):
+        yield hs[k]
+        k += 1
+    stage, h = schedule.stage, hs[k - 1]
+    while True:
+        st = stage(k - 1)
+        h = st.q * h + st.spacer_sum
+        if h >= _SMALL_HEIGHT:
+            _check_budget("height list", (k + 1) * h.bit_length() // 8, "bytes",
+                          DEFAULT_SYMBOL_BUDGET, k, bound="up to ")
+        hs[k:k + 1] = (h,)
+        yield h
+        k += 1
 
 
 def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -308,15 +327,14 @@ def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tupl
     starts[i] = i h_k + a[0] + ... + a[i-1] is the floor of tower k+1 where
     copy i begins, so starts[q] = h_{k+1}, and the spacer run above copy i
     fills the floors starts[i] + h_k up to starts[i + 1].  The table is
-    kept on the schedule; a longer one is published whole, like the heights.
+    kept on the schedule and extended in place, each row written at its
+    index from h_k and stage k, so a walker in another thread at the same
+    row rewrites the same value.
     """
     hs = heights(schedule, n)
     table = schedule._levels
-    if len(table) < n:
-        table = table[:]
-        for k, st in enumerate(_stages(schedule, len(table), n), len(table)):
-            table.append(tuple(accumulate((hs[k] + x for x in st.a), initial=0)))
-        vars(schedule)["_levels"] = table
+    for k in range(len(table), n):
+        table[k:k + 1] = [tuple(accumulate((hs[k] + x for x in schedule.stage(k).a), initial=0))]
     return hs, table
 
 
@@ -498,17 +516,17 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
 
 def _check_partial_sums(schedule: ParamSchedule, n: int) -> None:
     """Refuse the partial sums S_1..S_n of the spacer-ratio series, level
-    by level from the heights, at the first level k whose sums S_1..S_k
+    by level from the height walk, at the first level k whose sums S_1..S_k
     could take more than DEFAULT_SYMBOL_BUDGET bytes.
 
     S_k = sum_{j<k} spacers_j / h_{j+1} has a denominator dividing the
     product of the h_{j+1} with spacers_j > 0, and S_k is at most the
     number of those terms, so S_k takes at most twice that product's bits.
-    The heights come from ``heights`` first, so heights past their own
-    budget are refused as they are everywhere else.
+    The walk checks each height against its own budget before this level's
+    sums are checked, so no height past level k is read.
     """
     bits = total = 0
-    for k, (st, h) in enumerate(zip(_stages(schedule, 0, n), heights(schedule, n)[1:]), 1):
+    for k, (st, h) in enumerate(zip(_stages(schedule, 0, n), _height_walk(schedule, 1)), 1):
         if st.spacer_sum:
             bits += h.bit_length()
         total += 2 * bits
@@ -534,35 +552,27 @@ def choose_telescoping_levels(schedule: ParamSchedule, count: int) -> list[int]:
 def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     """m_1, m_2, ... of the greedy selection, each as soon as it is found.
 
-    A bad tail stage raises at once.  Otherwise the walk resumes from the
-    cached heights and resolves one stage per level past them, so it fails
-    only on reaching a bad or missing stage or one past MAX_WALK_LEVELS
-    (``stage`` refuses those), and on every level raises DepthError rather
-    than step past a frozen tail.
-    Each level found publishes the heights walked so far to the cache,
-    after checking them against the size budget as ``heights`` does; a
-    refusal names the level found, not the first level over the budget.
+    A bad tail stage raises at once.  Otherwise h is read level by level
+    from the height walk, which reads the kept heights first and checks
+    each level past them against the size budget before keeping it, so
+    a refusal names the first level over the budget, as ``heights`` does.
+    The walk fails only on reaching a bad or missing stage or one past
+    MAX_WALK_LEVELS (``stage`` refuses those), and on every level raises
+    DepthError rather than step past a frozen tail.
     """
     frozen_tail = schedule._tail_summary == (1, 0, False)
 
     def walk() -> Iterator[int]:
-        hs, level, scale = schedule._heights[:], 0, 1
-        while True:
-            scale *= growth_base
-            target = scale * hs[level]
-            while hs[level] < target:
-                if frozen_tail and level >= schedule.prefix_len:
-                    raise DepthError(
-                        f"periodic tail adds no height growth; cannot reach h >= {target}"
-                    )
-                level += 1
-                if level == len(hs):
-                    st = schedule.stage(level - 1)
-                    hs.append(st.q * hs[-1] + st.spacer_sum)
-            if len(hs) > len(schedule._heights):
-                _check_budget("height list", _heights_bytes(hs), "bytes", DEFAULT_SYMBOL_BUDGET,
-                              len(hs) - 1, bound="up to ")
-                vars(schedule)["_heights"] = hs[:]
-            yield level
+        target = scale = growth_base  # times h_0 = 1
+        for level, h in enumerate(_height_walk(schedule, 1), 1):
+            if h >= target:
+                yield level
+                scale *= growth_base
+                target = scale * h
+            # past the prefix a frozen tail keeps h, which is below target
+            if frozen_tail and level >= schedule.prefix_len:
+                raise DepthError(
+                    f"periodic tail adds no height growth; cannot reach h >= {target}"
+                )
 
     return walk()

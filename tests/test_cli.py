@@ -289,6 +289,8 @@ def test_size_refusals_share_one_shape(tmp_path, capsys):
     frozen.write_text(json.dumps({"schedule": FROZEN_TAIL_DOC}))
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"preset": "dyadic-odometer", "telescope_levels": [0, 21, 42]}))
+    linear = tmp_path / "linear.json"
+    linear.write_text(json.dumps({"schedule": LINEAR_TAIL_DOC}))
     for args in (
         "verify --preset chacon --depth 23",
         "verify --preset chacon --depth 23 --samples 2000000",
@@ -299,6 +301,7 @@ def test_size_refusals_share_one_shape(tmp_path, capsys):
         "heights --preset dyadic-odometer --depth 100000000",
         "validate --preset chacon --depth 100000000",
         "validate --preset chacon --depth 1004",
+        f"validate --spec {linear} --depth 2097152",
         "telescope --preset chacon --stages 1000",
         "verify --preset chacon --depth 1000 --samples 5",
         "dot --preset chacon --depth 100000000",
@@ -631,17 +634,18 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
 def test_validate_partial_sums_fail_fast(tmp_path, capsys):
     # a linear tail's heights stay small, but each partial sum S_k takes up to
     # 2 * sum_{j<=k} bits(h_j) bits, and S_1..S_k together pass 2^26 bytes at
-    # level 6527: refused there, before any sum is added
+    # level 6527: refused there, before any sum is added or any later height read
     spec = tmp_path / "linear.json"
     spec.write_text(json.dumps({"schedule": LINEAR_TAIL_DOC}))
-    t0 = time.perf_counter()
-    assert main(["validate", "--spec", str(spec), "--depth", "200000"]) == 2
-    assert time.perf_counter() - t0 < 1.0
-    assert capsys.readouterr() == (
-        "",
-        "error: partial sum list needs up to 67118900 bytes by level 6527, "
-        "over the budget of 67108864\n",
-    )
+    for depth, seconds in ((200000, 1.0), (2097152, 0.2)):
+        t0 = time.perf_counter()
+        assert main(["validate", "--spec", str(spec), "--depth", str(depth)]) == 2
+        assert time.perf_counter() - t0 < seconds
+        assert capsys.readouterr() == (
+            "",
+            "error: partial sum list needs up to 67118900 bytes by level 6527, "
+            "over the budget of 67108864\n",
+        )
 
 
 # from stage 1 on every stage is q = 1 with no spacers: the tower stops growing
@@ -674,14 +678,14 @@ _LEVEL_OVER = "stage walk needs 100000000 levels, over the budget of 2097152"
         # a depth past the level cap is refused before any stage is read
         (["heights", "--preset", "dyadic-odometer", "--depth", "100000000"], 0.2, _LEVEL_OVER),
         (["validate", "--preset", "chacon", "--depth", "100000000"], 0.2, _LEVEL_OVER),
-        # heights past the size budget: refused at the first level over it
+        # the partial sums pass their budget level by level, long before the heights do
         (["validate", "--preset", "chacon", "--depth", "2097152"], 1.0,
-         _HEIGHTS_OVER.format(67111531, 18404)),
-        # the greedy walk checks the heights it walked when it finds a level
+         "partial sum list needs up to 67172610 bytes by level 1004, over the budget of 67108864"),
+        # the greedy walk reads the height walk, which refuses the first level over the budget
         (["telescope", "--preset", "chacon", "--stages", "1000"], 1.0,
-         _HEIGHTS_OVER.format(67952195, 18519)),
+         _HEIGHTS_OVER.format(67111531, 18404)),
         (["verify", "--preset", "chacon", "--depth", "1000", "--samples", "5"], 1.0,
-         _HEIGHTS_OVER.format(67952195, 18519)),
+         _HEIGHTS_OVER.format(67111531, 18404)),
         # no size budget stops these walks on the frozen tail, whose heights stay 2
         (["vershik", "--preset", "chacon", "--depth", "100000000", "--length", "5"], 0.2,
          _LEVEL_OVER),

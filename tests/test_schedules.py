@@ -133,10 +133,10 @@ def test_heights_size_budget():
         "^height list needs up to 67111905 bytes by level 23170, over the budget of 67108864$"
     )):
         heights(odometer, 23170)
-    # the greedy walk checks the heights it walked before it keeps them
+    # the greedy walk reads the height walk, which refuses the first level over the budget
     chacon = ParamSchedule(CHACON.stages, CHACON.tail_period)
     with pytest.raises(BudgetError, match=(
-        "^height list needs up to 67952195 bytes by level 18519, over the budget of 67108864$"
+        "^height list needs up to 67111531 bytes by level 18404, over the budget of 67108864$"
     )):
         choose_telescoping_levels(chacon, 1000)
 
