@@ -95,24 +95,65 @@ def period_doubling_prefix(length: int) -> str:
     return w[:length]
 
 
+class _Indicator(dict):
+    """A ``str.translate`` table: c to "1", every other character to "0".
+    On ASCII text CPython caches each character's translation, so one
+    translate runs at C speed; other text calls ``__missing__`` per symbol."""
+
+    def __init__(self, c: str):
+        super().__init__({ord(c): "1"})
+
+    def __missing__(self, key: int) -> str:
+        return "0"
+
+
 @dataclass(frozen=True)
 class Occurrences:
     count: int
-    gaps: tuple[int, ...]
+    distinct_gaps: tuple[int, ...]
 
 
 def occurrence_spacing(w: str, pattern: str) -> Occurrences:
-    """How many (possibly overlapping) matches there are, and the gaps
-    between consecutive match positions."""
+    """How many (possibly overlapping) matches there are, and the sorted
+    distinct gaps between consecutive match positions.
+
+    Bit-parallel (shift-and): the word is read as one big int per pattern
+    character, whose bit len(w) - 1 - i is set where w[i] is that
+    character.  Shifting the indicator of pattern[j] left by j and ANDing
+    over j sets bit len(w) - 1 - i exactly where a match starts at i.  Each
+    set bit but the lowest has a gap to the next lower one; round g clears
+    the bits whose gap is g.  Gaps are disjoint parts of the word, so once
+    round g is done fewer than len(w) / (g + 1) bits are left: at most 64
+    rounds leave at most len(w) / 64, and ``str.find`` over the binary
+    digits reads each of their gaps.  The cost is O(len(w)) bit operations
+    per round, whatever the number of matches.
+    """
     if not pattern:
         raise ValueError("empty pattern")
-    if len(pattern) > len(w):
+    n = len(w)
+    if len(pattern) > n:
         raise ValueError("pattern longer than the word")
-    find, gaps = w.find, []
-    add = gaps.append
-    prev = find(pattern)
-    i = find(pattern, prev + 1)  # -1 too when there is no match at all
-    while i != -1:
-        add(i - prev)
-        prev, i = i, find(pattern, i + 1)
-    return Occurrences(len(gaps) + 1 if prev != -1 else 0, tuple(gaps))
+    # base 2 is exempt from the int <-> str digit limit
+    indicator = {c: int(w.translate(_Indicator(c)), 2) for c in set(pattern)}
+    mask = -1
+    for j, c in enumerate(pattern):
+        mask &= indicator[c] << j
+    gaps = set()
+    rest, g = mask & (mask - 1), 0  # every match but the last in the word
+    while rest.bit_count() * 64 > n:
+        g += 1
+        hits = rest & (mask << g)
+        if hits:
+            gaps.add(g)
+            rest ^= hits
+    if rest:
+        # bin() counts from the top bit, so the two strings are offset by
+        # the difference of their bit lengths
+        digits, left = bin(mask), bin(rest)
+        find, shift = digits.find, len(digits) - len(left)
+        i = left.find("1")
+        while i != -1:
+            j = i + shift
+            gaps.add(find("1", j + 1) - j)
+            i = left.find("1", i + 1)
+    return Occurrences(mask.bit_count(), tuple(sorted(gaps)))

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 
@@ -125,13 +126,10 @@ def parse_spec(text: str) -> SystemSpec:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+        fh.write(text)
+        if not text.endswith("\n"):
+            fh.write("\n")  # a second write: text + "\n" would copy the output
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -311,15 +309,16 @@ def _cmd_pd_check(spec: None, args: argparse.Namespace) -> Result:
     """Check that the gaps between the 0100s of the period-doubling word are
     all multiples of 4.  Block recursion cannot give every gap that form, so
     the word has no stage schedule, and no preset names it."""
-    word = period_doubling_prefix(args.length)
-    occ = occurrence_spacing(word, "0100")
-    distinct = sorted(set(occ.gaps))
-    bad = [g for g in distinct if g % 4]
+    pattern = "0100"
+    if args.length < len(pattern):
+        raise ValueError(f"--length {args.length} is shorter than the pattern {pattern}")
+    occ = occurrence_spacing(period_doubling_prefix(args.length), pattern)
+    bad = [g for g in occ.distinct_gaps if g % 4]
     doc = {
         "length": args.length,
         "occurrences": occ.count,
         "gaps_all_multiples_of_4": not bad,
-        "distinct_gaps": distinct,
+        "distinct_gaps": list(occ.distinct_gaps),
     }
     if bad:
         return 1, doc, f"violations: {bad}"

@@ -330,6 +330,17 @@ def test_pd_check(capsys):
     assert captured.err == (
         "error: period-doubling prefix needs 67108865 symbols, over the budget of 67108864\n"
     )
+    # shorter than 0100: refused before the word is built, naming the flag
+    for length in ("1", "2", "3"):
+        assert main(["pd-check", "--length", length]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --length {length} is shorter than the pattern 0100\n"
+        )
+    # the benchmark's word, pinned by the digest of perfbench/expected.json
+    assert main(["pd-check", "--length", "4194304", "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "f86a08e01aaa945acbaacbde855c01c375bd2e0c86365e68ee9fe78abddb08ee"
+    )
 
 
 def test_pd_check_violations(monkeypatch, capsys):
