@@ -15,6 +15,7 @@ so a refusal never walks the heights past that level.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, ParamSchedule, _check_budget, _stages
@@ -107,6 +108,10 @@ class _Indicator(dict):
         return "0"
 
 
+# a byte with a set bit
+_NONZERO = re.compile(rb"[^\x00]")
+
+
 @dataclass(frozen=True)
 class Occurrences:
     count: int
@@ -124,9 +129,9 @@ def occurrence_spacing(w: str, pattern: str) -> Occurrences:
     set bit but the lowest has a gap to the next lower one; round g clears
     the bits whose gap is g.  Gaps are disjoint parts of the word, so once
     round g is done fewer than len(w) / (g + 1) bits are left: at most 64
-    rounds leave at most len(w) / 64, and ``str.find`` over the binary
-    digits reads each of their gaps.  The cost is O(len(w)) bit operations
-    per round, whatever the number of matches.
+    rounds leave at most len(w) / 64, and a scan of the masks' bytes, one
+    per 8 symbols, reads each of their gaps.  The cost is O(len(w)) bit
+    operations per round, whatever the number of matches.
     """
     if not pattern:
         raise ValueError("empty pattern")
@@ -147,13 +152,19 @@ def occurrence_spacing(w: str, pattern: str) -> Occurrences:
             gaps.add(g)
             rest ^= hits
     if rest:
-        # bin() counts from the top bit, so the two strings are offset by
-        # the difference of their bit lengths
-        digits, left = bin(mask), bin(rest)
-        find, shift = digits.find, len(digits) - len(left)
-        i = left.find("1")
-        while i != -1:
-            j = i + shift
-            gaps.add(find("1", j + 1) - j)
-            i = left.find("1", i + 1)
+        # big-endian bytes of equal length, so byte b of each holds the same
+        # 8 bits; a bit's next lower match lies in its own byte or the next
+        # nonzero byte of the mask
+        size = (mask.bit_length() + 7) // 8
+        matches, left = mask.to_bytes(size, "big"), rest.to_bytes(size, "big")
+        search = _NONZERO.search
+        for hit in _NONZERO.finditer(left):
+            b = hit.start()
+            bits = left[b]
+            while bits:
+                top = bits.bit_length()  # bit top - 1 of byte b
+                bits ^= 1 << (top - 1)
+                below = matches[b] & ((1 << (top - 1)) - 1)  # the lower matches in byte b
+                c = b if below else search(matches, b + 1).start()
+                gaps.add(8 * (c - b) + top - (below or matches[c]).bit_length())
     return Occurrences(mask.bit_count(), tuple(sorted(gaps)))

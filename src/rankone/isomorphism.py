@@ -57,7 +57,15 @@ a memoized resolver and read their floor tables once per call, and each
 floor is mapped through the private bodies of the path functions in
 ``diagram``, which take what they read.  The image is validated, J(x)
 and J(y) read off the tables, and the round trip keeps the range check
-of the floor inverse.
+of the floor inverse.  ``_to_target`` takes the model's cut, top runs and
+heights, which the walk binds once (``heights`` is a property that reads
+through the telescoped schedule), and the round trip's source prefix is
+built straight onto the image's upper edges.  Those bodies, and the
+walk's own record ``_Floor``, build their NamedTuples with
+``tuple.__new__`` as ``diagram`` explains: each floor makes about a dozen
+of them, and the generated constructor is a Python-level call.  The
+walk holds no copy of those bodies, since a copy would be a second code
+path for its rule; a test counts the walk's calls into them.
 """
 
 from __future__ import annotations
@@ -71,7 +79,6 @@ from typing import NamedTuple
 
 from .diagram import (
     AdicPath,
-    DOWN,
     Edge,
     LevelIndices,
     Overflow,
@@ -79,8 +86,10 @@ from .diagram import (
     ROOT_SPACER,
     SPACER,
     TOWER,
+    _DOWN,
     _from_tower_coordinates,
     _level_indices,
+    _new,
     _successor,
     _validate_path,
     from_tower_coordinates,
@@ -114,24 +123,25 @@ def to_target(model: ExpansiveModel, x: AdicPath) -> AdicPath:
     if x.depth > model.num_stages:
         raise ValueError(f"path depth {x.depth} exceeds the {model.num_stages} stages")
     jx = level_indices(model.source, x)
-    y = _to_target(model, x, exceptional_index(model, x), jx)
+    y = _to_target(model.cut, model.top_run, model.heights, x, exceptional_index(model, x), jx)
     validate_path(model.target, y)
     return y
 
 
-def _to_target(model: ExpansiveModel, x: AdicPath, n_exc: int, jx: LevelIndices) -> AdicPath:
-    """to_target given N(x) and J(x); the image is not validated."""
+def _to_target(
+    cut: tuple[int, ...], top_run: tuple[int, ...], hs: tuple[int, ...],
+    x: AdicPath, n_exc: int, jx: LevelIndices,
+) -> AdicPath:
+    """to_target given the model's cut, top_run and heights, N(x) and J(x);
+    the image is not validated."""
+    edges = x.edges
     if n_exc == -1:
-        return AdicPath(ROOT_NONSPACER, x.edges)
-    edges: list[Edge] = [Edge(DOWN)] * n_exc
-    e = x.edges[n_exc]
-    if e.kind == SPACER and e.i <= model.cut[n_exc]:
-        edges.append(e)
-    else:
-        slot = jx.at(n_exc + 1) - model.heights[n_exc + 1] + model.top_run[n_exc]
-        edges.append(Edge(SPACER, model.cut[n_exc], slot))
-    edges.extend(x.edges[n_exc + 1:])
-    return AdicPath(ROOT_SPACER, tuple(edges))
+        return _new(AdicPath, (ROOT_NONSPACER, edges))
+    e = edges[n_exc]
+    if e.kind != SPACER or e.i > cut[n_exc]:
+        slot = jx.at(n_exc + 1) - hs[n_exc + 1] + top_run[n_exc]
+        e = _new(Edge, (SPACER, cut[n_exc], slot))
+    return _new(AdicPath, (ROOT_SPACER, (_DOWN,) * n_exc + (e,) + edges[n_exc + 1:]))
 
 
 def to_source(model: ExpansiveModel, y: AdicPath) -> AdicPath:
@@ -155,9 +165,8 @@ def _to_source(
     raises ValueError when the source tower m+1 has no such floor.
     """
     if y.root == ROOT_NONSPACER:
-        return AdicPath(ROOT_NONSPACER, y.edges)
-    prefix = _from_tower_coordinates(hs, table, jy.start, jy.values[0])
-    return AdicPath(prefix.root, prefix.edges + y.edges[jy.start:])
+        return _new(AdicPath, (ROOT_NONSPACER, y.edges))
+    return _from_tower_coordinates(hs, table, jy.start, jy.values[0], y.edges[jy.start:])
 
 
 class _Floor(NamedTuple):
@@ -325,18 +334,19 @@ def verify_isomorphism(
     source_stage, target_stage = cache(model.source.stage), cache(model.target.stage)
     shs, stable = _floor_tables(model.source, depth)
     ths, ttable = _floor_tables(model.target, depth)
+    cut, top_run, hs = model.cut, model.top_run, model.heights
 
     def floor(x: AdicPath) -> _Floor:
         """Map a valid source path through the target, validating only the image."""
         n_exc = exceptional_index(model, x)
         jx = _level_indices(shs, stable, x)
         try:
-            y = _to_target(model, x, n_exc, jx)
+            y = _to_target(cut, top_run, hs, x, n_exc, jx)
             _validate_path(target_stage, y)
             jy = _level_indices(ths, ttable, y)
         except ValueError as exc:
-            return _Floor(x, n_exc, jx, None, None, str(exc))
-        return _Floor(x, n_exc, jx, y, jy, None)
+            return _new(_Floor, (x, n_exc, jx, None, None, str(exc)))
+        return _new(_Floor, (x, n_exc, jx, y, jy, None))
 
     exclusions: Counter[str] = Counter()
     seen: set[int] = set()  # J_D of every image so far
@@ -348,9 +358,9 @@ def verify_isomorphism(
         else:
             rec = floor(_from_tower_coordinates(shs, stable, depth, k))
         ahead = None
-        x, y, jx, jy, n_exc = rec.x, rec.y, rec.jx, rec.jy, rec.n_exc
+        x, n_exc, jx, y, jy, error = rec
         if y is None:
-            failures.append(IsoFailure("mapping-error", rec.error, x))
+            failures.append(IsoFailure("mapping-error", error, x))
             continue
 
         lo = max(jx.start, jy.start, n_exc + 1)

@@ -302,6 +302,7 @@ def test_size_refusals_share_one_shape(tmp_path, capsys):
         "validate --preset chacon --depth 100000000",
         "validate --preset chacon --depth 1004",
         f"validate --spec {linear} --depth 2097152",
+        f"validate --spec {frozen} --depth 2097152",
         "telescope --preset chacon --stages 1000",
         "verify --preset chacon --depth 1000 --samples 5",
         "dot --preset chacon --depth 100000000",
@@ -644,8 +645,9 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
 
 def test_validate_partial_sums_fail_fast(tmp_path, capsys):
     # a linear tail's heights stay small, but each partial sum S_k takes up to
-    # 2 * sum_{j<=k} bits(h_j) bits, and S_1..S_k together pass 2^26 bytes at
-    # level 6527: refused there, before any sum is added or any later height read
+    # 2 * sum_{j<=k} bits(h_j) bits plus PARTIAL_SUM_ENTRY_BYTES, and S_1..S_k
+    # together pass 2^26 bytes at level 6476: refused there, before any sum is
+    # added or any later height read
     spec = tmp_path / "linear.json"
     spec.write_text(json.dumps({"schedule": LINEAR_TAIL_DOC}))
     for depth, seconds in ((200000, 1.0), (2097152, 0.2)):
@@ -654,9 +656,24 @@ def test_validate_partial_sums_fail_fast(tmp_path, capsys):
         assert time.perf_counter() - t0 < seconds
         assert capsys.readouterr() == (
             "",
-            "error: partial sum list needs up to 67118900 bytes by level 6527, "
+            "error: partial sum list needs up to 67127781 bytes by level 6476, "
             "over the budget of 67108864\n",
         )
+
+
+def test_validate_frozen_tail_is_budgeted(tmp_path, capsys):
+    # the frozen tail's sums are all 0, so only their entries count: 172 bytes
+    # each pass 2^26 bytes at level 390168, refused before any sum is added
+    spec = tmp_path / "frozen.json"
+    spec.write_text(json.dumps({"schedule": FROZEN_TAIL_DOC}))
+    t0 = time.perf_counter()
+    assert main(["validate", "--spec", str(spec), "--depth", "2097152"]) == 2
+    assert time.perf_counter() - t0 < 3
+    assert capsys.readouterr() == (
+        "",
+        "error: partial sum list needs up to 67108896 bytes by level 390168, "
+        "over the budget of 67108864\n",
+    )
 
 
 # from stage 1 on every stage is q = 1 with no spacers: the tower stops growing
@@ -691,7 +708,7 @@ _LEVEL_OVER = "stage walk needs 100000000 levels, over the budget of 2097152"
         (["validate", "--preset", "chacon", "--depth", "100000000"], 0.2, _LEVEL_OVER),
         # the partial sums pass their budget level by level, long before the heights do
         (["validate", "--preset", "chacon", "--depth", "2097152"], 1.0,
-         "partial sum list needs up to 67172610 bytes by level 1004, over the budget of 67108864"),
+         "partial sum list needs up to 67144947 bytes by level 1003, over the budget of 67108864"),
         # the greedy walk reads the height walk, which refuses the first level over the budget
         (["telescope", "--preset", "chacon", "--stages", "1000"], 1.0,
          _HEIGHTS_OVER.format(67111531, 18404)),

@@ -501,3 +501,31 @@ def test_failing_report_serializes_its_witnesses(chacon_ctx):
     for got, failure in zip(doc["failures"], report.failures):
         assert (got["check"], got["detail"]) == (failure.check, failure.detail)
         assert path_from_json_dict(got["witness"]) == failure.witness
+
+
+def test_verify_maps_each_floor_through_the_shared_bodies(monkeypatch):
+    # the walk calls the one body of each rule; a private copy of one in
+    # the walk would leave its counter short
+    from rankone import diagram, isomorphism
+
+    calls = Counter()
+
+    def counted(module, name):
+        body = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return body(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_to_target", "_level_indices", "_from_tower_coordinates"):
+        counted(isomorphism, name)
+    counted(diagram, "_step")
+    assert verify_isomorphism(build_expansive(CHACON, 4), 4).paths_tested == 9841
+    assert calls == {
+        "_to_target": 9841,
+        "_level_indices": 19682,
+        "_from_tower_coordinates": 6514,
+        "_step": 19681,
+    }

@@ -293,14 +293,14 @@ def test_exact_totals_equal_the_sequential_sum(schedule, n):
 
 def test_validate_partial_sum_budget():
     # each of chacon's partial sums S_k takes up to 2 * sum_{j<=k} bits(h_j)
-    # bits; S_1..S_k together first pass 2^26 bytes at level 1004, refused
-    # before any sum is added
-    _check_partial_sums(ParamSchedule(CHACON.stages, 1), 1003)
+    # bits plus PARTIAL_SUM_ENTRY_BYTES; S_1..S_k together first pass 2^26
+    # bytes at level 1003, refused before any sum is added
+    _check_partial_sums(ParamSchedule(CHACON.stages, 1), 1002)
     with pytest.raises(BudgetError, match=(
-        "^partial sum list needs up to 67172610 bytes by level 1004, "
+        "^partial sum list needs up to 67144947 bytes by level 1003, "
         "over the budget of 67108864$"
     )):
-        validate(ParamSchedule(CHACON.stages, 1), 1004)
+        validate(ParamSchedule(CHACON.stages, 1), 1003)
     # a zero term adds nothing to the denominators: the odometer's sums stay 0
     assert validate(ParamSchedule(ODOMETER.stages, 1), 2000).partial_sums[-1] == 0
 
