@@ -165,7 +165,7 @@ def _to_source(
     raises ValueError when the source tower m+1 has no such floor.
     """
     if y.root == ROOT_NONSPACER:
-        return _new(AdicPath, (ROOT_NONSPACER, y.edges))
+        return y  # a path of tower edges is its own preimage
     return _from_tower_coordinates(hs, table, jy.start, jy.values[0], y.edges[jy.start:])
 
 
