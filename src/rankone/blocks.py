@@ -30,7 +30,8 @@ def build_block(schedule: ParamSchedule, n: int) -> str:
 
     The block is kept as b followed by a run of 1s: a single-copy level
     only lengthens the run, so a q = 1 tail costs no rebuild, and a level
-    of q >= 2 copies joins them once, each with its run of 1s.
+    of q >= 2 copies joins them once, each followed by its run of 1s as a
+    separate piece, so no copy is built before the join.
     """
     h = 1
     for k, st in enumerate(_stages(schedule, 0, n), 1):
@@ -41,7 +42,9 @@ def build_block(schedule: ParamSchedule, n: int) -> str:
         if st.q == 1:
             run += st.a[0]
         else:
-            b, run = "".join(b + "1" * (run + x) for x in st.a), 0
+            pieces = [b] * (2 * st.q)
+            pieces[1::2] = ["1" * (run + x) for x in st.a]
+            b, run = "".join(pieces), 0
     return b + "1" * run
 
 

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Systems come from a JSON spec file or a named preset; subcommands cover
-heights, validation, blocks, telescoping, the expansive build and its
-one-tower variant, successor orbits, cylinder measures, DOT export,
-isomorphism verification, and the period-doubling gap check.  Output is
+heights, validation, blocks, telescoping, the expansive build,
+successor orbits, cylinder measures, DOT export, isomorphism
+verification, and the period-doubling gap check.  Output is
 deterministic: identical spec, flags, and seed give identical bytes.
 
 Each subcommand accepts only the flags its handler reads (see
@@ -12,12 +12,13 @@ it only excludes ``--samples``.  Any other flag is an argparse error.
 
 A handler ``_cmd_*(spec, args)`` returns ``(exit code, document, text)``
 and writes nothing to stdout; ``spec`` is None for ``pd-check``.
-``telescope``, ``expand`` and ``variant`` give no text, ``dot`` and
+``telescope`` and ``expand`` give no text, ``dot`` and
 ``expand --emit-blocks`` no document.  Only ``main`` reads ``--format``:
 it writes the text under ``--format text`` or when there is no document,
 else the document as JSON (a library object through its
 ``to_json_dict``), inside the handlers' error handling, so an unwritable
-``--out`` exits 2.
+``--out`` exits 2.  The JSON is encoded in full before any of it is
+written, so an encoding error leaves stdout empty.
 
 Exit codes: 0 success, 1 a verification found violations, 2 bad input
 or an unsatisfiable request.  A request past a size limit raises
@@ -66,7 +67,6 @@ from .telescoping import (
     SpacerReplacementError,
     build_expansive,
     expansive_replace,
-    one_tower_variant,
     telescope,
 )
 
@@ -125,49 +125,59 @@ def parse_spec(text: str) -> SystemSpec:
     return SystemSpec(schedule, levels)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: list[str], out: str | None) -> None:
     with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")  # a second write: text + "\n" would copy the output
+        fh.writelines(pieces)
+        if not pieces[-1].endswith("\n"):
+            fh.write("\n")
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _dumps(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
+def _dumps(doc) -> list[str]:
+    """The pieces of ``json.dumps(doc, sort_keys=True, indent=2)``, byte
+    for byte once joined.
 
     Before Python 3.13 any ``indent`` sends ``json`` to its pure-Python
     encoder, which yields once per element.  Here a container whose
     children are all plain scalars is written by one C-encoder call, with
     the newline and indent of its children inside the item separator, and
-    then framed; only containers holding anything else are walked.  A
-    library result is rendered through its own to_json_dict, only here.
+    then framed; only containers holding anything else are walked.  Every
+    piece is appended to one list, so no level copies what the levels
+    inside it wrote.  A library result is rendered through its own
+    to_json_dict, only here.
     """
     if not isinstance(doc, dict):
         doc = doc.to_json_dict()
-    return _write(doc, "\n")
+    pieces: list[str] = []
+    _write(doc, "\n", pieces)
+    return pieces
 
 
-def _write(value, newline: str) -> str:
+def _write(value, newline: str, pieces: list[str]) -> None:
     # newline is "\n" plus the indent of the line value starts on
     if not isinstance(value, (dict, list, tuple)) or not value:
-        return json.dumps(value)
+        pieces.append(json.dumps(value))
+        return
     inner = newline + "  "
     sep = "," + inner
     children = value.values() if isinstance(value, dict) else value
     # tested at C level: a generator here costs most of the gain
     if set(map(type, children)) <= _SCALARS:
         text = json.dumps(value, sort_keys=True, separators=(sep, ": "))
-    elif isinstance(value, dict):
-        # each key as the encoder writes it, quotes included, cut from {key: 0}
-        text = "{" + sep.join(
-            json.dumps({k: 0})[1:-4] + ": " + _write(v, inner) for k, v in sorted(value.items())
-        ) + "}"
-    else:
-        text = "[" + sep.join(_write(v, inner) for v in value) + "]"
-    return text[0] + inner + text[1:-1] + newline + text[-1]
+        pieces += (text[0] + inner, text[1:-1], newline + text[-1])
+        return
+    keyed = isinstance(value, dict)
+    lead = ("{" if keyed else "[") + inner  # what each child's text follows
+    for k, v in sorted(value.items()) if keyed else enumerate(value):
+        if keyed:
+            # each key as the encoder writes it, quotes included, cut from {key: 0}
+            lead += json.dumps({k: 0})[1:-4] + ": "
+        pieces.append(lead)
+        lead = sep
+        _write(v, inner, pieces)
+    pieces.append(newline + ("}" if keyed else "]"))
 
 
 def _stage_count(spec: SystemSpec, args: argparse.Namespace) -> int:
@@ -229,22 +239,6 @@ def _cmd_expand(spec: SystemSpec, args: argparse.Namespace) -> Result:
         return 0, model, None
     words = [build_block(model.target, n) for n in range(1, model.num_stages + 1)]
     return 0, None, "\n".join(words)
-
-
-def _cmd_variant(spec: SystemSpec, args: argparse.Namespace) -> Result:
-    tele = telescope(spec.schedule, _levels_for(spec, _stage_count(spec, args)))
-    if args.picks is None:
-        chosen = [st.q - 1 for st in tele.stages]
-    else:
-        try:
-            chosen = [int(p) for p in args.picks.split(",")]
-        except ValueError:
-            raise ValueError(
-                f"--picks must be comma-separated integers, got {args.picks!r}"
-            ) from None
-    modified = one_tower_variant(tele, chosen)
-    doc = {"m": list(tele.levels), "picks": chosen, "schedule": modified.to_json_dict()}
-    return 0, doc, None
 
 
 def _cmd_vershik(spec: SystemSpec, args: argparse.Namespace) -> Result:
@@ -335,7 +329,6 @@ _FLAGS = {
     "samples": {"type": int, "metavar": "K"},
     "exhaustive": {"action": "store_true"},
     "emit_blocks": {"action": "store_true"},
-    "picks": {"metavar": "I0,I1,..."},
     "format": {"choices": ["json", "text"]},
 }
 _POSITIVE = ("depth", "stages", "length", "samples")
@@ -351,7 +344,6 @@ COMMANDS = {
     "block": (_cmd_block, True, {"depth": 4, "format": "text"}),
     "telescope": (_cmd_telescope, True, {"stages": None}),
     "expand": (_cmd_expand, True, {"stages": None, "emit_blocks": False}),
-    "variant": (_cmd_variant, True, {"stages": None, "picks": None}),
     "vershik": (_cmd_vershik, True, {"depth": 4, "length": 64, "format": "text"}),
     "measure": (_cmd_measure, True, {"stages": 1, "depth": None, "format": "json"}),
     "dot": (_cmd_dot, True, {"depth": 3}),
@@ -404,9 +396,8 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.spec) as fh:
                     spec = parse_spec(fh.read())
         code, doc, text = handler(spec, args)
-        if doc is not None and getattr(args, "format", None) != "text":
-            text = _dumps(doc)
-        _emit(text, args.out)
+        json_out = doc is not None and getattr(args, "format", None) != "text"
+        _emit(_dumps(doc) if json_out else [text], args.out)
         return code
     except (DepthError, SpacerReplacementError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

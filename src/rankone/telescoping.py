@@ -167,9 +167,12 @@ class ExpansiveModel:
         return tuple(n for n, st in enumerate(self.target.stages) if st.q == 1)
 
     def to_json_dict(self) -> dict:
-        rows = zip(self.telescoped.stages, self.target.stages, self.cut, self.top_run)
+        tele = self.telescoped
+        rows = zip(tele.stages, self.target.stages, self.cut, self.top_run)
         return {
-            **self.telescoped.to_json_dict(),
+            "base": tele.base.to_json_dict(),
+            "m": list(tele.levels),
+            "H": list(tele.heights),
             "stages": [
                 {
                     "Q": st.q,
@@ -218,45 +221,6 @@ def expansive_replace(telescoped: TelescopedSchedule) -> ExpansiveModel:
         top_runs.append(top_run)
     target = ParamSchedule(tuple(stages), tail_period=None)
     return ExpansiveModel(telescoped, target, tuple(cuts), tuple(top_runs))
-
-
-def one_tower_variant(
-    telescoped: TelescopedSchedule, picks: Sequence[int]
-) -> ParamSchedule:
-    """Blank a single copy per stage instead of everything above the cut.
-
-    Contract at the block level: the new stage-(n+1) block equals the
-    telescoped one with copy picks[n] of the level-n block overwritten
-    by H_n spacer symbols.  In run arithmetic the blanked copy merges
-    its neighbouring runs: A[p-1] + H_n + A[p] at slot p-1, with later
-    runs shifting down.  picks[n] = 0 would put the merged run before
-    the first copy, which no stage of this form can express, so it is
-    rejected.
-    """
-    if len(picks) != telescoped.num_stages:
-        raise ValueError(
-            f"need {telescoped.num_stages} picks, got {len(picks)}"
-        )
-    stages = []
-    for n, st in enumerate(telescoped.stages):
-        p = picks[n]
-        high = telescoped.heights[n]
-        if st.q < 2:
-            raise SpacerReplacementError(
-                f"stage {n}: a single-copy stage (Q={st.q}) cannot lose a copy"
-            )
-        if p == 0:
-            raise ValueError(
-                f"stage {n}: pick 0 would leave a spacer run before the first copy"
-            )
-        if not 1 <= p <= st.q - 1:
-            raise ValueError(f"stage {n}: pick {p} outside 1..{st.q - 1}")
-        a = list(st.a)
-        merged = a[p - 1] + high + a[p]
-        new = Stage(st.q - 1, tuple(a[: p - 1] + [merged] + a[p + 1:]))
-        assert new.q * high + new.spacer_sum == st.q * high + st.spacer_sum
-        stages.append(new)
-    return ParamSchedule(tuple(stages), tail_period=None)
 
 
 def build_expansive(schedule: ParamSchedule, stages: int) -> ExpansiveModel:

@@ -182,19 +182,6 @@ def test_telescope_deterministic(capsys):
     assert doc["H"] == [1, 4, 40]
 
 
-def test_variant_default_and_bad_picks(capsys):
-    assert main(["variant", "--preset", "chacon", "--stages", "2"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["picks"] == [2, 8]  # defaults to the last copy per stage
-    assert main(["variant", "--preset", "chacon", "--stages", "2", "--picks", "0,8"]) == 2
-    assert "error:" in capsys.readouterr().err
-    # a pick that is not an integer is named with the flag
-    assert main(["variant", "--preset", "chacon", "--stages", "2", "--picks", "1,x"]) == 2
-    assert capsys.readouterr().err == (
-        "error: --picks must be comma-separated integers, got '1,x'\n"
-    )
-
-
 def test_vershik_word(capsys):
     assert main(["vershik", "--preset", "chacon", "--depth", "2", "--length", "13"]) == 0
     assert capsys.readouterr().out == "0010001010010\n"
@@ -365,6 +352,13 @@ def test_schedule_less_preset_rejected(capsys):
     assert "invalid choice: 'period-doubling'" in capsys.readouterr().err
 
 
+def test_removed_variant_subcommand_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["variant", "--preset", "chacon"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'variant'" in capsys.readouterr().err
+
+
 def test_spec_file_round_trip(tmp_path, capsys):
     spec = tmp_path / "sys.json"
     spec.write_text(json.dumps({"schedule": CHACON_DOC, "telescope_levels": [0, 1, 3]}))
@@ -408,7 +402,6 @@ READS = {
     "block": {"--depth", "--format"},
     "telescope": {"--stages"},
     "expand": {"--stages", "--emit-blocks"},
-    "variant": {"--stages", "--picks"},
     "vershik": {"--depth", "--length", "--format"},
     "measure": {"--stages", "--depth", "--format"},
     "dot": {"--depth"},
@@ -458,7 +451,7 @@ def test_unused_flag_combinations_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: --seed needs --samples")
     spec = tmp_path / "sys.json"
     spec.write_text(json.dumps({"schedule": CHACON_DOC, "telescope_levels": [0, 1, 3]}))
-    for command in ("telescope", "expand", "variant"):
+    for command in ("telescope", "expand"):
         assert main([command, "--spec", str(spec), "--stages", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --stages conflicts with $.telescope_levels")
@@ -587,10 +580,6 @@ def test_validate_text_at_large_depth(capsys):
             ["expand", "--preset", "dyadic-odometer", "--stages", "2", "--emit-blocks"],
             "8af32e69385d0d8037353d23eda71903fc2bccbbd23ea79ba266777b8cd0d583",
         ),
-        (
-            ["variant", "--preset", "chacon", "--stages", "2", "--picks", "2,8"],
-            "9ab25293e55be733cddb747827e1ffba63c597347692881c385f155992a4675d",
-        ),
     ],
 )
 def test_readme_output_digest(argv, digest, capsys):
@@ -633,14 +622,13 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
         "ab004a6f8a358055a63166c6b08ba08d31cc117cb01f77598edcfb106b3c1d94"
     )
     # the greedy walk reads at most MAX_WALK_LEVELS levels of heights
-    for argv in (["telescope", "--stages", "7"], ["variant", "--stages", "8"]):
-        t0 = time.perf_counter()
-        assert main([argv[0], "--spec", str(spec), *argv[1:]]) == 2
-        assert time.perf_counter() - t0 < 5.0
-        assert capsys.readouterr() == (
-            "",
-            "error: stage walk needs 2097153 levels, over the budget of 2097152\n",
-        )
+    t0 = time.perf_counter()
+    assert main(["telescope", "--spec", str(spec), "--stages", "7"]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr() == (
+        "",
+        "error: stage walk needs 2097153 levels, over the budget of 2097152\n",
+    )
 
 
 def test_validate_partial_sums_fail_fast(tmp_path, capsys):
@@ -839,7 +827,7 @@ _JSON_DOCS = st.recursive(
 # keys that are not str are quoted, as json writes them
 @example({1: [[]], -3: {2.5: [1], False: [[]]}, 7: {None: [[]]}})
 def test_dumps_is_json_dumps(doc):
-    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert "".join(_dumps(doc)) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 # every subcommand that writes a document, on both presets, in its JSON form
@@ -866,11 +854,16 @@ def test_int_digit_limit_still_raises(capsys):
     # digit limit still applies, whichever path an int takes through it
     for doc in ({"h": 10**5000}, {"h": [10**5000]}, {"h": [10**5000, []]}):
         with pytest.raises(ValueError, match="Exceeds the limit"):
-            _dumps(doc)
-    # the benchmark's known-defect probe: validate's JSON partial sums pass it
-    assert main(["validate", "--preset", "chacon", "--depth", "600"]) == 2
-    assert capsys.readouterr() == (
-        "",
-        "error: Exceeds the limit (4300 digits) for integer string conversion; "
-        "use sys.set_int_max_str_digits() to increase the limit\n",
-    )
+            "".join(_dumps(doc))
+    # the benchmark's known-defect probe: validate's JSON partial sums pass
+    # it; chacon's heights pass it from h_9013 on, after 9,013 heights are
+    # encoded: the whole document is encoded before any of it is written,
+    # so stdout stays empty
+    for argv in (["validate", "--preset", "chacon", "--depth", "600"],
+                 ["heights", "--preset", "chacon", "--depth", "9200"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: Exceeds the limit (4300 digits) for integer string conversion; "
+            "use sys.set_int_max_str_digits() to increase the limit\n",
+        )

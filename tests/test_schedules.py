@@ -21,11 +21,22 @@ from rankone import (
     choose_telescoping_levels,
     heights,
     spacer_ratio_sum,
-    tail_diverges,
     tail_mass_bound,
     validate,
 )
 from rankone.schedules import MAX_WALK_LEVELS, _check_partial_sums, _ratio_terms
+
+
+def tail_diverges(schedule: ParamSchedule) -> bool:
+    """True when the spacer-ratio series provably diverges.
+
+    An all-q=1 tail with some positive spacer sum grows heights only
+    linearly, so the terms behave harmonically: the partial products
+    prod h_k/h_{k+1} = h_start/h_K tend to zero, which is equivalent to
+    divergence of sum (1 - h_k/h_{k+1}) = sum spacers_k / h_{k+1}.
+    """
+    summary = schedule._tail_summary
+    return summary is not None and summary[0] == 1 and summary[1] > 0
 
 
 def test_heights_known_values():

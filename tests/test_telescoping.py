@@ -20,7 +20,6 @@ from rankone import (
     digit_decomposition,
     expansive_replace,
     heights,
-    one_tower_variant,
     telescope,
 )
 from rankone.schedules import MAX_WALK_LEVELS
@@ -184,46 +183,6 @@ def test_replace_invariants(schedule):
     for new, old, top_run, low in zip(rep.stages, tele.stages, model.top_run, tele.heights):
         assert top_run > max(old.a)
         assert new.spacer_sum <= 2 * old.spacer_sum + low
-
-
-def test_variant_known_values():
-    tele = telescope(CHACON, [0, 1, 3])
-    got = one_tower_variant(tele, [2, 8])
-    assert got.stages == (Stage(2, (0, 2)), Stage(8, (0, 1, 0, 0, 1, 1, 0, 5)))
-    assert got.tail_period is None
-    assert heights(got, 2) == [1, 4, 40]
-
-
-def test_variant_pick_validation():
-    tele = telescope(CHACON, [0, 1, 3])
-    with pytest.raises(ValueError):
-        one_tower_variant(tele, [2])  # wrong count
-    with pytest.raises(ValueError):
-        one_tower_variant(tele, [0, 8])  # leading spacer run not expressible
-    with pytest.raises(ValueError):
-        one_tower_variant(tele, [3, 8])  # outside 1..q-1
-    with pytest.raises(SpacerReplacementError):
-        one_tower_variant(_single(Stage(1, (1,))), [1])
-
-
-@given(schedules(allow_bare=False), st.data())
-def test_variant_block_surgery(schedule, data):
-    tele = telescope(schedule, [0, 1, schedule.prefix_len + 1])
-    picks = [
-        data.draw(st.integers(1, s.q - 1), label=f"pick{n}")
-        for n, s in enumerate(tele.stages)
-    ]
-    variant = one_tower_variant(tele, picks)
-    # per stage, the new block is the old concatenation with copy p
-    # overwritten by spacer symbols, assembled over the variant's own
-    # lower block
-    for n, st_n in enumerate(tele.stages):
-        w = build_block(variant, n)
-        parts = []
-        for i in range(st_n.q):
-            body = "1" * len(w) if i == picks[n] else w
-            parts.append(body + "1" * st_n.a[i])
-        assert "".join(parts) == build_block(variant, n + 1)
 
 
 def test_build_expansive_known_models():
