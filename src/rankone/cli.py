@@ -252,7 +252,7 @@ def _cmd_vershik(spec: SystemSpec, args: argparse.Namespace) -> Result:
         return 0, doc, coding.word
     # written before main writes the partial word
     sys.stderr.write(
-        f"orbit overflowed depth {coding.overflow.depth} after "
+        f"error: orbit overflowed depth {coding.overflow.depth} after "
         f"{len(coding.word)} symbols; increase --depth\n"
     )
     return 2, doc, coding.word

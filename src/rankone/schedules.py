@@ -48,8 +48,9 @@ class BudgetError(ValueError):
 DEFAULT_SYMBOL_BUDGET = 1 << 26
 # the most floors one verify walk maps: chacon's depth-5 fiber, 797,161 floors in 30 s, fits
 VERIFY_WALK_BUDGET = 1 << 20
-# the deepest level any stage resolution reads: past a q = 1 tail the greedy walk's next
-# window is exponentially far, and a spec's levels or a --depth may name any level
+# the deepest level a walk reads: a spec's levels or a --depth may name any level, and
+# the height walk, which has no last level, stops here; the greedy walk steps a q = 1
+# tail a period at a time and refuses a level past it as the height walk would
 MAX_WALK_LEVELS = 1 << 21
 # MAX_WALK_LEVELS + 1 heights, each below this one, fit DEFAULT_SYMBOL_BUDGET bytes: the
 # height walk sizes only larger heights, since a budget check on every level costs time
@@ -126,12 +127,13 @@ class ParamSchedule:
         and whether some tail stage ends in a positive spacer run; None for
         a bare prefix.  Raises ScheduleError on a bad tail stage.
 
-        The only reader of ``tail_stages``: every tail question is answered
-        from this summary, so each meets the same structural check.
+        The only reader of the tail's stages as a group: every tail
+        question is answered from this summary, so each meets the same
+        structural check.
         """
-        tail = self.tail_stages()
-        if not tail:
+        if self.tail_period is None:
             return None
+        tail = self.stages[len(self.stages) - self.tail_period:]
         if any(self._problems[-len(tail):]):
             raise ScheduleError("tail contains a structurally invalid stage")
         final_runs = any(st.a[-1] for st in tail)
@@ -152,15 +154,13 @@ class ParamSchedule:
     def stage(self, n: int) -> Stage:
         """Resolve stage n, reading through the periodic tail when present.
 
-        A walk to a requested level meets its depth rule in ``_stages``,
-        which refuses the level before any stage is read; n >= MAX_WALK_LEVELS
-        is refused here too, with the same BudgetError, for the greedy walk,
-        which has no last level, and for direct calls.
+        Any n >= 0 resolves: a walk to a requested level meets its depth
+        rule in ``_stages``, which refuses the level before any stage is
+        read, and the height walk, which has no last level, stops itself at
+        MAX_WALK_LEVELS.
         """
         if n < 0:
             raise ValueError(f"stage index {n} < 0")
-        if n >= MAX_WALK_LEVELS:
-            _check_budget("stage walk", n + 1, "levels", MAX_WALK_LEVELS)
         count = len(self.stages)
         if n < count:
             idx = n
@@ -173,12 +173,6 @@ class ParamSchedule:
         if self._problems[idx]:
             raise ScheduleError(f"stage {n}: " + "; ".join(self._problems[idx]))
         return self.stages[idx]
-
-    def tail_stages(self) -> tuple[Stage, ...]:
-        """The repeating part; empty for a bare prefix."""
-        if self.tail_period is None:
-            return ()
-        return self.stages[len(self.stages) - self.tail_period:]
 
     def to_json_dict(self) -> dict:
         tail: dict = (
@@ -306,15 +300,18 @@ def _height_walk(schedule: ParamSchedule, k: int) -> Iterator[int]:
     decrease, so (k + 1) times the bytes of h_k bounds h_0..h_k.  Each
     entry is written at its index from the entry below it, so a walker in
     another thread at the same level rewrites the same value and a reader
-    never sees a wrong list.  A bad or missing stage, or one past
-    MAX_WALK_LEVELS, raises where ``stage`` reads it.
+    never sees a wrong list.  A bad or missing stage raises where ``stage``
+    reads it.  The walk has no last level of its own, so it stops at level
+    MAX_WALK_LEVELS: the next level is refused with the depth rule's
+    BudgetError, ``stage walk needs 2097153 levels, ...``, before its stage
+    is read.
     """
     hs = schedule._heights
     while k < len(hs):
         yield hs[k]
         k += 1
     stage, h = schedule.stage, hs[k - 1]
-    while True:
+    for k in range(k, MAX_WALK_LEVELS + 1):
         st = stage(k - 1)
         h = st.q * h + st.spacer_sum
         if h >= _SMALL_HEIGHT:
@@ -322,7 +319,7 @@ def _height_walk(schedule: ParamSchedule, k: int) -> Iterator[int]:
                           DEFAULT_SYMBOL_BUDGET, k, bound="up to ")
         hs[k:k + 1] = (h,)
         yield h
-        k += 1
+    _check_budget("stage walk", MAX_WALK_LEVELS + 1, "levels", MAX_WALK_LEVELS)
 
 
 def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -551,23 +548,43 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     from the height walk, which reads the kept heights first and checks
     each level past them against the size budget before keeping it, so
     a refusal names the first level over the budget, as ``heights`` does.
-    The walk fails only on reaching a bad or missing stage or one past
-    MAX_WALK_LEVELS (``stage`` refuses those), and on every level raises
-    DepthError rather than step past a frozen tail.
+    That walk fails only on reaching a bad or missing stage, or the level
+    past MAX_WALK_LEVELS.
+
+    A tail whose q product is 1 cuts nothing, so it is walked only through
+    the explicit prefix.  From level c = prefix - p on, each period of p
+    levels adds the tail's spacer total s: h_{c+r+jp} = h_{c+r} + j s for
+    r < p.  Every next level is then the least c + r + j p whose height
+    reaches the target, one minimum over the p residues, and no stage is
+    read.  A level past MAX_WALK_LEVELS is refused as the height walk
+    refuses it, and on a frozen tail (s = 0) no level reaches the target,
+    so DepthError is raised instead.
     """
-    frozen_tail = schedule._tail_summary == (1, 0, False)
+    summary = schedule._tail_summary
+    # a q = 1 tail is walked only through the prefix, then stepped a period at a time
+    stop = schedule.prefix_len if summary and summary[0] == 1 else None
 
     def walk() -> Iterator[int]:
         target = scale = growth_base  # times h_0 = 1
-        for level, h in enumerate(_height_walk(schedule, 1), 1):
+        for level, h in enumerate(islice(_height_walk(schedule, 1), stop), 1):
             if h >= target:
                 yield level
                 scale *= growth_base
                 target = scale * h
-            # past the prefix a frozen tail keeps h, which is below target
-            if frozen_tail and level >= schedule.prefix_len:
-                raise DepthError(
-                    f"periodic tail adds no height growth; cannot reach h >= {target}"
-                )
+        # only a q = 1 tail gets here, and no level up to the prefix reaches target
+        p, c = schedule.tail_period, stop - schedule.tail_period
+        hs = heights(schedule, stop)[c:]  # h_c..h_{c+p}
+        s = hs[p] - hs[0]
+        if not s:
+            raise DepthError(f"periodic tail adds no height growth; cannot reach h >= {target}")
+        while True:
+            # each residue r's least j with h_{c+r} + j s >= target
+            level, h = min((c + r + j * p, hs[r] + j * s)
+                           for r in range(p) for j in [-((hs[r] - target) // s)])
+            # the height walk would refuse the first level past the cap
+            _check_budget("stage walk", min(level, MAX_WALK_LEVELS + 1), "levels", MAX_WALK_LEVELS)
+            yield level
+            scale *= growth_base
+            target = scale * h
 
     return walk()

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line entry point."""
 
+import dataclasses
 import hashlib
 import json
 import operator
@@ -21,8 +22,10 @@ from rankone import (
     ParamSchedule,
     PathError,
     ScheduleError,
+    build_expansive,
     path_from_json_dict,
     telescope,
+    verify_isomorphism,
 )
 from rankone.cli import (
     CHACON,
@@ -189,7 +192,7 @@ def test_vershik_word(capsys):
     assert main(["vershik", "--preset", "chacon", "--depth", "1", "--length", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "0010\n"
-    assert "overflow" in captured.err
+    assert captured.err == "error: orbit overflowed depth 1 after 4 symbols; increase --depth\n"
 
 
 def test_measure_json(capsys):
@@ -217,6 +220,22 @@ def test_verify_text_and_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert doc["paths_tested"] == 10
+
+
+def test_verify_failure_lists_each_check(monkeypatch, capsys):
+    # a model with a wrong cut, as in test_verify_detects_wrong_cut: exit 1,
+    # one line per failing check in sorted order, then FAIL
+    model = build_expansive(CHACON, 3)
+    bad = dataclasses.replace(model, cut=(0,) + model.cut[1:])
+    monkeypatch.setattr("rankone.cli._expansive_model", lambda spec, stages: bad)
+    assert main(["verify", "--preset", "chacon", "--depth", "3"]) == 1
+    report = verify_isomorphism(bad, 3)
+    counts = sorted(report.failure_counts().items())
+    assert counts
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"depth 3: tested {report.paths_tested} paths, {len(report.failures)} failures"
+    assert lines[1:1 + len(counts)] == [f"  {check}: {count}" for check, count in counts]
+    assert lines[-1] == "FAIL"
 
 
 def test_verify_samples_past_sys_maxsize(capsys):
@@ -621,10 +640,11 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ab004a6f8a358055a63166c6b08ba08d31cc117cb01f77598edcfb106b3c1d94"
     )
-    # the greedy walk reads at most MAX_WALK_LEVELS levels of heights
+    # the greedy walk steps the q = 1 tail a period at a time, and refuses
+    # the seventh level, past MAX_WALK_LEVELS, as the height walk would
     t0 = time.perf_counter()
     assert main(["telescope", "--spec", str(spec), "--stages", "7"]) == 2
-    assert time.perf_counter() - t0 < 5.0
+    assert time.perf_counter() - t0 < 0.5
     assert capsys.readouterr() == (
         "",
         "error: stage walk needs 2097153 levels, over the budget of 2097152\n",

@@ -1,6 +1,8 @@
 """Stage schedules: resolution, heights, ratio sums, level selection."""
 
+import time
 from fractions import Fraction
+from itertools import islice
 from math import prod
 from pathlib import Path
 
@@ -24,7 +26,12 @@ from rankone import (
     tail_mass_bound,
     validate,
 )
-from rankone.schedules import MAX_WALK_LEVELS, _check_partial_sums, _ratio_terms
+from rankone.schedules import (
+    MAX_WALK_LEVELS,
+    _check_partial_sums,
+    _greedy_levels,
+    _ratio_terms,
+)
 
 
 def tail_diverges(schedule: ParamSchedule) -> bool:
@@ -62,13 +69,11 @@ def test_tail_resolution_indexing():
     assert sched.stage(4) == s2
     assert sched.stage(5) == s1
     assert sched.stage(100) == s2  # (100 - 3) odd steps into the (s1, s2) loop
-    assert sched.tail_stages() == (s1, s2)
     with pytest.raises(ValueError, match=r"^stage index -1 < 0$"):
         sched.stage(-1)
-    # every level walk resolves its stages here, so none reads past the level budget
+    # the level cap belongs to the walks, so any one stage resolves
     assert CHACON.stage(MAX_WALK_LEVELS - 1) == CHACON.stages[0]
-    with pytest.raises(BudgetError, match="^stage walk needs 2097153 levels, over the budget of 2097152$"):
-        CHACON.stage(MAX_WALK_LEVELS)
+    assert CHACON.stage(MAX_WALK_LEVELS) == CHACON.stages[0]
 
 
 def test_bare_prefix_depth_error():
@@ -343,7 +348,9 @@ def test_choose_levels_frozen_tail():
 
 def test_choose_levels_walk_budget():
     # heights grow by 3 per level past level 1, so each window is about
-    # 2^j times further up; the seventh lies past MAX_WALK_LEVELS
+    # 2^j times further up; the seventh lies past MAX_WALK_LEVELS.  The
+    # walk steps the q = 1 tail a period at a time, so it reads no tail stage
+    t0 = time.perf_counter()
     linear = ParamSchedule(
         (Stage(2, (0, 2)), Stage(4, (1, 3, 0, 0)), Stage(1, (2,)), Stage(1, (3,))),
         tail_period=1,
@@ -353,6 +360,17 @@ def test_choose_levels_walk_budget():
     assert levels[-1] <= MAX_WALK_LEVELS
     with pytest.raises(BudgetError, match="^stage walk needs 2097153 levels, over the budget of 2097152$"):
         choose_telescoping_levels(linear, 7)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_height_walk_stops_at_the_level_cap(monkeypatch):
+    # a q >= 2 tail is walked level by level, and the height walk stops
+    # itself at MAX_WALK_LEVELS; chacon's greedy levels are 1, 3, 5, 8, 12
+    monkeypatch.setattr("rankone.schedules.MAX_WALK_LEVELS", 10)
+    chacon = ParamSchedule(CHACON.stages, CHACON.tail_period)  # no heights kept yet
+    assert choose_telescoping_levels(chacon, 4) == [0, 1, 3, 5, 8]
+    with pytest.raises(BudgetError, match="^stage walk needs 11 levels, over the budget of 10$"):
+        choose_telescoping_levels(chacon, 5)
 
 
 def test_choose_levels_bad_args():
@@ -458,15 +476,15 @@ class _WalkTooLong(Exception):
     pass
 
 
-def _reference_levels(schedule, count, limit=10_000):
+def _reference_levels(schedule, count, growth_base=2, limit=10_000):
     """The greedy levels by reading one reference stage per level."""
-    tail = schedule.tail_stages()
+    tail = () if schedule.tail_period is None else schedule.stages[-schedule.tail_period:]
     if any(stage.issues() for stage in tail):
         raise ScheduleError("tail contains a structurally invalid stage")
     frozen = bool(tail) and all(stage.q == 1 and not any(stage.a) for stage in tail)
     levels, hs = [0], [1]
     for j in range(1, count + 1):
-        target = 2**j * hs[levels[-1]]
+        target = growth_base**j * hs[levels[-1]]
         while True:
             if frozen and len(hs) > schedule.prefix_len:
                 raise DepthError(
@@ -482,13 +500,32 @@ def _reference_levels(schedule, count, limit=10_000):
     return levels
 
 
-@given(any_schedules(), st.integers(0, 3))
-def test_choose_levels_matches_reference_walk(schedule, count):
+def _greedy(schedule, count, growth_base):
+    """choose_telescoping_levels with any growth base."""
+    return [0, *islice(_greedy_levels(schedule, growth_base), count)]
+
+
+@st.composite
+def q1_tail_schedules(draw):
+    """Up to 3 explicit stages (q 1-3, runs 0-4), then a periodic tail of 1-4
+    stages with q = 1: frozen when every run is 0, linear otherwise."""
+    stages = []
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(st.integers(1, 3))
+        stages.append(Stage(q, tuple(draw(st.lists(st.integers(0, 4), min_size=q, max_size=q)))))
+    period = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([0, 4, 4]))  # a frozen tail or, mostly, a linear one
+    stages += [Stage(1, (draw(st.integers(0, top)),)) for _ in range(period)]
+    return ParamSchedule(tuple(stages), tail_period=period)
+
+
+@given(any_schedules() | q1_tail_schedules(), st.integers(0, 3), st.integers(2, 4))
+def test_choose_levels_matches_reference_walk(schedule, count, growth_base):
     try:
-        expected = _outcome(_reference_levels, schedule, count)
+        expected = _outcome(_reference_levels, schedule, count, growth_base)
     except _WalkTooLong:
         return
-    assert _outcome(choose_telescoping_levels, schedule, count) == expected
+    assert _outcome(_greedy, schedule, count, growth_base) == expected
 
 
 @given(any_schedules(), st.integers(0, 6))
