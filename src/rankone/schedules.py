@@ -556,9 +556,11 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     levels adds the tail's spacer total s: h_{c+r+jp} = h_{c+r} + j s for
     r < p.  Every next level is then the least c + r + j p whose height
     reaches the target, one minimum over the p residues, and no stage is
-    read.  A level past MAX_WALK_LEVELS is refused as the height walk
-    refuses it, and on a frozen tail (s = 0) no level reaches the target,
-    so DepthError is raised instead.
+    read.  Such a level is refused as the height walk would refuse it: past
+    MAX_WALK_LEVELS, or when some level up to it passes the height budget,
+    which only a height of 2^255 or more can, and which the height walk is
+    then run to name.  On a frozen tail (s = 0) no level reaches the
+    target, so DepthError is raised instead.
     """
     summary = schedule._tail_summary
     # a q = 1 tail is walked only through the prefix, then stepped a period at a time
@@ -578,10 +580,15 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
         if not s:
             raise DepthError(f"periodic tail adds no height growth; cannot reach h >= {target}")
         while True:
-            # each residue r's least j with h_{c+r} + j s >= target
-            level, h = min((c + r + j * p, hs[r] + j * s)
-                           for r in range(p) for j in [-((hs[r] - target) // s)])
-            # the height walk would refuse the first level past the cap
+            # residue r's least level c + r + j p with h_{c+r} + j s >= target
+            level = min(c + r - (hs[r] - target) // s * p for r in range(p))
+            # the height walk would refuse the first level over the height budget, and that
+            # cost grows with the level, so checking the last one suffices; else the cap
+            last = min(level, MAX_WALK_LEVELS)
+            j, r = divmod(last - c, p)
+            h = hs[r] + j * s
+            if (last + 1) * h.bit_length() // 8 > DEFAULT_SYMBOL_BUDGET:
+                heights(schedule, last)  # walks to that level and refuses it
             _check_budget("stage walk", min(level, MAX_WALK_LEVELS + 1), "levels", MAX_WALK_LEVELS)
             yield level
             scale *= growth_base

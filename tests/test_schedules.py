@@ -373,6 +373,23 @@ def test_height_walk_stops_at_the_level_cap(monkeypatch):
         choose_telescoping_levels(chacon, 5)
 
 
+@pytest.mark.parametrize(("tail_spacers", "levels", "refusal"), [
+    (2**300, [0, 1, 5, 41, 657], "needs up to 65543 bytes by level 1685"),  # below the cap
+    (1, [0, 1], "needs up to 65542 bytes by level 1741"),  # past the cap
+], ids=["below-the-cap", "past-the-cap"])
+def test_q1_tail_step_refuses_over_the_height_budget(monkeypatch, tail_spacers, levels, refusal):
+    # heights past 2^255 are sized against the height budget; the period step
+    # refuses the level the level-by-level height walk refuses first
+    monkeypatch.setattr("rankone.schedules.DEFAULT_SYMBOL_BUDGET", 1 << 16)
+    schedule = ParamSchedule((Stage(1, (2**300,)), Stage(1, (tail_spacers,))), tail_period=1)
+    message = f"^height list {refusal}, over the budget of 65536$"
+    assert choose_telescoping_levels(schedule, len(levels) - 1) == levels
+    with pytest.raises(BudgetError, match=message):
+        choose_telescoping_levels(schedule, len(levels))
+    with pytest.raises(BudgetError, match=message):
+        heights(schedule, MAX_WALK_LEVELS)
+
+
 def test_choose_levels_bad_args():
     with pytest.raises(ValueError):
         choose_telescoping_levels(CHACON, -1)
