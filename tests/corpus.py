@@ -112,7 +112,8 @@ def _preset_invocations(preset: str) -> list[list[str]]:
 def invocations() -> list[list[str]]:
     """Every argv of the corpus, spec paths under PLACEHOLDER."""
     out = _preset_invocations("chacon") + _preset_invocations("dyadic-odometer")
-    for length in ("16", "1000", "16384"):
+    # 2^26 is the longest word pd-check counts in, and one symbol more is refused
+    for length in ("16", "1000", "16384", "67108864", "67108865"):
         out += [["pd-check", "--length", length, "--format", fmt] for fmt in ("text", "json")]
     for name in spec_documents():
         spec = ["--spec", f"{PLACEHOLDER}/{name}"]
