@@ -15,7 +15,6 @@ so a refusal never walks the heights past that level.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, ParamSchedule, _check_budget, _stages
@@ -86,88 +85,57 @@ def kalikow_sup_condition(schedule: ParamSchedule, depth: int) -> KalikowReport:
     return KalikowReport(tuple(witnesses), verdict)
 
 
-def period_doubling_prefix(length: int) -> str:
-    """Prefix of the fixed point of 0 -> 01, 1 -> 00 starting from 0; its
-    length is checked against the symbol budget first."""
-    if length < 1:
-        raise ValueError(f"length {length} < 1")
-    _check_budget("period-doubling prefix", length, "symbols", DEFAULT_SYMBOL_BUDGET)
-    w = "0"
-    while len(w) < length:
-        # s^{n+1}(0) = s^n(0) s^n(1), and s^n(1) is s^n(0) with its last symbol flipped
-        w += w[:-1] + ("1" if w[-1] == "0" else "0")
-    return w[:length]
-
-
-class _Indicator(dict):
-    """A ``str.translate`` table: c to "1", every other character to "0".
-    On ASCII text CPython caches each character's translation, so one
-    translate runs at C speed; other text calls ``__missing__`` per symbol."""
-
-    def __init__(self, c: str):
-        super().__init__({ord(c): "1"})
-
-    def __missing__(self, key: int) -> str:
-        return "0"
-
-
-# a byte with a set bit
-_NONZERO = re.compile(rb"[^\x00]")
-
-
 @dataclass(frozen=True)
 class Occurrences:
     count: int
     distinct_gaps: tuple[int, ...]
 
 
-def occurrence_spacing(w: str, pattern: str) -> Occurrences:
-    """How many (possibly overlapping) matches there are, and the sorted
-    distinct gaps between consecutive match positions.
+def period_doubling_occurrences(length: int, pattern: str) -> Occurrences:
+    """How many (possibly overlapping) matches of pattern the length-symbol
+    prefix of the period-doubling word has, and the sorted distinct gaps
+    between consecutive match starts; the length is checked against the
+    symbol budget first.
 
-    Bit-parallel (shift-and): the word is read as one big int per pattern
-    character, whose bit len(w) - 1 - i is set where w[i] is that
-    character.  Shifting the indicator of pattern[j] left by j and ANDing
-    over j sets bit len(w) - 1 - i exactly where a match starts at i.  Each
-    set bit but the lowest has a gap to the next lower one; round g clears
-    the bits whose gap is g.  Gaps are disjoint parts of the word, so once
-    round g is done fewer than len(w) / (g + 1) bits are left: at most 64
-    rounds leave at most len(w) / 64, and a scan of the masks' bytes, one
-    per 8 symbols, reads each of their gaps.  The cost is O(len(w)) bit
-    operations per round, whatever the number of matches.
+    The word, the fixed point of 0 -> 01, 1 -> 00 starting from 0, is never
+    built.  Its blocks A_n = s^n(0) and B_n = s^n(1) grow as A_{n+1} = A_n B_n
+    and B_{n+1} = A_n A_n from A_0 = "0" and B_0 = "1", and the prefix is
+    A_{n1} A_{n2} ... over the set bits n1 > n2 > ... of length: the block
+    after a prefix of 2^{n1} + ... + 2^{n(i-1)} symbols is s^{ni} of a symbol
+    at an even index, and every such symbol is 0.  A segment is summarised
+    by its length, match count, first and last match, distinct gaps, and
+    its first and last len(pattern) - 1 symbols; two summaries join by
+    adding the matches that cross the seam, so each of the O(log length)
+    joins reads at most 2 len(pattern) - 2 symbols.
     """
+    if length < 1:
+        raise ValueError(f"length {length} < 1")
+    _check_budget("period-doubling prefix", length, "symbols", DEFAULT_SYMBOL_BUDGET)
     if not pattern:
         raise ValueError("empty pattern")
-    n = len(w)
-    if len(pattern) > n:
+    if len(pattern) > length:
         raise ValueError("pattern longer than the word")
-    # base 2 is exempt from the int <-> str digit limit
-    indicator = {c: int(w.translate(_Indicator(c)), 2) for c in set(pattern)}
-    mask = -1
-    for j, c in enumerate(pattern):
-        mask &= indicator[c] << j
-    gaps = set()
-    rest, g = mask & (mask - 1), 0  # every match but the last in the word
-    while rest.bit_count() * 64 > n:
-        g += 1
-        hits = rest & (mask << g)
-        if hits:
-            gaps.add(g)
-            rest ^= hits
-    if rest:
-        # big-endian bytes of equal length, so byte b of each holds the same
-        # 8 bits; a bit's next lower match lies in its own byte or the next
-        # nonzero byte of the mask
-        size = (mask.bit_length() + 7) // 8
-        matches, left = mask.to_bytes(size, "big"), rest.to_bytes(size, "big")
-        search = _NONZERO.search
-        for hit in _NONZERO.finditer(left):
-            b = hit.start()
-            bits = left[b]
-            while bits:
-                top = bits.bit_length()  # bit top - 1 of byte b
-                bits ^= 1 << (top - 1)
-                below = matches[b] & ((1 << (top - 1)) - 1)  # the lower matches in byte b
-                c = b if below else search(matches, b + 1).start()
-                gaps.add(8 * (c - b) + top - (below or matches[c]).bit_length())
-    return Occurrences(mask.bit_count(), tuple(sorted(gaps)))
+    k = len(pattern) - 1
+
+    def join(x, y):
+        # a summary: (length, count, [first, last] or [], gaps, head, tail)
+        size, count, ends, gaps, head, tail = x
+        y_size, y_count, y_ends, y_gaps, y_head, y_tail = y
+        seam = tail + y_head
+        cross = [size - len(tail) + i for i in range(len(tail)) if seam.startswith(pattern, i)]
+        y_ends = [size + p for p in y_ends]
+        starts = [*ends[-1:], *cross, *y_ends[:1]]  # the matches next to the seam, in order
+        every = [*ends[:1], *starts, *y_ends[-1:]]
+        end = tail + y_tail
+        return (size + y_size, count + y_count + len(cross), every[:1] + every[-1:],
+                gaps | y_gaps | {q - p for p, q in zip(starts, starts[1:])},
+                (head + y_head)[:k], end[max(len(end) - k, 0):])
+
+    a, b = ((1, int(c == pattern), [0, 0] if c == pattern else [], frozenset(), c[:k], c[:k])
+            for c in "01")
+    prefix = (0, 0, [], frozenset(), "", "")  # the blocks of the set bits below n, highest first
+    for n in range(length.bit_length()):
+        if length >> n & 1:
+            prefix = join(a, prefix)
+        a, b = join(a, b), join(a, a)  # A_{n+1}, B_{n+1}
+    return Occurrences(prefix[1], tuple(sorted(prefix[3])))

@@ -43,7 +43,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 
-from .blocks import build_block, occurrence_spacing, period_doubling_prefix
+from .blocks import build_block, period_doubling_occurrences
 from .diagram import (
     code_orbit,
     cylinder_measure_bounds,
@@ -306,7 +306,7 @@ def _cmd_pd_check(spec: None, args: argparse.Namespace) -> Result:
     pattern = "0100"
     if args.length < len(pattern):
         raise ValueError(f"--length {args.length} is shorter than the pattern {pattern}")
-    occ = occurrence_spacing(period_doubling_prefix(args.length), pattern)
+    occ = period_doubling_occurrences(args.length, pattern)
     bad = [g for g in occ.distinct_gaps if g % 4]
     doc = {
         "length": args.length,

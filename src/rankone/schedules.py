@@ -18,6 +18,7 @@ All arithmetic here is exact: heights are Python ints, ratios are
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -315,11 +316,28 @@ def _height_walk(schedule: ParamSchedule, k: int) -> Iterator[int]:
         st = stage(k - 1)
         h = st.q * h + st.spacer_sum
         if h >= _SMALL_HEIGHT:
-            _check_budget("height list", (k + 1) * h.bit_length() // 8, "bytes",
-                          DEFAULT_SYMBOL_BUDGET, k, bound="up to ")
+            _check_budget("height list", _height_bytes(k, h), "bytes", DEFAULT_SYMBOL_BUDGET, k,
+                          bound="up to ")
         hs[k:k + 1] = (h,)
         yield h
     _check_budget("stage walk", MAX_WALK_LEVELS + 1, "levels", MAX_WALK_LEVELS)
+
+
+def _height_bytes(k: int, h: int) -> int:
+    """What the height walk charges level k of height h: (k + 1) times the
+    bytes of h, 0 below _SMALL_HEIGHT.  Both grow with k, as heights do."""
+    return (k + 1) * h.bit_length() // 8 if h >= _SMALL_HEIGHT else 0
+
+
+def _refuse_first_over(lo: int, hi: int, costs) -> None:
+    """Refuse the least level k in lo..hi-1 at which one of costs(k), the
+    bytes of the height list and then of the partial sums, passes
+    DEFAULT_SYMBOL_BUDGET, as the level walks would: a level's height is
+    checked before its sums.  No cost decreases with k, so k is found by
+    bisection, and no level is read."""
+    k = bisect_left(range(hi), True, lo, key=lambda k: max(costs(k)) > DEFAULT_SYMBOL_BUDGET)
+    for what, need in zip(("height list", "partial sum list"), costs(k) if k < hi else ()):
+        _check_budget(what, need, "bytes", DEFAULT_SYMBOL_BUDGET, k, bound="up to ")
 
 
 def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -516,14 +534,25 @@ def _check_partial_sums(schedule: ParamSchedule, n: int) -> None:
     without spacers the sums have no digits, and that cost alone refuses
     level 390,168.  The walk checks each height against its own budget
     before this level's sums are checked, so no height past level k is read.
+
+    A frozen tail (q = 1, no spacers) is walked only through the explicit
+    prefix: past it the height stays the same and the sums gain no digits,
+    so each level adds the same cost, and the first level over either
+    budget is found by bisection.
     """
+    _stages(schedule, n, n)  # the depth rule, before any stage is read
+    stop = min(n, schedule.prefix_len) if schedule._tail_summary == (1, 0, False) else n
     bits = total = 0
-    for k, (st, h) in enumerate(zip(_stages(schedule, 0, n), _height_walk(schedule, 1)), 1):
+    for k, (st, h) in enumerate(zip(_stages(schedule, 0, stop), _height_walk(schedule, 1)), 1):
         if st.spacer_sum:
             bits += h.bit_length()
         total += 2 * bits
         _check_budget("partial sum list", total // 8 + PARTIAL_SUM_ENTRY_BYTES * k, "bytes",
                       DEFAULT_SYMBOL_BUDGET, k, bound="up to ")
+    h = schedule._heights[stop]  # the height of every level past stop, if any
+    _refuse_first_over(stop + 1, n + 1, lambda k: (
+        _height_bytes(k, h), (total + 2 * bits * (k - stop)) // 8 + PARTIAL_SUM_ENTRY_BYTES * k
+    ))
 
 
 # the first growth base of the greedy level selection
@@ -557,10 +586,10 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     r < p.  Every next level is then the least c + r + j p whose height
     reaches the target, one minimum over the p residues, and no stage is
     read.  Such a level is refused as the height walk would refuse it: past
-    MAX_WALK_LEVELS, or when some level up to it passes the height budget,
-    which only a height of 2^255 or more can, and which the height walk is
-    then run to name.  On a frozen tail (s = 0) no level reaches the
-    target, so DepthError is raised instead.
+    MAX_WALK_LEVELS, or at the first level up to it over the height budget,
+    which only a height of 2^255 or more can pass, found by bisection.  On
+    a frozen tail (s = 0) no level reaches the target, so DepthError is
+    raised instead.
     """
     summary = schedule._tail_summary
     # a q = 1 tail is walked only through the prefix, then stepped a period at a time
@@ -579,16 +608,18 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
         s = hs[p] - hs[0]
         if not s:
             raise DepthError(f"periodic tail adds no height growth; cannot reach h >= {target}")
+
+        def height(k: int) -> int:  # h_k for k >= c
+            return hs[(k - c) % p] + (k - c) // p * s
+
         while True:
             # residue r's least level c + r + j p with h_{c+r} + j s >= target
             level = min(c + r - (hs[r] - target) // s * p for r in range(p))
-            # the height walk would refuse the first level over the height budget, and that
-            # cost grows with the level, so checking the last one suffices; else the cap
+            # the height walk would refuse the first level over the height budget up to
+            # this one or the cap, the levels up to the prefix having passed it
             last = min(level, MAX_WALK_LEVELS)
-            j, r = divmod(last - c, p)
-            h = hs[r] + j * s
-            if (last + 1) * h.bit_length() // 8 > DEFAULT_SYMBOL_BUDGET:
-                heights(schedule, last)  # walks to that level and refuses it
+            _refuse_first_over(stop + 1, last + 1, lambda k: (_height_bytes(k, height(k)),))
+            h = height(last)
             _check_budget("stage walk", min(level, MAX_WALK_LEVELS + 1), "levels", MAX_WALK_LEVELS)
             yield level
             scale *= growth_base

@@ -25,8 +25,7 @@ from rankone import (
     heights,
     level_indices,
     minimal_path,
-    occurrence_spacing,
-    period_doubling_prefix,
+    period_doubling_occurrences,
     spacer_ratio_sum,
     successor,
     telescope,
@@ -145,8 +144,7 @@ def test_criterion_5_isomorphism_verification():
 
 def test_criterion_6_period_doubling_gaps():
     t0 = time.perf_counter()
-    w = period_doubling_prefix(1 << 14)
-    occ = occurrence_spacing(w, "0100")
+    occ = period_doubling_occurrences(1 << 14, "0100")
     assert occ.count
     assert all(g % 4 == 0 for g in occ.distinct_gaps)
     elapsed = time.perf_counter() - t0

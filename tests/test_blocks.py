@@ -1,10 +1,11 @@
 """Symbolic blocks, growth conditions, and the period-doubling word."""
 
+import functools
 import time
 
 import pytest
 from conftest import CHACON, ODOMETER, schedules
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone import (
@@ -21,8 +22,7 @@ from rankone import (
     build_block,
     heights,
     kalikow_sup_condition,
-    occurrence_spacing,
-    period_doubling_prefix,
+    period_doubling_occurrences,
 )
 from rankone.schedules import MAX_WALK_LEVELS
 
@@ -152,16 +152,17 @@ def test_kalikow_witnesses_match_brute_force(schedule, depth):
     assert list(kalikow_sup_condition(schedule, depth).witnesses) == brute
 
 
-def test_period_doubling_prefix():
-    assert period_doubling_prefix(1) == "0"
-    assert period_doubling_prefix(2) == "01"
-    assert period_doubling_prefix(16) == "0100010101000100"
-    with pytest.raises(ValueError):
-        period_doubling_prefix(0)
+def test_period_doubling_refusals():
+    with pytest.raises(ValueError, match="^length 0 < 1$"):
+        period_doubling_occurrences(0, "0100")
     with pytest.raises(BudgetError, match=(
         "^period-doubling prefix needs 67108865 symbols, over the budget of 67108864$"
     )):
-        period_doubling_prefix(DEFAULT_SYMBOL_BUDGET + 1)
+        period_doubling_occurrences(DEFAULT_SYMBOL_BUDGET + 1, "0100")
+    with pytest.raises(ValueError, match="^empty pattern$"):
+        period_doubling_occurrences(2, "")
+    with pytest.raises(ValueError, match="^pattern longer than the word$"):
+        period_doubling_occurrences(2, "010")
 
 
 def _substitution_prefix(length):
@@ -173,57 +174,43 @@ def _substitution_prefix(length):
     return w[:length]
 
 
-def test_period_doubling_matches_substitution():
-    word = _substitution_prefix(1024)
-    for length in range(1, 1025):
-        assert period_doubling_prefix(length) == word[:length]
-    for length in (2**14, 2**20 + 3):
-        assert period_doubling_prefix(length) == _substitution_prefix(length)
+def _scan(w, pattern):
+    """Occurrences by a plain scan: a match is every i with w.startswith(pattern, i),
+    and str.find returns the least such i from where it starts."""
+    starts = []
+    i = w.find(pattern)
+    while i >= 0:
+        starts.append(i)
+        i = w.find(pattern, i + 1)
+    return Occurrences(len(starts), tuple(sorted({b - a for a, b in zip(starts, starts[1:])})))
 
 
-@given(st.integers(1, 512))
-def test_period_doubling_self_similar(length):
-    w = period_doubling_prefix(2 * length)
-    rules = {"0": "01", "1": "00"}
-    for i in range(length):
-        assert w[2 * i : 2 * i + 2] == rules[w[i]]
+def test_period_doubling_occurrences_every_short_pattern():
+    word = _substitution_prefix(256)
+    # every binary pattern of 1 to 5 symbols, "0", "1", "00", ..., "11111"
+    for pattern in (format(i, "b")[1:] for i in range(2, 64)):
+        for length in range(len(pattern), 257):
+            assert period_doubling_occurrences(length, pattern) == _scan(word[:length], pattern)
+    assert period_doubling_occurrences(3, "2") == Occurrences(0, ())
 
 
-def test_occurrence_spacing():
-    occ = occurrence_spacing("0100010101000100", "0100")
-    assert occ == Occurrences(3, (4, 8))
-    assert occurrence_spacing("aaa", "aa") == Occurrences(2, (1,))  # overlaps count
-    assert occurrence_spacing("0101", "11") == Occurrences(0, ())
-    with pytest.raises(ValueError):
-        occurrence_spacing("01", "")
-    with pytest.raises(ValueError):
-        occurrence_spacing("01", "010")
+def test_period_doubling_occurrences_of_0100_in_every_prefix():
+    # pd-check's pattern in every prefix of up to 4,096 symbols
+    word = _substitution_prefix(4096)
+    for length in range(4, 4097):
+        assert period_doubling_occurrences(length, "0100") == _scan(word[:length], "0100")
+    assert period_doubling_occurrences(16, "0100") == Occurrences(3, (4, 8))
 
 
-def _words(alphabet):
-    # up to 8 pieces of up to 6 symbols, each repeated up to 64 times: up to
-    # 3,072 symbols, mixing dense matches with gaps longer than 64
-    piece = st.tuples(st.text(alphabet, min_size=1, max_size=6), st.integers(1, 64))
-    return st.lists(piece, min_size=1, max_size=8).map(lambda ps: "".join(t * k for t, k in ps))
+@functools.cache
+def _long_word():
+    return _substitution_prefix(1 << 20)
 
 
-# "0é" is not ASCII, so str.translate takes its per-symbol path there
-@given(
-    st.sampled_from(["01", "01a", "0é"]).flatmap(
-        lambda alphabet: st.tuples(_words(alphabet), st.text(alphabet, min_size=1, max_size=5))
-    )
-)
-@example(("0000000", "00"))
-@example(("0101010", "010"))
-# gaps of 1, 151 and 1001: the rounds clear the 1s, str.find reads the rest
-@example(("0" * 200 + "1" * 150 + "0" + "1" * 1000 + "00", "0"))
-@example(("é" * 3000, "é"))
-@example(("a01a" * 20 + "0é", "0é"))  # the one match ends at the last symbol
-def test_occurrence_spacing_matches_a_scan(case):
-    w, pattern = case
-    # every start position, overlapping matches included
-    if len(pattern) > len(w):
-        pattern = pattern[: len(w)]
-    starts = [i for i in range(len(w)) if w.startswith(pattern, i)]
-    gaps = [b - a for a, b in zip(starts, starts[1:])]
-    assert occurrence_spacing(w, pattern) == Occurrences(len(starts), tuple(sorted(set(gaps))))
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 1 << 20), st.text("01", min_size=1, max_size=8))
+@example(1 << 20, "0100")
+@example((1 << 20) - 1, "0")
+def test_period_doubling_occurrences_match_a_scan(length, pattern):
+    pattern = pattern[:length]
+    assert period_doubling_occurrences(length, pattern) == _scan(_long_word()[:length], pattern)

@@ -15,6 +15,7 @@ from rankone import (
     PROVED_CONVERGENT,
     PROVED_DIVERGENT,
     UNKNOWN_AT_DEPTH,
+    DEFAULT_SYMBOL_BUDGET,
     BudgetError,
     DepthError,
     ParamSchedule,
@@ -28,6 +29,7 @@ from rankone import (
 )
 from rankone.schedules import (
     MAX_WALK_LEVELS,
+    PARTIAL_SUM_ENTRY_BYTES,
     _check_partial_sums,
     _greedy_levels,
     _ratio_terms,
@@ -321,6 +323,49 @@ def test_validate_partial_sum_budget():
     assert validate(ParamSchedule(ODOMETER.stages, 1), 2000).partial_sums[-1] == 0
 
 
+def _partial_sum_refusal(schedule, n, budget):
+    """The refusal of the level-by-level walk over levels 1..n, or None: at
+    each level the kept heights are sized (from 2^255 on), then the sums."""
+    bits = total = 0
+    h = 1
+    for k in range(1, n + 1):
+        st = schedule.stage(k - 1)
+        h = st.q * h + st.spacer_sum
+        if h >= 2**255 and (k + 1) * h.bit_length() // 8 > budget:
+            return f"height list needs up to {(k + 1) * h.bit_length() // 8} bytes by level {k}"
+        bits += h.bit_length() if st.spacer_sum else 0
+        total += 2 * bits
+        if total // 8 + PARTIAL_SUM_ENTRY_BYTES * k > budget:
+            need = total // 8 + PARTIAL_SUM_ENTRY_BYTES * k
+            return f"partial sum list needs up to {need} bytes by level {k}"
+    return None
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.sampled_from([0, 1, 2**300])), max_size=3),
+    st.sampled_from([0, 1400]),
+    st.integers(1, 3),
+    st.sampled_from([1 << 12, 1 << 16, 1 << 20]),
+    st.integers(0, 3000),
+)
+@example([], 1400, 1, 1 << 20, 8000)  # the height list is refused first, at level 5987
+@example([(1, 2**300)], 0, 2, 1 << 16, 3000)
+def test_frozen_tail_partial_sum_refusal_matches_the_walk(prefix, doublings, period, budget, n):
+    # past the prefix a frozen tail's levels all cost the same, so the first
+    # one over either budget is found by bisection, not by walking to it;
+    # 1,400 doublings without spacers pass 2^255 with no digits in the sums
+    stages = [Stage(q, (x,) + (0,) * (q - 1)) for q, x in prefix] + [Stage(2, (0, 0))] * doublings
+    schedule = ParamSchedule((*stages, *[Stage(1, (0,))] * period), tail_period=period)
+    want = _partial_sum_refusal(schedule, n, budget)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rankone.schedules.DEFAULT_SYMBOL_BUDGET", budget)
+        if want is None:
+            _check_partial_sums(schedule, n)
+        else:
+            with pytest.raises(BudgetError, match=f"^{want}, over the budget of {budget}$"):
+                _check_partial_sums(schedule, n)
+
+
 def test_choose_levels_known():
     assert choose_telescoping_levels(ODOMETER, 3) == [0, 1, 3, 6]
     assert choose_telescoping_levels(CHACON, 2) == [0, 1, 3]
@@ -373,21 +418,27 @@ def test_height_walk_stops_at_the_level_cap(monkeypatch):
         choose_telescoping_levels(chacon, 5)
 
 
-@pytest.mark.parametrize(("tail_spacers", "levels", "refusal"), [
-    (2**300, [0, 1, 5, 41, 657], "needs up to 65543 bytes by level 1685"),  # below the cap
-    (1, [0, 1], "needs up to 65542 bytes by level 1741"),  # past the cap
-], ids=["below-the-cap", "past-the-cap"])
-def test_q1_tail_step_refuses_over_the_height_budget(monkeypatch, tail_spacers, levels, refusal):
+@pytest.mark.parametrize(("budget", "tail_spacers", "levels", "refusal"), [
+    (1 << 16, 2**300, [0, 1, 5, 41, 657], "needs up to 65543 bytes by level 1685"),  # below the cap
+    (1 << 16, 1, [0, 1], "needs up to 65542 bytes by level 1741"),  # past the cap
+    (DEFAULT_SYMBOL_BUDGET, 1, [0, 1], "needs up to 67108890 bytes by level 1783624"),
+], ids=["below-the-cap", "past-the-cap", "unpatched"])
+def test_q1_tail_step_refuses_over_the_height_budget(monkeypatch, budget, tail_spacers, levels,
+                                                      refusal):
     # heights past 2^255 are sized against the height budget; the period step
-    # refuses the level the level-by-level height walk refuses first
-    monkeypatch.setattr("rankone.schedules.DEFAULT_SYMBOL_BUDGET", 1 << 16)
+    # refuses the level the level-by-level height walk refuses first, found
+    # by bisection, not by walking to it
+    monkeypatch.setattr("rankone.schedules.DEFAULT_SYMBOL_BUDGET", budget)
     schedule = ParamSchedule((Stage(1, (2**300,)), Stage(1, (tail_spacers,))), tail_period=1)
-    message = f"^height list {refusal}, over the budget of 65536$"
+    message = f"^height list {refusal}, over the budget of {budget}$"
+    t0 = time.perf_counter()
     assert choose_telescoping_levels(schedule, len(levels) - 1) == levels
     with pytest.raises(BudgetError, match=message):
         choose_telescoping_levels(schedule, len(levels))
-    with pytest.raises(BudgetError, match=message):
-        heights(schedule, MAX_WALK_LEVELS)
+    assert time.perf_counter() - t0 < 0.5
+    if budget < DEFAULT_SYMBOL_BUDGET:  # the full budget's walk keeps 1.78 million heights
+        with pytest.raises(BudgetError, match=message):
+            heights(schedule, MAX_WALK_LEVELS)
 
 
 def test_choose_levels_bad_args():
