@@ -152,13 +152,23 @@ def test_kalikow_witnesses_match_brute_force(schedule, depth):
     assert list(kalikow_sup_condition(schedule, depth).witnesses) == brute
 
 
-def test_period_doubling_refusals():
+def test_period_doubling_prefix():
+    # the prefix of length L: "0", "01", "0100010101000100", and its length refusals
+    assert period_doubling_occurrences(1, "0") == Occurrences(1, ())
+    assert period_doubling_occurrences(2, "01") == Occurrences(1, ())
+    assert period_doubling_occurrences(16, "0100010101000100") == Occurrences(1, ())
     with pytest.raises(ValueError, match="^length 0 < 1$"):
         period_doubling_occurrences(0, "0100")
     with pytest.raises(BudgetError, match=(
         "^period-doubling prefix needs 67108865 symbols, over the budget of 67108864$"
     )):
         period_doubling_occurrences(DEFAULT_SYMBOL_BUDGET + 1, "0100")
+
+
+def test_occurrence_spacing():
+    assert period_doubling_occurrences(16, "0100") == Occurrences(3, (4, 8))
+    assert period_doubling_occurrences(16, "010") == Occurrences(5, (2, 4))  # overlaps count
+    assert period_doubling_occurrences(16, "11") == Occurrences(0, ())
     with pytest.raises(ValueError, match="^empty pattern$"):
         period_doubling_occurrences(2, "")
     with pytest.raises(ValueError, match="^pattern longer than the word$"):
