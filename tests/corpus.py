@@ -131,6 +131,13 @@ def invocations() -> list[list[str]]:
         out.append(["telescope", "--spec", f"{PLACEHOLDER}/linear.json", "--stages", str(stages)])
     for stages in range(2, 8):
         out.append(["telescope", "--spec", f"{PLACEHOLDER}/frozen.json", "--stages", str(stages)])
+    # 400 symbols pass the end of the short towers, whose orbits overflow
+    for name in spec_documents():
+        argv = ["vershik", "--spec", f"{PLACEHOLDER}/{name}", "--depth", "6"]
+        out += [argv, [*argv, "--length", "400"]]
+    # a prefix of 2^20 symbols of a block of about 3^30, and one symbol past the budget
+    chacon = ["vershik", "--preset", "chacon", "--depth", "30", "--length"]
+    out += [[*chacon, "1048576"], [*chacon, "1048576", "--format", "json"], [*chacon, "67108865"]]
     return out
 
 
