@@ -5,6 +5,10 @@ Blocks are plain strings over {0, 1}: B_0 = "0" and
     B_{n+1} = B_n 1^{a[n][0]} B_n 1^{a[n][1]} ... B_n 1^{a[n][q_n - 1]},
 
 so len(B_n) = h_n and the number of 0s in B_n is prod_{k<n} q_k.
+One body, ``_block_prefix``, builds B_n and its prefixes B_n[:L]: each
+B_k is a prefix of B_{k+1}, so a prefix needs only the levels up to the
+first block of L symbols.  ``build_block`` and the Vershik orbit of the
+minimal path (``diagram.code_minimal_orbit``) both read it.
 Every walk here reads its stages through the schedule's one stage walk,
 so a negative depth, or one past MAX_WALK_LEVELS, is refused before any
 stage is read.  Construction is also guarded by a symbol budget: before
@@ -15,9 +19,10 @@ so a refusal never walks the heights past that level.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, ParamSchedule, _check_budget, _stages
+from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, ParamSchedule, Stage, _check_budget, _stages
 
 KALIKOW_BOUNDED = "bounded"
 KALIKOW_UNBOUNDED = "unbounded"
@@ -25,26 +30,42 @@ KALIKOW_UNBOUNDED = "unbounded"
 
 def build_block(schedule: ParamSchedule, n: int) -> str:
     """The stage-n block B_n; the lengths h_1..h_n are checked against the
-    budget, stopping at the first one over it, before any level is built.
-
-    The block is kept as b followed by a run of 1s: a single-copy level
-    only lengthens the run, so a q = 1 tail costs no rebuild, and a level
-    of q >= 2 copies joins them once, each followed by its run of 1s as a
-    separate piece, so no copy is built before the join.
-    """
+    budget, stopping at the first one over it, before any level is built."""
     h = 1
     for k, st in enumerate(_stages(schedule, 0, n), 1):
         h = st.q * h + st.spacer_sum
         _check_budget("block", h, "symbols", DEFAULT_SYMBOL_BUDGET, k)
-    b, run = "0", 0
-    for st in _stages(schedule, 0, n):
+    return _block_prefix(_stages(schedule, 0, n), h)
+
+
+def _block_prefix(stages: Iterable[Stage], length: int) -> str:
+    """B_n[:length], for the stages of levels 0..n-1: B_n itself when h_n <= length.
+
+    The one body of the block recursion.  B_k is a prefix of B_{k+1}, so the
+    walk stops at the first level whose block has length symbols, and it
+    builds no level past it.  The block is kept as b followed by a run of 1s:
+    a single-copy level only lengthens the run, so a q = 1 tail costs no
+    rebuild, and a level of q >= 2 copies joins them once, each followed by
+    its run of 1s as a separate piece, so no copy is built before the join.
+    Only the level that reaches length is cut: its copies stop there, the
+    last one and its run of 1s cut to fit, so no piece is built past length.
+    With length h_n nothing is cut, and B_n is built once.
+    """
+    b, run = "0"[:length], 0  # B_0, cut to length
+    for st in stages:
+        if len(b) + run >= length:
+            break
         if st.q == 1:
             run += st.a[0]
-        else:
-            pieces = [b] * (2 * st.q)
-            pieces[1::2] = ["1" * (run + x) for x in st.a]
-            b, run = "".join(pieces), 0
-    return b + "1" * run
+            continue
+        pieces, size = [], 0
+        for x in st.a:
+            pieces += (b[:length - size], "1" * min(run + x, length - size - len(b)))
+            size += len(b) + run + x
+            if size >= length:
+                break
+        b, run = "".join(pieces), 0
+    return b + "1" * min(run, length - len(b))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Systems come from a JSON spec file or a named preset; subcommands cover
 heights, validation, blocks, telescoping, the expansive build,
 successor orbits, cylinder measures, DOT export, isomorphism
-verification, and the period-doubling gap check.  Output is
+verification, and the period-doubling gap check.  ``vershik`` prints the
+minimal path's orbit as B_D[:L], read off the block recursion by
+``code_minimal_orbit``; it overflows exactly when h_D < L.  Output is
 deterministic: identical spec, flags, and seed give identical bytes.
 
 Each subcommand accepts only the flags its handler reads (see
@@ -44,12 +46,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .blocks import build_block, period_doubling_occurrences
-from .diagram import (
-    code_orbit,
-    cylinder_measure_bounds,
-    export_dot,
-    minimal_path,
-)
+from .diagram import code_minimal_orbit, cylinder_measure_bounds, export_dot
 from .isomorphism import _precheck_walk, verify_isomorphism
 from .schedules import (
     DepthError,
@@ -242,8 +239,7 @@ def _cmd_expand(spec: SystemSpec, args: argparse.Namespace) -> Result:
 
 
 def _cmd_vershik(spec: SystemSpec, args: argparse.Namespace) -> Result:
-    schedule = spec.schedule
-    coding = code_orbit(schedule, minimal_path(schedule, args.depth), args.length)
+    coding = code_minimal_orbit(spec.schedule, args.depth, args.length)
     doc = {
         "word": coding.word,
         "overflow": None if coding.overflow is None else coding.overflow.depth,

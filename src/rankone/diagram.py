@@ -37,7 +37,9 @@ resolves a level when a step first reaches it, and ``verify_isomorphism``
 
 The successor rule itself has one body, ``_step``, which names the level
 that advances and its new edge.  ``successor`` builds the next path from
-that move; ``code_orbit`` applies it in place to one list of edges.
+that move; ``code_orbit`` applies it in place to one list of edges.  The
+minimal path's orbit codes the block B_depth, so ``code_minimal_orbit``
+reads that word off the block recursion instead of stepping it.
 
 These bodies run once or twice per floor of a verify walk, so they build
 their records with ``tuple.__new__`` (``_new``) rather than through the
@@ -57,6 +59,7 @@ from functools import cache
 from math import prod
 from typing import NamedTuple
 
+from .blocks import _block_prefix
 from .schedules import (
     DEFAULT_SYMBOL_BUDGET,
     ParamSchedule,
@@ -147,10 +150,23 @@ def _validate_path(stage: Callable[[int], Stage], path: AdicPath) -> None:
 
 
 def minimal_path(schedule: ParamSchedule, depth: int) -> AdicPath:
-    """The least path of the given depth ending in column 0."""
-    for _ in _stages(schedule, 0, depth):
-        pass  # surfaces DepthError before building anything
+    """The least path of the given depth ending in column 0; the depth rule,
+    then the first bad or missing stage below depth, is refused first."""
+    _check_stages(schedule, depth)
     return AdicPath(ROOT_NONSPACER, (_TOWER_0,) * depth)
+
+
+def _check_stages(schedule: ParamSchedule, depth: int) -> None:
+    """Refuse the depth rule of ``_stages``, then the first bad or missing
+    stage of levels 0..depth-1, as a walk through them would.
+
+    At most prefix_len + 1 levels are read: past a periodic prefix every
+    level repeats an explicit stage already read at its own index, and a
+    bare prefix has no stage at level prefix_len.
+    """
+    _stages(schedule, depth, depth)
+    for _ in _stages(schedule, 0, min(depth, schedule.prefix_len + 1)):
+        pass
 
 
 def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
@@ -283,7 +299,7 @@ class OrbitCoding:
 
 
 def code_orbit(schedule: ParamSchedule, path: AdicPath, steps: int) -> OrbitCoding:
-    """Code `steps` symbols along the successor orbit.
+    """Code `steps` symbols along the successor orbit, one step per symbol.
 
     Symbol rule: 1 when the current path enters through the spacer
     reservoir (root edge into column 1), else 0.  Stops early with the
@@ -291,10 +307,13 @@ def code_orbit(schedule: ParamSchedule, path: AdicPath, steps: int) -> OrbitCodi
     checked against the symbol budget before the first step.  The orbit
     is kept as a root flag and a list of edges that each ``_step`` move
     changes in place, so no path is built per symbol.
+
+    The step-by-step Vershik walk, from any path.  The CLI has no caller:
+    ``vershik`` codes the minimal path's orbit by ``code_minimal_orbit``,
+    and this walk, which shares no code with the block recursion, is the
+    oracle the tests hold that word against.
     """
-    if steps < 0:
-        raise ValueError(f"steps {steps} < 0")
-    _check_budget("orbit coding", steps, "symbols", DEFAULT_SYMBOL_BUDGET)
+    _check_steps(steps)
     stage = cache(schedule.stage)  # each level resolved once, when first stepped
     out = []
     spacer, edges = path.root == ROOT_SPACER, list(path.edges)
@@ -310,6 +329,31 @@ def code_orbit(schedule: ParamSchedule, path: AdicPath, steps: int) -> OrbitCodi
                 edges[:pos] = (_DOWN if spacer else _TOWER_0,) * pos
             edges[pos] = new
     return OrbitCoding("".join(out), None)
+
+
+def _check_steps(steps: int) -> None:
+    """Refuse a negative orbit length, then one over the symbol budget."""
+    if steps < 0:
+        raise ValueError(f"steps {steps} < 0")
+    _check_budget("orbit coding", steps, "symbols", DEFAULT_SYMBOL_BUDGET)
+
+
+def code_minimal_orbit(schedule: ParamSchedule, depth: int, steps: int) -> OrbitCoding:
+    """``code_orbit(schedule, minimal_path(schedule, depth), steps)``, read off
+    the block recursion: the word is B_depth[:steps].
+
+    The orbit of the minimal path visits floors 0..h_depth - 1 of tower
+    depth in order, and floor k is a spacer floor exactly when B_depth[k]
+    is 1; the maximal path has no successor in the truncation.  So the
+    orbit overflows depth exactly when h_depth < steps, after the whole
+    block.  The refusals are code_orbit's, in its order: minimal_path's,
+    then a negative steps, then steps over the symbol budget.  No level
+    past the first whose block has steps symbols is built.
+    """
+    _check_stages(schedule, depth)
+    _check_steps(steps)
+    word = _block_prefix(_stages(schedule, 0, depth), steps)
+    return OrbitCoding(word, None if len(word) == steps else Overflow(depth))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from rankone import (
     kalikow_sup_condition,
     period_doubling_occurrences,
 )
-from rankone.schedules import MAX_WALK_LEVELS
+from rankone.blocks import _block_prefix
+from rankone.schedules import MAX_WALK_LEVELS, _stages
 
 
 def test_block_known_values():
@@ -67,6 +68,31 @@ def test_block_matches_the_per_level_recursion(schedule, depth):
     if schedule.tail_period is None:
         depth = min(depth, schedule.prefix_len)
     assert build_block(schedule, depth) == _block_by_levels(schedule, depth)
+
+
+@given(schedules(max_stages=5, min_q=1, max_q=3), st.integers(0, 7))
+def test_block_is_the_prefix_body_at_its_height(schedule, depth):
+    # build_block is the budget walk, then the prefix body at length h_n;
+    # a shorter length cuts the same word, and a longer one gives all of it
+    if schedule.tail_period is None:
+        depth = min(depth, schedule.prefix_len)
+    block = build_block(schedule, depth)
+    assert _block_prefix(_stages(schedule, 0, depth), len(block)) == block
+    for length in range(len(block) + 3):
+        assert _block_prefix(_stages(schedule, 0, depth), length) == block[:length]
+
+
+def test_block_prefix_stops_at_its_length():
+    # chacon's h_3 = 40 symbols hold a 40-symbol prefix: the fourth stage is
+    # the last one read, and it is not built
+    def stages():
+        yield from CHACON.stages * 4
+        raise AssertionError("read a stage past the level that holds the prefix")
+
+    assert _block_prefix(stages(), 40) == build_block(CHACON, 3)
+    # a run of 1s or a copy count past the length is cut, not built
+    assert _block_prefix([Stage(1, (10**12,))], 5) == "01111"
+    assert _block_prefix([Stage(10**6, (0,) * 10**6)], 3) == "000"
 
 
 def test_block_on_a_linear_tail_is_linear_time():

@@ -23,6 +23,7 @@ from rankone import (
     ParamSchedule,
     PathError,
     ScheduleError,
+    build_block,
     build_expansive,
     path_from_json_dict,
     telescope,
@@ -194,6 +195,21 @@ def test_vershik_word(capsys):
     captured = capsys.readouterr()
     assert captured.out == "0010\n"
     assert captured.err == "error: orbit overflowed depth 1 after 4 symbols; increase --depth\n"
+
+
+def test_vershik_reads_the_word_off_the_recursion(capsys):
+    # 2^22 symbols of chacon's depth-30 block, cut from B_14: stepping the
+    # successor once per symbol took seconds
+    t0 = time.perf_counter()
+    assert main(["vershik", "--preset", "chacon", "--depth", "30", "--length", "4194304"]) == 0
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr() == (build_block(CHACON, 14)[:4194304] + "\n", "")
+    # the stage check reads chacon's one explicit stage and the level past
+    # it, not all 2^21 levels below the depth
+    t0 = time.perf_counter()
+    assert main(["vershik", "--preset", "chacon", "--depth", "2097152", "--length", "64"]) == 0
+    assert time.perf_counter() - t0 < 0.2
+    assert capsys.readouterr() == (build_block(CHACON, 4)[:64] + "\n", "")
 
 
 def test_measure_json(capsys):

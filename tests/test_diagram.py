@@ -26,6 +26,7 @@ from rankone import (
     Overflow,
     PathError,
     build_block,
+    code_minimal_orbit,
     code_orbit,
     cylinder_measure_bounds,
     export_dot,
@@ -544,6 +545,31 @@ def test_code_orbit_matches_stepped_successor(schedule, root, edges, n, k, steps
         assert _result(code_orbit, schedule, path, steps) == _result(
             _ref_code_orbit, schedule, path, steps
         )
+
+
+@given(any_schedules(), st.integers(0, 8), st.integers(1, 400))
+def test_code_minimal_orbit_is_code_orbit_of_the_minimal_path(schedule, depth, steps):
+    # the word read off the block recursion is the stepped orbit's: same
+    # word, overflow depth, or exception type and text
+    stepped = _result(lambda: code_orbit(schedule, minimal_path(schedule, depth), steps))
+    assert _result(code_minimal_orbit, schedule, depth, steps) == stepped
+
+
+def _ref_minimal_path(schedule, depth):
+    """minimal_path reading every stage below depth, level by level."""
+    if depth < 0:
+        raise ValueError(f"depth {depth} < 0")
+    for n in range(depth):
+        schedule.stage(n)
+    return AdicPath(ROOT_NONSPACER, (Edge(TOWER, 0),) * depth)
+
+
+@given(any_schedules(), st.data())
+def test_minimal_path_checks_the_stages_a_level_walk_reads(schedule, data):
+    # the check reads at most prefix_len + 1 levels, yet refuses the same
+    # first bad or missing stage as a walk through every level below depth
+    depth = data.draw(st.integers(-1, 3 * schedule.prefix_len))
+    assert _result(minimal_path, schedule, depth) == _result(_ref_minimal_path, schedule, depth)
 
 
 def test_errors_at_the_level_read():
