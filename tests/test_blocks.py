@@ -70,7 +70,7 @@ def test_block_matches_the_per_level_recursion(schedule, depth):
     assert build_block(schedule, depth) == _block_by_levels(schedule, depth)
 
 
-@given(schedules(max_stages=5, min_q=1, max_q=3), st.integers(0, 7))
+@given(schedules(max_stages=5, min_q=1, max_q=3), st.integers(0, 5))
 def test_block_is_the_prefix_body_at_its_height(schedule, depth):
     # build_block is the budget walk, then the prefix body at length h_n;
     # a shorter length cuts the same word, and a longer one gives all of it
