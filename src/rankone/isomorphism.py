@@ -55,17 +55,30 @@ their J_D(y) are, and injectivity is checked on these integers.
 The walk reads each level once: both sides resolve their stages through
 a memoized resolver and read their floor tables once per call, and each
 floor is mapped through the private bodies of the path functions in
-``diagram``, which take what they read.  The image is validated, J(x)
-and J(y) read off the tables, and the round trip keeps the range check
-of the floor inverse.  ``_to_target`` takes the model's cut, top runs and
-heights, which the walk binds once (``heights`` is a property that reads
-through the telescoped schedule), and the round trip's source prefix is
-built straight onto the image's upper edges.  Those bodies, and the
-walk's own record ``_Floor``, build their NamedTuples with
-``tuple.__new__`` as ``diagram`` explains: each floor makes about a dozen
-of them, and the generated constructor is a Python-level call.  The
-walk holds no copy of those bodies, since a copy would be a second code
-path for its rule; a test counts the walk's calls into them.
+``diagram``, which take what they read.  J(x) and J(y) are read off the
+tables, and the round trip keeps the range check of the floor inverse.
+``_to_target`` takes the model's cut, top runs and heights, which the
+walk binds once (``heights`` is a property that reads through the
+telescoped schedule), and the round trip's source prefix is built
+straight onto the image's upper edges.  Those bodies, and the walk's own
+record ``_Floor``, build their NamedTuples with ``tuple.__new__`` as
+``diagram`` explains: each floor makes about a dozen of them, and the
+generated constructor is a Python-level call.  The walk holds no copy of
+those bodies, since a copy would be a second code path for its rule; a
+test counts the walk's calls into them.
+
+An image is validated unless it equals the target successor of an image
+already valid, which the equivariance check computes anyway.  The
+successor of a valid path is valid: ``_step`` moves only to an edge the
+stage has, and refills the levels below with down edges under a spacer
+edge and with tower(0) under a tower edge.  Every target stage below the
+depth was resolved by the heights read before the walk, so each has a
+tower(0).  This is the argument by which x, built from a floor or as a
+successor, is taken as valid.  So on a model that passes, the walk
+validates the first floor's image, the image after an overflow, and the
+image of a sampled floor no successor reached.  An image that differs
+from the successor it is compared with is validated too, so a mapping
+error keeps its text and its place among the failures.
 """
 
 from __future__ import annotations
@@ -295,7 +308,10 @@ def verify_isomorphism(
     The image's spacer level is N(x) by construction, so it is not
     checked.  Each path is built and mapped once: the successor mapped
     for the equivariance check is the next floor's record when its J_D
-    is that floor, since J_D is one-to-one on the fiber.  The only
+    is that floor, since J_D is one-to-one on the fiber.  An image is
+    validated against the target unless it equals the target successor
+    of the image before it: the successor of a valid path is valid.  So
+    an exhaustive walk that passes validates one image.  The only
     skips are truncation overflows (the top floor has no successor
     inside the diagram); they are counted under exclusions.  Mapping
     errors are recorded as failures, never raised.
@@ -336,13 +352,16 @@ def verify_isomorphism(
     ths, ttable = _floor_tables(model.target, depth)
     cut, top_run, hs = model.cut, model.top_run, model.heights
 
-    def floor(x: AdicPath) -> _Floor:
-        """Map a valid source path through the target, validating only the image."""
+    def floor(x: AdicPath, step_y: AdicPath | None = None) -> _Floor:
+        """Map a valid source path through the target, validating the image
+        unless it is step_y, the successor of a valid target path and so
+        valid itself (see the module docstring)."""
         n_exc = exceptional_index(model, x)
         jx = _level_indices(shs, stable, x)
         try:
             y = _to_target(cut, top_run, hs, x, n_exc, jx)
-            _validate_path(target_stage, y)
+            if y != step_y:
+                _validate_path(target_stage, y)
             jy = _level_indices(ths, ttable, y)
         except ValueError as exc:
             return _new(_Floor, (x, n_exc, jx, None, None, str(exc)))
@@ -405,7 +424,7 @@ def verify_isomorphism(
                 )
             )
             continue
-        ahead = floor(step_x)
+        ahead = floor(step_x, step_y)
         if ahead.y is None:
             failures.append(IsoFailure("equivariance", ahead.error, x))
         elif ahead.y != step_y:

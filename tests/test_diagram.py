@@ -105,6 +105,10 @@ def test_successor_walks_fiber_in_floor_order(case):
         assert x == from_tower_coordinates(schedule, depth, k)
         assert level_indices(schedule, x).at(depth) == k
         x = successor(schedule, x)
+        if k + 1 < h:
+            # the successor of a valid path is valid: verify's walk leaves
+            # an image equal to the successor of an image unchecked
+            validate_path(schedule, x)
     assert x == Overflow(depth)
 
 

@@ -519,13 +519,22 @@ def test_verify_maps_each_floor_through_the_shared_bodies(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_to_target", "_level_indices", "_from_tower_coordinates"):
+    for name in ("_to_target", "_level_indices", "_from_tower_coordinates", "_validate_path"):
         counted(isomorphism, name)
     counted(diagram, "_step")
     assert verify_isomorphism(build_expansive(CHACON, 4), 4).paths_tested == 9841
+    # an image equal to the successor of a valid image is valid, so only the
+    # first floor's image is validated
     assert calls == {
         "_to_target": 9841,
         "_level_indices": 19682,
         "_from_tower_coordinates": 6514,
         "_step": 19681,
+        "_validate_path": 1,
     }
+    # no successor of a sampled floor is the next one drawn: each floor's image
+    # is validated, and each successor's image is the successor of that image
+    calls.clear()
+    report = verify_isomorphism(build_expansive(CHACON, 6), 6, samples=1000, seed=0)
+    assert report.passed and report.paths_tested == 1000
+    assert calls["_validate_path"] == 1000
