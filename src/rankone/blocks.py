@@ -11,15 +11,17 @@ first block of L symbols.  ``build_block`` and the Vershik orbit of the
 minimal path (``diagram.code_minimal_orbit``) both read it.
 Every walk here reads its stages through the schedule's one stage walk,
 so a negative depth, or one past MAX_WALK_LEVELS, is refused before any
-stage is read.  Construction is also guarded by a symbol budget: before
-any string is materialized, the lengths h_{k+1} = q_k h_k + sum a[k] are
-checked against it level by level, and the first one over it is refused,
-so a refusal never walks the heights past that level.
+stage is read.  A frozen tail (q = 1 and no spacers on every tail stage)
+is read only through the explicit prefix: past it no level changes the
+block, so B_n = B_prefix.  Construction is also guarded by a symbol
+budget: before any string is materialized, the lengths h_{k+1} = q_k h_k
++ sum a[k] are checked against it level by level, and the first one over
+it is refused, so a refusal never walks the heights past that level.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, ParamSchedule, Stage, _check_budget, _stages
@@ -32,10 +34,18 @@ def build_block(schedule: ParamSchedule, n: int) -> str:
     """The stage-n block B_n; the lengths h_1..h_n are checked against the
     budget, stopping at the first one over it, before any level is built."""
     h = 1
-    for k, st in enumerate(_stages(schedule, 0, n), 1):
+    for k, st in enumerate(_block_stages(schedule, n), 1):
         h = st.q * h + st.spacer_sum
         _check_budget("block", h, "symbols", DEFAULT_SYMBOL_BUDGET, k)
-    return _block_prefix(_stages(schedule, 0, n), h)
+    return _block_prefix(_block_stages(schedule, n), h)
+
+
+def _block_stages(schedule: ParamSchedule, n: int) -> Iterator[Stage]:
+    """The stages of levels 0..n-1 that B_n is built from, past the depth
+    rule of ``_stages``: on a frozen tail only the explicit prefix's, since
+    past it every level keeps the block and its height, so B_n = B_prefix."""
+    _stages(schedule, n, n)
+    return _stages(schedule, 0, min(n, schedule.prefix_len) if schedule._frozen else n)
 
 
 def _block_prefix(stages: Iterable[Stage], length: int) -> str:

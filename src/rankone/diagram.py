@@ -59,7 +59,7 @@ from functools import cache
 from math import prod
 from typing import NamedTuple
 
-from .blocks import _block_prefix
+from .blocks import _block_prefix, _block_stages
 from .schedules import (
     DEFAULT_SYMBOL_BUDGET,
     ParamSchedule,
@@ -352,7 +352,7 @@ def code_minimal_orbit(schedule: ParamSchedule, depth: int, steps: int) -> Orbit
     """
     _check_stages(schedule, depth)
     _check_steps(steps)
-    word = _block_prefix(_stages(schedule, 0, depth), steps)
+    word = _block_prefix(_block_stages(schedule, depth), steps)
     return OrbitCoding(word, None if len(word) == steps else Overflow(depth))
 
 

@@ -141,6 +141,15 @@ class ParamSchedule:
         return prod(st.q for st in tail), max(st.spacer_sum for st in tail), final_runs
 
     @cached_property
+    def _frozen(self) -> bool:
+        """Whether the periodic tail is frozen: every tail stage has q = 1 and
+        no spacers, so past the explicit prefix no level changes a height or
+        a block.  A tail with a bad stage is not frozen, so a walk through it
+        still meets that stage."""
+        p = self.tail_period
+        return p is not None and not any(self._problems[-p:]) and self._tail_summary == (1, 0, False)
+
+    @cached_property
     def _heights(self) -> list[int]:
         """h_0..h_k for the k stages resolved so far; ``_height_walk`` is its
         only writer and extends it in place."""
@@ -518,7 +527,7 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
         q_gt1_infinitely_often=None if summary is None else summary[0] > 1,
         partial_sums=partials,
         ratio=ratio,
-        not_defined_everywhere_risk=summary == (1, 0, False),
+        not_defined_everywhere_risk=schedule._frozen,
     )
 
 
@@ -541,7 +550,7 @@ def _check_partial_sums(schedule: ParamSchedule, n: int) -> None:
     budget is found by bisection.
     """
     _stages(schedule, n, n)  # the depth rule, before any stage is read
-    stop = min(n, schedule.prefix_len) if schedule._tail_summary == (1, 0, False) else n
+    stop = min(n, schedule.prefix_len) if schedule._frozen else n
     bits = total = 0
     for k, (st, h) in enumerate(zip(_stages(schedule, 0, stop), _height_walk(schedule, 1)), 1):
         if st.spacer_sum:

@@ -16,10 +16,13 @@ from rankone import (
     BudgetError,
     DepthError,
     Occurrences,
+    OrbitCoding,
+    Overflow,
     ParamSchedule,
     ScheduleError,
     Stage,
     build_block,
+    code_minimal_orbit,
     heights,
     kalikow_sup_condition,
     period_doubling_occurrences,
@@ -108,6 +111,29 @@ def test_block_on_a_linear_tail_is_linear_time():
     assert time.perf_counter() - start < 2.0
     assert word == build_block(linear, 2) + "1" * (2 + 3 * (depth - 3))
     assert len(word) == heights(linear, depth)[depth]
+
+
+def test_block_on_a_frozen_tail_reads_only_the_prefix():
+    # q = 1 with no spacers past level 1: every later level keeps B_2 = "00",
+    # so neither walk reads the 2^21 levels below the depth
+    frozen = ParamSchedule((Stage(2, (0, 0)), Stage(1, (0,))), tail_period=1)
+    start = time.perf_counter()
+    assert build_block(frozen, MAX_WALK_LEVELS) == "00"
+    assert code_minimal_orbit(frozen, MAX_WALK_LEVELS, 400) == OrbitCoding(
+        "00", Overflow(MAX_WALK_LEVELS)
+    )
+    assert time.perf_counter() - start < 0.2
+    # the depth rule comes first
+    with pytest.raises(BudgetError, match="^stage walk needs 2097153 levels, over the budget of 2097152$"):
+        build_block(frozen, MAX_WALK_LEVELS + 1)
+    with pytest.raises(ValueError, match="^depth -1 < 0$"):
+        code_minimal_orbit(frozen, -1, 400)
+    # a tail with a bad stage is not frozen: the walk meets that stage and
+    # raises its own line, not the tail summary's
+    bad = ParamSchedule((Stage(2, (0, 0)), Stage(1, (0,)), Stage(1, (-1,))), tail_period=2)
+    for build in (lambda: build_block(bad, 10), lambda: code_minimal_orbit(bad, 10, 400)):
+        with pytest.raises(ScheduleError, match="^stage 2: negative spacer count$"):
+            build()
 
 
 def test_block_budget_checked_before_building():

@@ -722,6 +722,23 @@ def test_frozen_tail_risk(tmp_path, capsys):
     )
 
 
+def test_frozen_tail_block_and_orbit_read_only_the_prefix(tmp_path, capsys):
+    # past level 1 the frozen tail keeps B_D = B_2 = "00" and h_D = 2, so
+    # neither command walks the 2^21 levels below the depth
+    spec = tmp_path / "frozen.json"
+    spec.write_text(json.dumps({"schedule": FROZEN_TAIL_DOC}))
+    t0 = time.perf_counter()
+    assert main(["vershik", "--spec", str(spec), "--depth", "2097152", "--length", "400"]) == 2
+    assert time.perf_counter() - t0 < 0.2
+    assert capsys.readouterr() == (
+        "00\n", "error: orbit overflowed depth 2097152 after 2 symbols; increase --depth\n"
+    )
+    t0 = time.perf_counter()
+    assert main(["block", "--spec", str(spec), "--depth", "2097152"]) == 0
+    assert time.perf_counter() - t0 < 0.2
+    assert capsys.readouterr() == ("00\n", "")
+
+
 _HEIGHTS_OVER = "height list needs up to {} bytes by level {}, over the budget of 67108864"
 _LEVEL_OVER = "stage walk needs 100000000 levels, over the budget of 2097152"
 
