@@ -13,7 +13,10 @@ Each subcommand accepts only the flags its handler reads (see
 it only excludes ``--samples``.  Any other flag is an argparse error.
 
 A handler ``_cmd_*(spec, args)`` returns ``(exit code, document, text)``
-and writes nothing to stdout; ``spec`` is None for ``pd-check``.
+and writes nothing; ``spec`` is None for ``pd-check``.  A refusal that
+keeps a partial result, ``vershik``'s overflow, raises ``PartialResult``
+with it, and ``main`` writes the result before the error line, so a
+failed write leaves only its own.
 ``telescope`` and ``expand`` give no text, ``dot`` and
 ``expand --emit-blocks`` no document.  Only ``main`` reads ``--format``:
 it writes the text under ``--format text`` or when there is no document,
@@ -78,6 +81,15 @@ PRESET_SCHEDULES: dict[str, ParamSchedule] = {
 
 class SpecFileError(ValueError):
     """A spec file is malformed; the message carries the JSON path."""
+
+
+class PartialResult(ValueError):
+    """A refused request whose partial result is still written: main writes
+    the document or text first, then the error line, and exits 2."""
+
+    def __init__(self, message: str, doc: object, text: str):
+        super().__init__(message)
+        self.doc, self.text = doc, text
 
 
 @dataclass(frozen=True)
@@ -246,12 +258,11 @@ def _cmd_vershik(spec: SystemSpec, args: argparse.Namespace) -> Result:
     }
     if coding.overflow is None:
         return 0, doc, coding.word
-    # written before main writes the partial word
-    sys.stderr.write(
-        f"error: orbit overflowed depth {coding.overflow.depth} after "
-        f"{len(coding.word)} symbols; increase --depth\n"
+    raise PartialResult(
+        f"orbit overflowed depth {coding.overflow.depth} after "
+        f"{len(coding.word)} symbols; increase --depth",
+        doc, coding.word,
     )
-    return 2, doc, coding.word
 
 
 def _cmd_measure(spec: SystemSpec, args: argparse.Namespace) -> Result:
@@ -391,9 +402,15 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 with open(args.spec) as fh:
                     spec = parse_spec(fh.read())
-        code, doc, text = handler(spec, args)
+        try:
+            code, doc, text = handler(spec, args)
+            refusal = None
+        except PartialResult as exc:
+            code, doc, text, refusal = 2, exc.doc, exc.text, exc
         json_out = doc is not None and getattr(args, "format", None) != "text"
         _emit(_dumps(doc) if json_out else [text], args.out)
+        if refusal is not None:
+            raise refusal  # once the partial result is written
         return code
     except (DepthError, SpacerReplacementError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
