@@ -55,17 +55,17 @@ their J_D(y) are, and injectivity is checked on these integers.
 The walk reads each level once: both sides resolve their stages through
 a memoized resolver and read their floor tables once per call, and each
 floor is mapped through the private bodies of the path functions in
-``diagram``, which take what they read.  J(x) and J(y) are read off the
-tables, and the round trip keeps the range check of the floor inverse.
-``_to_target`` takes the model's cut, top runs and heights, which the
-walk binds once (``heights`` is a property that reads through the
-telescoped schedule), and the round trip's source prefix is built
-straight onto the image's upper edges.  Those bodies, and the walk's own
-record ``_Floor``, build their NamedTuples with ``tuple.__new__`` as
-``diagram`` explains: each floor makes about a dozen of them, and the
-generated constructor is a Python-level call.  The walk holds no copy of
-those bodies, since a copy would be a second code path for its rule; a
-test counts the walk's calls into them.
+``diagram``, which take what they read.  J(x) and J(y) are read off
+the tables, and the round trip keeps the range check
+of the floor inverse.  ``_to_target`` takes the model's cut, top runs and
+heights, which the walk binds once (``heights`` is a property that reads
+through the telescoped schedule), and the round trip's source prefix is
+built straight onto the image's upper edges.  Those bodies, and the
+walk's own record ``_Floor``, build their NamedTuples with
+``tuple.__new__`` as ``diagram`` explains: each floor makes about a dozen
+of them, and the generated constructor is a Python-level call.  The
+walk holds no copy of those bodies, since a copy would be a second code
+path for its rule; a test counts the walk's calls into them.
 
 An image is validated unless it equals the target successor of an image
 already valid, which the equivariance check computes anyway.  The

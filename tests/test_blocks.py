@@ -114,15 +114,13 @@ def test_block_on_a_linear_tail_is_linear_time():
 
 
 def test_block_on_a_frozen_tail_reads_only_the_prefix():
-    # q = 1 with no spacers past level 1: every later level keeps B_2 = "00",
-    # so neither walk reads the 2^21 levels below the depth
+    # q = 1 with no spacers past level 1: every later level keeps B_2 = "00"
+    # (test_cli bounds the time of both walks at the level cap)
     frozen = ParamSchedule((Stage(2, (0, 0)), Stage(1, (0,))), tail_period=1)
-    start = time.perf_counter()
     assert build_block(frozen, MAX_WALK_LEVELS) == "00"
     assert code_minimal_orbit(frozen, MAX_WALK_LEVELS, 400) == OrbitCoding(
         "00", Overflow(MAX_WALK_LEVELS)
     )
-    assert time.perf_counter() - start < 0.2
     # the depth rule comes first
     with pytest.raises(BudgetError, match="^stage walk needs 2097153 levels, over the budget of 2097152$"):
         build_block(frozen, MAX_WALK_LEVELS + 1)

@@ -111,7 +111,7 @@ def invocations(draw):
             text = draw(spec_texts())
             argv.append("--spec")
             if text is None:
-                argv.append("missing.json")  # no such file
+                argv.append("OUT/missing.json")  # no such file
     return argv, text
 
 
@@ -135,8 +135,6 @@ def test_cli_exit_contract(spec_dir, invocation):
         else:
             spec.write_text(text)
         argv.append(str(spec))
-    elif argv[-1] == "missing.json":
-        argv[-1] = str(spec_dir / "missing.json")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
