@@ -11,20 +11,24 @@ first block of L symbols.  ``build_block`` and the Vershik orbit of the
 minimal path (``diagram.code_minimal_orbit``) both read it.
 Every walk here reads its stages through the schedule's one stage walk,
 so a negative depth, or one past MAX_WALK_LEVELS, is refused before any
-stage is read.  A frozen tail (q = 1 and no spacers on every tail stage)
-is read only through the explicit prefix: past it no level changes the
-block, so B_n = B_prefix.  Construction is also guarded by a symbol
+stage is read.  Past c = prefix - p on a periodic tail whose q product
+is 1, the levels come as one folded q = 1 stage whose run is their
+spacer total, read in closed form, so B_n is B_c followed by that many
+1s and no stage past the prefix is resolved; on a frozen tail the run
+is empty and B_n = B_c.  Construction is also guarded by a symbol
 budget: before any string is materialized, the lengths h_{k+1} = q_k h_k
 + sum a[k] are checked against it level by level, and the first one over
-it is refused, so a refusal never walks the heights past that level.
+it is refused, so a refusal never walks the heights past that level; in
+a folded stage that level is read in closed form.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .schedules import DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, ParamSchedule, Stage, _check_budget, _stages
+from .schedules import (DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, ParamSchedule, Stage, _check_budget,
+                        _closed_tail, _folded_stages, _stages)
 
 KALIKOW_BOUNDED = "bounded"
 KALIKOW_UNBOUNDED = "unbounded"
@@ -32,20 +36,20 @@ KALIKOW_UNBOUNDED = "unbounded"
 
 def build_block(schedule: ParamSchedule, n: int) -> str:
     """The stage-n block B_n; the lengths h_1..h_n are checked against the
-    budget, stopping at the first one over it, before any level is built."""
-    h = 1
-    for k, st in enumerate(_block_stages(schedule, n), 1):
-        h = st.q * h + st.spacer_sum
+    budget, stopping at the first one over it, before any level is built.
+
+    The stages are ``_folded_stages``'s: a folded stage starts at c and
+    covers levels c..n-1, so the first level over the budget inside it is
+    the tail's first level past it, read in closed form from h_c.
+    """
+    tail, h = _closed_tail(schedule), 1
+    for k, st in enumerate(_folded_stages(schedule, 0, n), 1):
+        h_c, h = h, st.q * h + st.spacer_sum
+        if h > DEFAULT_SYMBOL_BUDGET and tail is not None and k > tail.start:
+            k = tail.first_level(h_c, DEFAULT_SYMBOL_BUDGET + 1)
+            h = h_c + tail.spacers(tail.start, k)
         _check_budget("block", h, "symbols", DEFAULT_SYMBOL_BUDGET, k)
-    return _block_prefix(_block_stages(schedule, n), h)
-
-
-def _block_stages(schedule: ParamSchedule, n: int) -> Iterator[Stage]:
-    """The stages of levels 0..n-1 that B_n is built from, past the depth
-    rule of ``_stages``: on a frozen tail only the explicit prefix's, since
-    past it every level keeps the block and its height, so B_n = B_prefix."""
-    _stages(schedule, n, n)
-    return _stages(schedule, 0, min(n, schedule.prefix_len) if schedule._frozen else n)
+    return _block_prefix(_folded_stages(schedule, 0, n), h)
 
 
 def _block_prefix(stages: Iterable[Stage], length: int) -> str:
@@ -103,10 +107,10 @@ def kalikow_sup_condition(schedule: ParamSchedule, depth: int) -> KalikowReport:
         nxt = schedule.stage(n + 1)
         finals += schedule.stage(n).a[-1]
         witnesses.append(finals + max(nxt.a))
-    summary = schedule._tail_summary
-    if summary is None:
+    tail = schedule._tail
+    if tail is None:
         verdict = UNKNOWN_AT_DEPTH
-    elif summary[2]:
+    elif tail.final_runs:
         # every extra tail stage adds a positive final run to the sum
         verdict = KALIKOW_UNBOUNDED
     else:

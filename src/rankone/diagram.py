@@ -59,18 +59,19 @@ from functools import cache
 from math import prod
 from typing import NamedTuple
 
-from .blocks import _block_prefix, _block_stages
+from .blocks import _block_prefix
 from .schedules import (
     DEFAULT_SYMBOL_BUDGET,
     ParamSchedule,
     Stage,
     _check_budget,
     _floor_tables,
+    _folded_stages,
+    _heights_at,
     _json_array,
     _json_int,
     _json_object,
     _stages,
-    heights,
     tail_mass_bound,
 )
 
@@ -352,7 +353,7 @@ def code_minimal_orbit(schedule: ParamSchedule, depth: int, steps: int) -> Orbit
     """
     _check_stages(schedule, depth)
     _check_steps(steps)
-    word = _block_prefix(_block_stages(schedule, depth), steps)
+    word = _block_prefix(_folded_stages(schedule, 0, depth), steps)
     return OrbitCoding(word, None if len(word) == steps else Overflow(depth))
 
 
@@ -375,13 +376,15 @@ def cylinder_measure_bounds(
     The base cylinder splits into prod_{k=n..depth-1} q_k cylinders at
     level `depth`, each of mass at most 1/h_depth, giving hi.  For
     periodic tails the spacer mass not yet swallowed by the towers is at
-    most the tail ratio bound, giving lo = hi * (1 - bound).
+    most the tail ratio bound, giving lo = hi * (1 - bound).  On a tail
+    whose q product is 1, h_depth and the copies past c are read in closed
+    form (``_heights_at``, ``_folded_stages``).
     """
     if not 0 <= n <= depth:
         raise ValueError(f"need 0 <= n <= depth, got n={n}, depth={depth}")
-    hs = heights(schedule, depth)
-    copies = prod(st.q for st in _stages(schedule, n, depth))
-    hi = Fraction(copies, hs[depth])
+    h = _heights_at(schedule, [depth])[0]
+    copies = prod(st.q for st in _folded_stages(schedule, n, depth))
+    hi = Fraction(copies, h)
     bound = tail_mass_bound(schedule, depth)
     if bound is None:
         return MeasureBracket(Fraction(0), hi, False)

@@ -116,6 +116,7 @@ from .schedules import (
     _check_budget,
     _exact_sum,
     _floor_tables,
+    _heights_at,
     heights,
 )
 from .telescoping import ExpansiveModel, _checked_levels
@@ -265,7 +266,8 @@ def _precheck_walk(schedule: ParamSchedule, levels, depth: int, samples: int | N
     list checks, and a depth past their windows is refused as
     ``verify_isomorphism`` refuses it.  Then, unless a sample of K <= 2^20
     floors fits anyway, H_D = h_{m_D} is read and the walk is H_D floors,
-    or min(K, H_D); heights keeps what it read for the build.
+    or min(K, H_D); the height walk keeps what it read for the build, and
+    on a closed tail H_D is read in closed form.
     """
     if levels is None:
         e = depth * (depth + 1) // 2
@@ -279,7 +281,7 @@ def _precheck_walk(schedule: ParamSchedule, levels, depth: int, samples: int | N
         if depth >= len(levels):
             raise ValueError(f"depth {depth} exceeds the {len(levels) - 1} stages")
         if samples is None or samples > VERIFY_WALK_BUDGET:
-            fiber = heights(schedule, levels[depth])[-1]
+            fiber = _heights_at(schedule, [levels[depth]])[0]
             walked = min(fiber, samples or fiber)
             _check_budget("verify", walked, "floors", VERIFY_WALK_BUDGET, hint=_SAMPLES_HINT)
 

@@ -10,7 +10,14 @@ Infinite schedules are encoded as a finite explicit prefix plus an
 optional periodic tail that repeats the last ``tail_period`` explicit
 stages forever.  That encoding keeps tail questions decidable: eventual
 height growth, whether q > 1 occurs infinitely often, and convergence
-of the spacer-ratio series sum_n (sum_i a[n][i]) / h_{n+1}.
+of the spacer-ratio series sum_n (sum_i a[n][i]) / h_{n+1}.  One private
+tail object, cached on the schedule, answers them all.  A tail whose q
+product is 1 is closed: past its start c = prefix - p, its heights, the
+spacer total of a level range and the first level at or above a height
+are read in closed form, and the walks that build a word, a window or a
+copy count get those levels as one folded q = 1 stage, so none of them
+resolves a stage past the first period.  A frozen tail is a closed one
+without spacers.
 
 All arithmetic here is exact: heights are Python ints, ratios are
 ``fractions.Fraction``.  Floats never enter.
@@ -19,11 +26,11 @@ All arithmetic here is exact: heights are Python ints, ratios are
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from math import prod
 
 PROVED_CONVERGENT = "proved-convergent"
@@ -90,6 +97,65 @@ class Stage:
 
 
 @dataclass(frozen=True)
+class _Tail:
+    """A sound periodic tail: level c + r + jp, for r < p and j >= 0, reads
+    the explicit stage c + r, where c = prefix_len - p.
+
+    ``runs[r]`` is the spacer total of levels c..c+r-1, so ``runs[p]`` is
+    S, the period's.  A tail whose q product Q is 1 cuts nothing, so past
+    c it is closed: its heights are read in closed form, h_{c+r+jp} =
+    h_{c+r} + jS, and so are the spacer total of a level range and the
+    first level at or above a height.  A frozen tail is a closed one with
+    S = 0.
+    """
+
+    start: int                  # c
+    period: int                 # p
+    q_product: int              # Q
+    runs: tuple[int, ...]
+    max_spacers: int            # the largest spacer sum of a tail stage
+    final_runs: bool            # some tail stage ends in a positive run
+
+    @property
+    def closed(self) -> bool:
+        return self.q_product == 1
+
+    @property
+    def frozen(self) -> bool:
+        """Whether past c no level changes a height or a block."""
+        return self.closed and not self.runs[-1]
+
+    def spacers(self, lo: int, hi: int) -> int:
+        """The spacer total of levels lo..hi-1, for c <= lo <= hi: on a
+        closed tail h_hi = h_lo + spacers(lo, hi)."""
+        j, r = divmod(hi - self.start, self.period)
+        i, s = divmod(lo - self.start, self.period)
+        return (j - i) * self.runs[-1] + self.runs[r] - self.runs[s]
+
+    def first_level(self, h_c: int, x: int) -> int | None:
+        """The least level k >= c with h_k >= x on a closed tail, from h_c:
+        the least over the p residues r of c + r + jp, with j the fewest
+        periods that lift h_{c+r} to x; None when no level reaches x."""
+        total = self.runs[-1]
+        if not total:
+            return self.start if h_c >= x else None
+        return min(self.start + r + max(0, (x - h_c - run + total - 1) // total) * self.period
+                   for r, run in enumerate(self.runs[:-1]))
+
+    def mass_past(self, h: int) -> Fraction | None:
+        """A bound on sum_{k >= t} spacers_k / h_{k+1} for t >= prefix_len,
+        from h = h_t: one period multiplies the height by at least Q, so
+        the terms are dominated by (p max_spacers / h) Q/(Q-1) when Q >= 2.
+        None when no bound is provable: a Q = 1 tail with spacers, whose
+        series diverges."""
+        if not self.max_spacers:
+            return Fraction(0)
+        if self.q_product < 2:
+            return None
+        return Fraction(self.period * self.max_spacers, h) * Fraction(self.q_product, self.q_product - 1)
+
+
+@dataclass(frozen=True)
 class ParamSchedule:
     """Explicit stages plus an optional periodic tail.
 
@@ -97,8 +163,8 @@ class ParamSchedule:
     explicit prefix; ``tail_period=p`` means the last p explicit stages
     repeat forever.
 
-    Each stage's structural check, the tail summary, the heights and the
-    level table are cached on the instance, outside equality and hashing.
+    Each stage's structural check, the tail, the heights and the level
+    table are cached on the instance, outside equality and hashing.
     """
 
     stages: tuple[Stage, ...]
@@ -123,31 +189,23 @@ class ParamSchedule:
         return tuple(tuple(st.issues()) for st in self.stages)
 
     @cached_property
-    def _tail_summary(self) -> tuple[int, int, bool] | None:
-        """The periodic tail's q product, its largest per-stage spacer sum,
-        and whether some tail stage ends in a positive spacer run; None for
-        a bare prefix.  Raises ScheduleError on a bad tail stage.
+    def _tail(self) -> _Tail | None:
+        """The periodic tail, None for a bare prefix; raises ScheduleError on
+        a bad tail stage.
 
         The only reader of the tail's stages as a group: every tail
-        question is answered from this summary, so each meets the same
+        question is answered from this object, so each meets the same
         structural check.
         """
-        if self.tail_period is None:
-            return None
-        tail = self.stages[len(self.stages) - self.tail_period:]
-        if any(self._problems[-len(tail):]):
-            raise ScheduleError("tail contains a structurally invalid stage")
-        final_runs = any(st.a[-1] for st in tail)
-        return prod(st.q for st in tail), max(st.spacer_sum for st in tail), final_runs
-
-    @cached_property
-    def _frozen(self) -> bool:
-        """Whether the periodic tail is frozen: every tail stage has q = 1 and
-        no spacers, so past the explicit prefix no level changes a height or
-        a block.  A tail with a bad stage is not frozen, so a walk through it
-        still meets that stage."""
         p = self.tail_period
-        return p is not None and not any(self._problems[-p:]) and self._tail_summary == (1, 0, False)
+        if p is None:
+            return None
+        if any(self._problems[-p:]):
+            raise ScheduleError("tail contains a structurally invalid stage")
+        tail = self.stages[-p:]
+        runs = tuple(accumulate((st.spacer_sum for st in tail), initial=0))
+        return _Tail(len(self.stages) - p, p, prod(st.q for st in tail), runs,
+                     max(st.spacer_sum for st in tail), any(st.a[-1] for st in tail))
 
     @cached_property
     def _heights(self) -> list[int]:
@@ -289,9 +347,10 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
 
     Past the depth rule of ``_stages``, the height walk is advanced to
     level n, so the first level at which the kept heights could pass the
-    size budget is refused.  The caller gets a fresh list it may change;
-    every reader of the heights but the greedy walk and the partial-sum
-    check, which read them level by level from the walk, calls this.
+    size budget is refused.  The caller gets a fresh list it may change.
+    Every reader of the heights calls this or ``_heights_at``, but the
+    greedy walk and the partial-sum check, which read them level by level
+    from the walk.
     """
     _stages(schedule, n, n)  # the depth rule, kept heights or not
     hs = schedule._heights
@@ -299,6 +358,48 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
     if k <= n:
         next(islice(_height_walk(schedule, k), n - k, None))
     return hs[: n + 1]
+
+
+def _closed_tail(schedule: ParamSchedule) -> _Tail | None:
+    """The schedule's tail when it is closed, else None; a tail with a bad
+    stage is not, so a walk through it meets that stage at its own level."""
+    p = schedule.tail_period
+    if p is None or any(schedule._problems[-p:]) or not schedule._tail.closed:
+        return None
+    return schedule._tail
+
+
+def _heights_at(schedule: ParamSchedule, levels: Sequence[int]) -> list[int]:
+    """h_m for each of the increasing levels, with the refusals of
+    ``heights(schedule, levels[-1])``.
+
+    On a closed tail the height walk stops at c and the heights past it are
+    read in closed form; the first level over the height budget up to the
+    last level is then found by bisection, since its cost grows with the
+    level.
+    """
+    n = levels[-1]
+    tail = _closed_tail(schedule)
+    c = n if tail is None else min(n, tail.start)
+    _stages(schedule, n, n)
+    hs = heights(schedule, c)
+    _refuse_first_over(c + 1, n + 1, lambda k: (_height_bytes(k, hs[c] + tail.spacers(c, k)),))
+    return [hs[m] if m <= c else hs[c] + tail.spacers(c, m) for m in levels]
+
+
+def _folded_stages(schedule: ParamSchedule, start: int, stop: int) -> Iterator[Stage]:
+    """The stages of levels start..stop-1 as ``_stages`` resolves them, past
+    its depth rule, except that on a closed tail the levels past c come as
+    one q = 1 stage whose run is their spacer total, read in closed form:
+    a height, a copy count and a block are the same from it, and no stage
+    past the prefix is resolved.  It is the last stage, so every stage
+    before it has its own level.
+    """
+    _stages(schedule, stop, stop)
+    tail = _closed_tail(schedule)
+    mid = stop if tail is None else min(stop, max(start, tail.start))
+    folded = [Stage(1, (tail.spacers(mid, stop),))] if mid < stop else []
+    return chain(_stages(schedule, start, mid), folded)
 
 
 def _height_walk(schedule: ParamSchedule, k: int) -> Iterator[int]:
@@ -371,27 +472,18 @@ def tail_mass_bound(schedule: ParamSchedule, start: int) -> Fraction | None:
     """Rigorous upper bound on sum_{k>=start} spacers_k / h_{k+1}.
 
     Exact terms, added pairwise by ``_exact_sum``, are used up to the end
-    of the explicit prefix; past it,
-    one full tail period multiplies the height by at least the period's
-    q-product R, so the remaining terms are dominated by the geometric
-    series (period * max_spacers / h) * R/(R-1) when R >= 2.  Returns
-    None when no bound is provable (bare prefix, or an R = 1 tail with
-    positive spacers, whose series in fact diverges).
+    of the explicit prefix; past it the tail's ``mass_past`` bounds the
+    rest.  Returns None when no bound is provable (bare prefix, or a tail
+    whose q product is 1 with positive spacers, whose series in fact
+    diverges).
     """
-    summary = schedule._tail_summary
-    if summary is None:
+    tail = schedule._tail
+    if tail is None:
         return None
-    q_product, max_spacers, _ = summary
     t0 = max(start, schedule.prefix_len)
-    exact = _exact_sum(_ratio_terms(schedule, t0, start))
-    if max_spacers == 0:
-        return exact
-    if q_product < 2:
-        return None
-    geom = Fraction(schedule.tail_period * max_spacers, heights(schedule, t0)[t0]) * Fraction(
-        q_product, q_product - 1
-    )
-    return exact + geom
+    rest = tail.mass_past(_heights_at(schedule, [t0])[0])
+    exact = _exact_sum(_ratio_terms(schedule, t0, start)) if start < t0 else Fraction(0)
+    return None if rest is None else exact + rest
 
 
 @dataclass(frozen=True)
@@ -513,7 +605,7 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
         k for k, st in enumerate(schedule.stages) if not problems[k] and st.q > 1
     )
     first_tail = schedule.prefix_len - (schedule.tail_period or 0)
-    summary = None if any(problems[first_tail:]) else schedule._tail_summary
+    tail = None if any(problems[first_tail:]) else schedule._tail
     partials: tuple[Fraction, ...] = ()
     ratio = None
     if not issues:
@@ -524,10 +616,10 @@ def validate(schedule: ParamSchedule, depth: int) -> ValidityReport:
     return ValidityReport(
         structural_issues=issues,
         q_gt1_stages=q_gt1,
-        q_gt1_infinitely_often=None if summary is None else summary[0] > 1,
+        q_gt1_infinitely_often=None if tail is None else not tail.closed,
         partial_sums=partials,
         ratio=ratio,
-        not_defined_everywhere_risk=schedule._frozen,
+        not_defined_everywhere_risk=tail is not None and tail.frozen,
     )
 
 
@@ -544,13 +636,13 @@ def _check_partial_sums(schedule: ParamSchedule, n: int) -> None:
     level 390,168.  The walk checks each height against its own budget
     before this level's sums are checked, so no height past level k is read.
 
-    A frozen tail (q = 1, no spacers) is walked only through the explicit
-    prefix: past it the height stays the same and the sums gain no digits,
-    so each level adds the same cost, and the first level over either
-    budget is found by bisection.
+    A frozen tail is walked only up to c: past it the height stays the
+    same and the sums gain no digits, so each level adds the same cost,
+    and the first level over either budget is found by bisection.
     """
     _stages(schedule, n, n)  # the depth rule, before any stage is read
-    stop = min(n, schedule.prefix_len) if schedule._frozen else n
+    tail = _closed_tail(schedule)
+    stop = min(n, tail.start) if tail is not None and tail.frozen else n
     bits = total = 0
     for k, (st, h) in enumerate(zip(_stages(schedule, 0, stop), _height_walk(schedule, 1)), 1):
         if st.spacer_sum:
@@ -589,46 +681,33 @@ def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     That walk fails only on reaching a bad or missing stage, or the level
     past MAX_WALK_LEVELS.
 
-    A tail whose q product is 1 cuts nothing, so it is walked only through
-    the explicit prefix.  From level c = prefix - p on, each period of p
-    levels adds the tail's spacer total s: h_{c+r+jp} = h_{c+r} + j s for
-    r < p.  Every next level is then the least c + r + j p whose height
-    reaches the target, one minimum over the p residues, and no stage is
-    read.  Such a level is refused as the height walk would refuse it: past
-    MAX_WALK_LEVELS, or at the first level up to it over the height budget,
-    which only a height of 2^255 or more can pass, found by bisection.  On
-    a frozen tail (s = 0) no level reaches the target, so DepthError is
-    raised instead.
+    On a closed tail the walk stops at c, and every next level is the
+    tail's first level at or above the target, read in closed form, so no
+    stage past c is read.  Such a level is refused as the height walk
+    would refuse it: past MAX_WALK_LEVELS, or at the first level up to it
+    over the height budget, which only a height of 2^255 or more can pass,
+    found by bisection.  On a frozen tail no level reaches the target, so
+    DepthError is raised instead.
     """
-    summary = schedule._tail_summary
-    # a q = 1 tail is walked only through the prefix, then stepped a period at a time
-    stop = schedule.prefix_len if summary and summary[0] == 1 else None
+    closed = schedule._tail and _closed_tail(schedule)  # a bad tail stage raises at once
+    c = None if closed is None else closed.start
 
     def walk() -> Iterator[int]:
         target = scale = growth_base  # times h_0 = 1
-        for level, h in enumerate(islice(_height_walk(schedule, 1), stop), 1):
+        for level, h in enumerate(islice(_height_walk(schedule, 1), c), 1):
             if h >= target:
                 yield level
                 scale *= growth_base
                 target = scale * h
-        # only a q = 1 tail gets here, and no level up to the prefix reaches target
-        p, c = schedule.tail_period, stop - schedule.tail_period
-        hs = heights(schedule, stop)[c:]  # h_c..h_{c+p}
-        s = hs[p] - hs[0]
-        if not s:
-            raise DepthError(f"periodic tail adds no height growth; cannot reach h >= {target}")
-
-        def height(k: int) -> int:  # h_k for k >= c
-            return hs[(k - c) % p] + (k - c) // p * s
-
+        # only a closed tail gets here, and no level up to c reaches target
+        h_c = schedule._heights[c]
         while True:
-            # residue r's least level c + r + j p with h_{c+r} + j s >= target
-            level = min(c + r - (hs[r] - target) // s * p for r in range(p))
-            # the height walk would refuse the first level over the height budget up to
-            # this one or the cap, the levels up to the prefix having passed it
-            last = min(level, MAX_WALK_LEVELS)
-            _refuse_first_over(stop + 1, last + 1, lambda k: (_height_bytes(k, height(k)),))
-            h = height(last)
+            level = closed.first_level(h_c, target)
+            if level is None:
+                raise DepthError(f"periodic tail adds no height growth; cannot reach h >= {target}")
+            # the height walk would refuse the first level over the height budget up
+            # to this one or the cap
+            h = _heights_at(schedule, [min(level, MAX_WALK_LEVELS)])[0]
             _check_budget("stage walk", min(level, MAX_WALK_LEVELS + 1), "levels", MAX_WALK_LEVELS)
             yield level
             scale *= growth_base

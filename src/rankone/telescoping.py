@@ -42,9 +42,9 @@ from .schedules import (
     ParamSchedule,
     Stage,
     _check_budget,
+    _folded_stages,
     _greedy_levels,
-    _stages,
-    heights,
+    _heights_at,
 )
 
 # build_expansive's number of attempts, doubling the growth base each time
@@ -107,32 +107,31 @@ def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSched
     MAX_WALK_LEVELS is refused with BudgetError before its first stage is
     read, and one of more than DEFAULT_SYMBOL_BUDGET copies, as many as
     build_block's symbols, at the first level that passes the budget.
+    Windows past c on a tail whose q product is 1 read its levels as one
+    folded stage (``_folded_stages``), and their heights in closed form.
     """
     levels = _checked_levels(levels)
-    for lo, hi in zip(levels, levels[1:]):
-        # a window of Q copies describes a block of at least Q symbols
+    windows = list(zip(levels, levels[1:]))
+    for lo, hi in windows:
+        # a window of Q copies describes a block of at least Q symbols; a folded
+        # stage, the last of its window, has one copy
         what, copies = f"window [{lo}, {hi})", 1
-        for k, st in enumerate(_stages(schedule, lo, hi), lo):
+        for k, st in enumerate(_folded_stages(schedule, lo, hi), lo):
             copies *= st.q
             _check_budget(what, copies, "copies", DEFAULT_SYMBOL_BUDGET, k)
-    hs = heights(schedule, levels[-1])
+    hs = _heights_at(schedule, levels)
     stages = []
-    for lo, hi in zip(levels, levels[1:]):
+    for (lo, hi), h_lo, h_hi in zip(windows, hs, hs[1:]):
         runs = [0]
-        for st in _stages(schedule, lo, hi):
+        for st in _folded_stages(schedule, lo, hi):
             m, last = len(runs), runs[-1]
             runs *= st.q
             for end, x in zip(range(m - 1, m * st.q, m), st.a):
                 runs[end] = last + x
         st = Stage(len(runs), tuple(runs))
-        assert st.q * hs[lo] + st.spacer_sum == hs[hi], "telescoped heights must agree"
+        assert st.q * h_lo + st.spacer_sum == h_hi, "telescoped heights must agree"
         stages.append(st)
-    return TelescopedSchedule(
-        base=schedule,
-        levels=levels,
-        stages=tuple(stages),
-        heights=tuple(hs[m] for m in levels),
-    )
+    return TelescopedSchedule(base=schedule, levels=levels, stages=tuple(stages), heights=tuple(hs))
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,7 @@ def build_expansive(schedule: ParamSchedule, stages: int) -> ExpansiveModel:
     """
     if stages < 0:
         raise ValueError(f"count {stages} < 0")
-    summary = schedule._tail_summary
+    tail = schedule._tail
     factor = GROWTH_BASE
     last_error: Exception | None = None
     for _ in range(MAX_RETRIES):
@@ -245,7 +244,7 @@ def build_expansive(schedule: ParamSchedule, stages: int) -> ExpansiveModel:
             # the tail's q product is 1 and every explicit stage from m[n] on
             # has q = 1: the window collapses to Q = 1 and a larger growth
             # base only moves it further up, so retrying cannot help
-            if summary and summary[0] == 1 and all(st.q == 1 for st in schedule.stages[m[n]:]):
+            if tail is not None and tail.closed and all(st.q == 1 for st in schedule.stages[m[n]:]):
                 raise SpacerReplacementError(
                     f"stage {n}: every level from {m[n]} on has q = 1 "
                     "(the periodic tail's q product is 1), so no growth base "
