@@ -125,10 +125,12 @@ def invocations() -> list[list[str]]:
                 ["expand", *spec],
                 ["verify", *spec, "--samples", "40", "--seed", "7"],
             ]
-    # the linear tail's sixth level is 1,747,665, which telescope walks in
-    # seconds level by level, so it is left out
-    for stages in (2, 3, 4, 5, 7):
-        out.append(["telescope", "--spec", f"{PLACEHOLDER}/linear.json", "--stages", str(stages)])
+    # the linear tail's sixth level is 1,747,665 and its seventh lies past the level cap
+    linear = ["--spec", f"{PLACEHOLDER}/linear.json"]
+    for stages in (2, 3, 4, 5, 6, 7):
+        out.append(["telescope", *linear, "--stages", str(stages)])
+    out += [["block", *linear, "--depth", "2097152"],
+            ["measure", *linear, "--stages", "1", "--depth", "2097152"]]
     for stages in range(2, 8):
         out.append(["telescope", "--spec", f"{PLACEHOLDER}/frozen.json", "--stages", str(stages)])
     # 400 symbols pass the end of the short towers, whose orbits overflow

@@ -28,7 +28,9 @@ from rankone import (
     period_doubling_occurrences,
 )
 from rankone.blocks import _block_prefix
-from rankone.schedules import MAX_WALK_LEVELS, _stages
+from rankone.diagram import cylinder_measure_bounds
+from rankone.schedules import MAX_WALK_LEVELS, _stages, choose_telescoping_levels
+from rankone.telescoping import telescope
 
 
 def test_block_known_values():
@@ -98,19 +100,29 @@ def test_block_prefix_stops_at_its_length():
     assert _block_prefix([Stage(10**6, (0,) * 10**6)], 3) == "000"
 
 
+# q = 1 past level 2, and the tail from level 3 adds 3 spacers a level
+LINEAR = ParamSchedule(
+    (Stage(2, (0, 2)), Stage(4, (1, 3, 0, 0)), Stage(1, (2,)), Stage(1, (3,))), tail_period=1
+)
+
+
 def test_block_on_a_linear_tail_is_linear_time():
-    # q = 1 past level 2: B_n is B_2 followed by 2 + 3 (n - 3) spacers, and
-    # building it costs the length of the word, not the sum of h_k
-    linear = ParamSchedule(
-        (Stage(2, (0, 2)), Stage(4, (1, 3, 0, 0)), Stage(1, (2,)), Stage(1, (3,))),
-        tail_period=1,
-    )
-    depth = 200_000
+    # B_n is B_2 followed by 2 + 3 (n - 3) spacers, and building it costs the
+    # length of the word, not the sum of h_k: past level 3 the tail's levels
+    # are one folded run of 1s
+    linear = ParamSchedule(LINEAR.stages, LINEAR.tail_period)
+    depth = MAX_WALK_LEVELS
     start = time.perf_counter()
     word = build_block(linear, depth)
     assert time.perf_counter() - start < 2.0
     assert word == build_block(linear, 2) + "1" * (2 + 3 * (depth - 3))
     assert len(word) == heights(linear, depth)[depth]
+    # 1,000 spacers a level pass the budget inside the folded run, and the
+    # refusal names the first level over it, read in closed form
+    wide = ParamSchedule((Stage(1, (1000,)),), tail_period=1)
+    over = "^block needs 67109001 symbols by level 67109, over the budget of 67108864$"
+    with pytest.raises(BudgetError, match=over):
+        build_block(wide, depth)
 
 
 def test_block_on_a_frozen_tail_reads_only_the_prefix():
@@ -126,12 +138,42 @@ def test_block_on_a_frozen_tail_reads_only_the_prefix():
         build_block(frozen, MAX_WALK_LEVELS + 1)
     with pytest.raises(ValueError, match="^depth -1 < 0$"):
         code_minimal_orbit(frozen, -1, 400)
-    # a tail with a bad stage is not frozen: the walk meets that stage and
-    # raises its own line, not the tail summary's
+    # a tail with a bad stage is not folded: each walk meets that stage and
+    # raises its own line, not the tail's
     bad = ParamSchedule((Stage(2, (0, 0)), Stage(1, (0,)), Stage(1, (-1,))), tail_period=2)
-    for build in (lambda: build_block(bad, 10), lambda: code_minimal_orbit(bad, 10, 400)):
+    for build in (
+        lambda: build_block(bad, 10),
+        lambda: code_minimal_orbit(bad, 10, 400),
+        lambda: telescope(bad, [0, 1, 10]),
+        lambda: cylinder_measure_bounds(bad, 1, 10),
+    ):
         with pytest.raises(ScheduleError, match="^stage 2: negative spacer count$"):
             build()
+
+
+def test_linear_tail_walks_resolve_only_the_prefix_and_one_period(monkeypatch):
+    # past c = prefix_len - period the linear tail's levels are one folded
+    # stage, so no walk to the level cap resolves a stage past the first period
+    resolved = []
+    original = ParamSchedule.stage
+
+    def counted(self, n):
+        resolved.append(n)
+        return original(self, n)
+
+    levels = choose_telescoping_levels(LINEAR, 6)  # the levels of --stages 6
+    assert levels[-1] == 1_747_665
+    monkeypatch.setattr(ParamSchedule, "stage", counted)
+    depth = MAX_WALK_LEVELS
+    for walk in (
+        lambda schedule: build_block(schedule, depth),
+        lambda schedule: code_minimal_orbit(schedule, depth, 10**7),
+        lambda schedule: telescope(schedule, levels),
+        lambda schedule: cylinder_measure_bounds(schedule, 1, depth),
+    ):
+        resolved.clear()
+        walk(ParamSchedule(LINEAR.stages, LINEAR.tail_period))  # nothing cached
+        assert resolved and max(resolved) < LINEAR.prefix_len + LINEAR.tail_period
 
 
 def test_block_budget_checked_before_building():

@@ -723,20 +723,25 @@ def test_frozen_tail_risk(tmp_path, capsys):
 
 
 def test_frozen_tail_block_and_orbit_read_only_the_prefix(tmp_path, capsys):
-    # past level 1 the frozen tail keeps B_D = B_2 = "00" and h_D = 2, so
-    # neither command walks the 2^21 levels below the depth
-    spec = tmp_path / "frozen.json"
-    spec.write_text(json.dumps({"schedule": FROZEN_TAIL_DOC}))
-    t0 = time.perf_counter()
-    assert main(["vershik", "--spec", str(spec), "--depth", "2097152", "--length", "400"]) == 2
-    assert time.perf_counter() - t0 < 0.2
-    assert capsys.readouterr() == (
-        "00\n", "error: orbit overflowed depth 2097152 after 2 symbols; increase --depth\n"
-    )
-    t0 = time.perf_counter()
-    assert main(["block", "--spec", str(spec), "--depth", "2097152"]) == 0
-    assert time.perf_counter() - t0 < 0.2
-    assert capsys.readouterr() == ("00\n", "")
+    # past level 1 the frozen tail keeps B_D = B_2 = "00" and h_D = 2, and past
+    # level 3 the linear tail only lengthens B_3's run of 1s, by 3 a level:
+    # neither command walks the 2^21 levels below the depth on either tail
+    linear = "0011100111110011001111" + "1" * (3 * (2097152 - 3))
+    for doc, code, orbit, error, block in (
+        (FROZEN_TAIL_DOC, 2, "00",
+         "error: orbit overflowed depth 2097152 after 2 symbols; increase --depth\n", "00"),
+        (LINEAR_TAIL_DOC, 0, linear[:400], "", linear),
+    ):
+        spec = tmp_path / "tail.json"
+        spec.write_text(json.dumps({"schedule": doc}))
+        t0 = time.perf_counter()
+        assert main(["vershik", "--spec", str(spec), "--depth", "2097152", "--length", "400"]) == code
+        assert time.perf_counter() - t0 < 0.2
+        assert capsys.readouterr() == (orbit + "\n", error)
+        t0 = time.perf_counter()
+        assert main(["block", "--spec", str(spec), "--depth", "2097152"]) == 0
+        assert time.perf_counter() - t0 < 0.2
+        assert capsys.readouterr() == (block + "\n", "")
 
 
 _HEIGHTS_OVER = "height list needs up to {} bytes by level {}, over the budget of 67108864"

@@ -27,13 +27,19 @@ from rankone import (
     tail_mass_bound,
     validate,
 )
+from rankone.blocks import build_block
+from rankone.diagram import MeasureBracket, cylinder_measure_bounds
 from rankone.schedules import (
     MAX_WALK_LEVELS,
     PARTIAL_SUM_ENTRY_BYTES,
     _check_partial_sums,
+    _closed_tail,
+    _folded_stages,
     _greedy_levels,
+    _heights_at,
     _ratio_terms,
 )
+from rankone.telescoping import telescope
 
 
 def tail_diverges(schedule: ParamSchedule) -> bool:
@@ -44,8 +50,10 @@ def tail_diverges(schedule: ParamSchedule) -> bool:
     prod h_k/h_{k+1} = h_start/h_K tend to zero, which is equivalent to
     divergence of sum (1 - h_k/h_{k+1}) = sum spacers_k / h_{k+1}.
     """
-    summary = schedule._tail_summary
-    return summary is not None and summary[0] == 1 and summary[1] > 0
+    if schedule.tail_period is None:
+        return False
+    tail = schedule.stages[-schedule.tail_period:]
+    return all(stage.q == 1 for stage in tail) and any(sum(stage.a) for stage in tail)
 
 
 def test_heights_known_values():
@@ -649,3 +657,89 @@ def test_second_walk_resolves_no_cached_stage(monkeypatch):
     resolved.clear()
     assert choose_telescoping_levels(schedule, 8) == [0, 1, 3, 5, 8, 12, 16, 21, 27]
     assert resolved == []
+
+
+def _reference_block(schedule, n):
+    """B_n by concatenation, one reference stage per level."""
+    block = "0"
+    for k in range(n):
+        block = "".join(block + "1" * x for x in _reference_stage(schedule, k).a)
+    return block
+
+
+def _reference_window(schedule, lo, hi):
+    """The runs of window [lo, hi) by the block recursion, one reference stage per level."""
+    runs = [0]
+    for k in range(lo, hi):
+        runs = [r for x in _reference_stage(schedule, k).a for r in runs[:-1] + [runs[-1] + x]]
+    return Stage(len(runs), tuple(runs))
+
+
+@given(any_schedules() | q1_tail_schedules(), st.integers(0, 200), st.integers(0, 200),
+       st.integers(1, 2000))
+def test_closed_tail_matches_the_stage_walk(schedule, lo, span, x):
+    # past c a tail whose q product is 1 is read in closed form: heights, the
+    # first level at or above a height, and the folded run of a level range
+    # agree with a walk that reads one stage per level
+    top = schedule.prefix_len + 200
+    hi = min(lo + span, top)
+    lo = min(lo, hi)
+    try:
+        hs = _reference_heights(schedule, top)
+        stages = [_reference_stage(schedule, k) for k in range(lo, hi)]
+    except (ScheduleError, DepthError):
+        return
+    tail = _closed_tail(schedule)
+    folded = list(_folded_stages(schedule, lo, hi))
+    assert _heights_at(schedule, list(range(top + 1))) == hs
+    if tail is None:
+        assert folded == stages
+        return
+    c = tail.start
+    assert [hs[c] + tail.spacers(c, k) for k in range(c, top + 1)] == hs[c:]
+    mid = min(hi, max(lo, c))
+    assert folded[:mid - lo] == stages[:mid - lo]
+    assert folded[mid - lo:] == ([Stage(1, (sum(st.spacer_sum for st in stages[mid - lo:]),))]
+                                 if mid < hi else [])
+    level = tail.first_level(hs[c], x)
+    reached = [k for k in range(c, top + 1) if hs[k] >= x]
+    if reached:
+        assert level == reached[0]
+    elif tail.runs[-1]:  # past the levels walked here
+        assert hs[c] + tail.spacers(c, level - 1) < x <= hs[c] + tail.spacers(c, level)
+        assert level > top
+    else:
+        assert level is None
+
+
+@given(q1_tail_schedules(), st.integers(0, 200), st.integers(0, 3), st.data())
+def test_q1_tail_walks_match_the_reference(schedule, extra, n, data):
+    # build_block, telescope and cylinder_measure_bounds read the folded stage
+    # past c; each equals what one reference stage per level gives, and a
+    # block over a small budget is refused at the first level over it
+    depth = schedule.prefix_len + extra
+    assert build_block(schedule, depth) == _reference_block(schedule, depth)
+    budget = data.draw(st.integers(1, 400))
+    over = [(k, h) for k, h in enumerate(_reference_heights(schedule, depth)) if h > budget]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rankone.blocks.DEFAULT_SYMBOL_BUDGET", budget)
+        if over:
+            want = f"^block needs {over[0][1]} symbols by level {over[0][0]}, over the budget of {budget}$"
+            with pytest.raises(BudgetError, match=want):
+                build_block(schedule, depth)
+        else:
+            assert build_block(schedule, depth) == _reference_block(schedule, depth)
+    if n <= depth:
+        hs = _reference_heights(schedule, depth)
+        hi = Fraction(prod(_reference_stage(schedule, k).q for k in range(n, depth)), hs[depth])
+        bound = _reference_tail_bound(schedule, depth)
+        assert cylinder_measure_bounds(schedule, n, depth) == (
+            MeasureBracket(Fraction(0), hi, False) if bound is None
+            else MeasureBracket(max(Fraction(0), hi * (1 - bound)), hi, True)
+        )
+    cuts = data.draw(st.lists(st.integers(1, depth), max_size=3, unique=True)) if depth else []
+    levels = [0, *sorted(cuts)]
+    tele = telescope(schedule, levels)
+    hs = _reference_heights(schedule, levels[-1])
+    assert tele.heights == tuple(hs[m] for m in levels)
+    assert tele.stages == tuple(_reference_window(schedule, a, b) for a, b in zip(levels, levels[1:]))
