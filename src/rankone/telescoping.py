@@ -131,7 +131,12 @@ def telescope(schedule: ParamSchedule, levels: Sequence[int]) -> TelescopedSched
         st = Stage(len(runs), tuple(runs))
         assert st.q * h_lo + st.spacer_sum == h_hi, "telescoped heights must agree"
         stages.append(st)
-    return TelescopedSchedule(base=schedule, levels=levels, stages=tuple(stages), heights=tuple(hs))
+    return TelescopedSchedule(
+        base=schedule,
+        levels=levels,
+        stages=tuple(stages),
+        heights=tuple(hs),
+    )
 
 
 @dataclass(frozen=True)
