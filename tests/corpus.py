@@ -124,6 +124,8 @@ def invocations() -> list[list[str]]:
                 ["telescope", *spec],
                 ["expand", *spec],
                 ["verify", *spec, "--samples", "40", "--seed", "7"],
+                ["verify", *spec, "--depth", "2", "--exhaustive"],
+                ["verify", *spec, "--depth", "3", "--exhaustive"],
             ]
     # the linear tail's sixth level is 1,747,665 and its seventh lies past the level cap
     linear = ["--spec", f"{PLACEHOLDER}/linear.json"]
