@@ -30,16 +30,44 @@ Each path operation has one body, a private helper that takes what it
 reads: a stage resolver stage(n), or the floor tables (hs, table) that
 ``_floor_tables`` keeps on the schedule.  The public functions pass
 ``schedule.stage`` and the schedule's tables, so they resolve level by
-level and raise at the first level that fails.  Walks read each level
-once per call: ``code_orbit`` steps through a memoized resolver, which
-resolves a level when a step first reaches it, and ``verify_isomorphism``
-(in ``isomorphism``) does the same and reads both tables once.
+level and raise at the first level that fails; each that takes a path
+validates it first.  Walks read each level once per call: ``code_orbit`` validates
+and steps through a memoized resolver, and ``verify_isomorphism`` (in
+``isomorphism``) steps through one and reads both tables once.
 
 The successor rule itself has one body, ``_step``, which names the level
-that advances and its new edge.  ``successor`` builds the next path from
-that move; ``code_orbit`` applies it in place to one list of edges.  The
-minimal path's orbit codes the block B_depth, so ``code_minimal_orbit``
-reads that word off the block recursion instead of stepping it.
+pos that advances and its new edge.  ``_advance`` builds the next path
+from that move (``successor`` and the verify walk); ``code_orbit``
+applies it in place to one list of edges.  ``_advance_indices`` gives the
+next path's J from the path's J and the same move:
+
+    J_n(x') = J_n(x) + 1 for n > pos; below that, J_0..J_pos = 0 when
+    the new edge is a tower edge, and J starts at pos + 1 when it is a
+    spacer edge.
+
+Proof, for a valid path x with a move.  Copy i of tower m and then its
+spacer run fill the floors from s[i] to s[i + 1] - 1 of tower m + 1,
+where s = s_m are the copy starts, s[i + 1] = s[i] + h_m + a_m[i] and
+s[q] = h_{m+1}, so a tower edge i at level m adds s[i] and a spacer edge
+(i, j) enters floor s[i] + h_m + j.  ``_step`` passes only edges that
+cannot advance: down edges, and the last edge into their vertex, either
+tower(q - 1) with a[q - 1] = 0, which lifts the top floor h_m - 1 to the
+top floor h_{m+1} - 1, or spacer(q - 1, a[q - 1] - 1), which enters that
+top floor.  As J_0 = 0 = h_0 - 1, a tower edge at pos sits on J_pos(x) =
+h_pos - 1, and a spacer edge (i, j) at pos enters s[i] + h + j, where
+h = h_pos.  The move
+then enters the next floor of tower pos + 1: tower(i) to spacer(i, 0)
+goes from s[i] + h - 1 to s[i] + h, tower(i) to tower(i + 1) (a[i] = 0)
+to s[i + 1] + 0 = s[i] + h, spacer(i, j) to spacer(i, j + 1) adds one,
+and spacer(i, a[i] - 1) to tower(i + 1) goes to s[i + 1] + 0.  Above pos
+the edges are kept, and each J_{n+1} - J_n is read off the edge at level
+n alone, so the one is carried to every n > pos.  Below pos, x' has
+tower(0) edges (s[0] = 0) under a tower edge and down edges under a
+spacer edge, which enters tower pos + 1.
+
+The minimal path's orbit codes the block B_depth, so
+``code_minimal_orbit`` reads that word off the block recursion instead
+of stepping it.
 
 These bodies run once or twice per floor of a verify walk, so they build
 their records with ``tuple.__new__`` (``_new``) rather than through the
@@ -171,20 +199,20 @@ def _check_stages(schedule: ParamSchedule, depth: int) -> None:
 
 
 def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
-    """Vershik successor within the truncation, or Overflow."""
+    """Vershik successor within the truncation, or Overflow; raises what
+    validate_path raises."""
+    validate_path(schedule, path)
     return _successor(schedule.stage, path)
 
 
 def _successor(stage: Callable[[int], Stage], path: AdicPath) -> AdicPath | Overflow:
-    """successor resolving stage n through stage(n) only where it tries an edge."""
-    edges = path.edges
-    step = _step(stage, edges)
+    """successor of a valid path, resolving stage n through stage(n) only
+    where it tries an edge."""
+    step = _step(stage, path.edges)
     if step is None:
-        return Overflow(len(edges))
+        return Overflow(len(path.edges))
     pos, new = step
-    if new.kind == SPACER:
-        return _new(AdicPath, (ROOT_SPACER, (_DOWN,) * pos + (new,) + edges[pos + 1:]))
-    return _new(AdicPath, (ROOT_NONSPACER, (_TOWER_0,) * pos + (new,) + edges[pos + 1:]))
+    return _advance(path.edges, pos, new)
 
 
 def _step(stage: Callable[[int], Stage], edges: Sequence[Edge]) -> tuple[int, Edge] | None:
@@ -205,6 +233,25 @@ def _step(stage: Callable[[int], Stage], edges: Sequence[Edge]) -> tuple[int, Ed
         if i + 1 < st.q:
             return pos, _new(Edge, (TOWER, i + 1, 0))
     return None
+
+
+def _advance(edges: tuple[Edge, ...], pos: int, new: Edge) -> AdicPath:
+    """The successor that the move (pos, new) of ``_step`` makes of edges."""
+    if new.kind == SPACER:
+        return _new(AdicPath, (ROOT_SPACER, (_DOWN,) * pos + (new,) + edges[pos + 1:]))
+    return _new(AdicPath, (ROOT_NONSPACER, (_TOWER_0,) * pos + (new,) + edges[pos + 1:]))
+
+
+def _advance_indices(j: LevelIndices, pos: int, new: Edge) -> LevelIndices:
+    """J of the successor ``_advance`` builds, from J of the valid path it
+    advances and the same move: each J_n with n > pos plus one, below that
+    zeros under a tower edge and no values under a spacer edge, whose
+    range starts at pos + 1 (see the module docstring)."""
+    start, values = j
+    above = tuple([v + 1 for v in values[pos + 1 - start:]])
+    if new.kind == SPACER:
+        return _new(LevelIndices, (pos + 1, above))
+    return _new(LevelIndices, (0, (0,) * (pos + 1) + above))
 
 
 class LevelIndices(NamedTuple):
@@ -304,7 +351,8 @@ def code_orbit(schedule: ParamSchedule, path: AdicPath, steps: int) -> OrbitCodi
 
     Symbol rule: 1 when the current path enters through the spacer
     reservoir (root edge into column 1), else 0.  Stops early with the
-    partial word when the orbit overflows the truncation.  `steps` is
+    partial word when the orbit overflows the truncation.  The path is
+    validated first, raising what validate_path raises, and `steps` is
     checked against the symbol budget before the first step.  The orbit
     is kept as a root flag and a list of edges that each ``_step`` move
     changes in place, so no path is built per symbol.
@@ -314,8 +362,9 @@ def code_orbit(schedule: ParamSchedule, path: AdicPath, steps: int) -> OrbitCodi
     and this walk, which shares no code with the block recursion, is the
     oracle the tests hold that word against.
     """
+    stage = cache(schedule.stage)  # each level resolved once, by the validation
+    _validate_path(stage, path)
     _check_steps(steps)
-    stage = cache(schedule.stage)  # each level resolved once, when first stepped
     out = []
     spacer, edges = path.root == ROOT_SPACER, list(path.edges)
     for s in range(steps):

@@ -42,10 +42,10 @@ from_tower_coordinates inverts.
 The walk computes one record per floor k: the path x, N(x), its floor
 coding J(x), the image y and J(y).  The equivariance check maps the
 successor of x, and that record is used for floor k when its J_D is k.
-The successor enters the same column-0 vertex as x, J(x) is read off
-the path itself, and J_D is a bijection from the paths into that vertex
-onto 0..H_D - 1, so the record holds the path from_tower_coordinates
-would build for k.  That inverse builds only the first floor, a floor
+The successor enters the same column-0 vertex as x, the J carried to
+it equals the J read off its path (see below), and J_D is a bijection from the
+paths into that vertex onto 0..H_D - 1, so the record holds the path
+from_tower_coordinates would build for k.  That inverse builds only the first floor, a floor
 after a successor left unmapped (it overflowed on either side), and a
 sampled floor that does not follow the last one.  Every image the map
 returns is a valid path ending in column 0, and on those paths J_D is a
@@ -55,9 +55,8 @@ their J_D(y) are, and injectivity is checked on these integers.
 The walk reads each level once: both sides resolve their stages through
 a memoized resolver and read their floor tables once per call, and each
 floor is mapped through the private bodies of the path functions in
-``diagram``, which take what they read.  J(x) and J(y) are read off
-the tables, and the round trip keeps the range check
-of the floor inverse.  ``_to_target`` takes the model's cut, top runs and
+``diagram``, which take what they read.  The round trip keeps the
+range check of the floor inverse.  ``_to_target`` takes the model's cut, top runs and
 heights, which the walk binds once (``heights`` is a property that reads
 through the telescoped schedule), and the round trip's source prefix is
 built straight onto the image's upper edges.  Those bodies, and the
@@ -79,6 +78,19 @@ validates the first floor's image, the image after an overflow, and the
 image of a sampled floor no successor reached.  An image that differs
 from the successor it is compared with is validated too, so a mapping
 error keeps its text and its place among the failures.
+
+A successor's record is carried through the step that builds it, not
+read off its path.  Floors that from_tower_coordinates builds read J(x)
+and J(y) off the tables and N(x) by a scan of every level.  For the
+successor x' made by the move (pos, new) of ``_step``, J(x') follows
+from J(x) and the move (``_advance_indices``, proved in ``diagram``).
+The move keeps every edge above pos, so N(x') = N(x) when N(x) > pos,
+and otherwise N(x') is the last exceptional level at or below pos,
+scanned from pos down; neither case assumes anything of the cut.  J of
+the image is carried from J(y) and the target move only when the image
+equals step_y, whose validation is skipped on the same condition; any
+other image is read off its path, so every failure keeps its text and
+its place.
 """
 
 from __future__ import annotations
@@ -94,16 +106,17 @@ from .diagram import (
     AdicPath,
     Edge,
     LevelIndices,
-    Overflow,
     ROOT_NONSPACER,
     ROOT_SPACER,
     SPACER,
     TOWER,
     _DOWN,
+    _advance,
+    _advance_indices,
     _from_tower_coordinates,
     _level_indices,
     _new,
-    _successor,
+    _step,
     _validate_path,
     from_tower_coordinates,
     level_indices,
@@ -124,12 +137,26 @@ from .telescoping import ExpansiveModel, _checked_levels
 
 def exceptional_index(model: ExpansiveModel, path: AdicPath) -> int:
     """N(x): the last level whose edge is a spacer edge or a copy above the cut, or -1."""
-    edges, cut = path.edges, model.cut
-    for n in range(min(len(edges), len(cut)) - 1, -1, -1):
-        e = edges[n]
-        if e.kind == SPACER or (e.kind == TOWER and e.i > cut[n]):
+    return _last_exceptional(model.cut, path.edges, len(path.edges))
+
+
+def _last_exceptional(cut: tuple[int, ...], edges: tuple[Edge, ...], top: int) -> int:
+    """The last exceptional level below top, scanning top - 1 down to 0, or -1."""
+    for n in range(min(top, len(cut)) - 1, -1, -1):
+        kind, i, _ = edges[n]
+        if kind == SPACER or (kind == TOWER and i > cut[n]):
             return n
     return -1
+
+
+def _advance_exceptional(
+    cut: tuple[int, ...], n_exc: int, pos: int, edges: tuple[Edge, ...]
+) -> int:
+    """N of the successor with these edges, made by a ``_step`` move at
+    level pos from a path with N = n_exc: the move keeps every edge above
+    pos, so only a path with no exceptional level above pos is scanned,
+    from pos down."""
+    return n_exc if n_exc > pos else _last_exceptional(cut, edges, pos + 1)
 
 
 def to_target(model: ExpansiveModel, x: AdicPath) -> AdicPath:
@@ -313,7 +340,10 @@ def verify_isomorphism(
     is that floor, since J_D is one-to-one on the fiber.  An image is
     validated against the target unless it equals the target successor
     of the image before it: the successor of a valid path is valid.  So
-    an exhaustive walk that passes validates one image.  The only
+    an exhaustive walk that passes validates one image.  A successor's
+    N and J, and J of its image when that image is the successor of the
+    image before, are carried through the successor step, not read off
+    the path.  The only
     skips are truncation overflows (the top floor has no successor
     inside the diagram); they are counted under exclusions.  Mapping
     errors are recorded as failures, never raised.
@@ -354,17 +384,21 @@ def verify_isomorphism(
     ths, ttable = _floor_tables(model.target, depth)
     cut, top_run, hs = model.cut, model.top_run, model.heights
 
-    def floor(x: AdicPath, step_y: AdicPath | None = None) -> _Floor:
-        """Map a valid source path through the target, validating the image
-        unless it is step_y, the successor of a valid target path and so
-        valid itself (see the module docstring)."""
-        n_exc = exceptional_index(model, x)
-        jx = _level_indices(shs, stable, x)
+    def floor(
+        x: AdicPath, n_exc: int, jx: LevelIndices,
+        step_y: AdicPath | None = None, step_jy: LevelIndices | None = None,
+    ) -> _Floor:
+        """Map a valid source path with N(x) and J(x) through the target.
+        An image equal to step_y, the successor of a valid target path, is
+        valid and has J = step_jy (see the module docstring); any other
+        image is validated and its J read off the tables."""
         try:
             y = _to_target(cut, top_run, hs, x, n_exc, jx)
-            if y != step_y:
+            if y == step_y:
+                jy = step_jy
+            else:
                 _validate_path(target_stage, y)
-            jy = _level_indices(ths, ttable, y)
+                jy = _level_indices(ths, ttable, y)
         except ValueError as exc:
             return _new(_Floor, (x, n_exc, jx, None, None, str(exc)))
         return _new(_Floor, (x, n_exc, jx, y, jy, None))
@@ -377,7 +411,8 @@ def verify_isomorphism(
         if ahead is not None and ahead.jx.values[-1] == k:
             rec = ahead
         else:
-            rec = floor(_from_tower_coordinates(shs, stable, depth, k))
+            x = _from_tower_coordinates(shs, stable, depth, k)
+            rec = floor(x, exceptional_index(model, x), _level_indices(shs, stable, x))
         ahead = None
         x, n_exc, jx, y, jy, error = rec
         if y is None:
@@ -412,12 +447,12 @@ def verify_isomorphism(
             )
         seen.add(jy.values[-1])
 
-        step_x = _successor(source_stage, x)
-        if isinstance(step_x, Overflow):
+        move_x = _step(source_stage, x.edges)
+        if move_x is None:
             exclusions["successor-overflow"] += 1
             continue
-        step_y = _successor(target_stage, y)
-        if isinstance(step_y, Overflow):
+        move_y = _step(target_stage, y.edges)
+        if move_y is None:
             failures.append(
                 IsoFailure(
                     "equivariance",
@@ -426,7 +461,14 @@ def verify_isomorphism(
                 )
             )
             continue
-        ahead = floor(step_x, step_y)
+        # the successors' records follow from the moves (see the module docstring)
+        pos, new = move_x
+        step_x = _advance(x.edges, pos, new)
+        n_next = _advance_exceptional(cut, n_exc, pos, step_x.edges)
+        jx_next = _advance_indices(jx, pos, new)
+        pos, new = move_y
+        step_y = _advance(y.edges, pos, new)
+        ahead = floor(step_x, n_next, jx_next, step_y, _advance_indices(jy, pos, new))
         if ahead.y is None:
             failures.append(IsoFailure("equivariance", ahead.error, x))
         elif ahead.y != step_y:

@@ -40,6 +40,7 @@ from rankone import (
     telescope,
     validate_path,
 )
+from rankone.diagram import _successor
 from rankone.schedules import _floor_tables
 
 
@@ -419,6 +420,12 @@ def _ref_validate_path(schedule, path):
 
 
 def _ref_successor(schedule, path):
+    _ref_validate_path(schedule, path)
+    return _ref_step(schedule, path)
+
+
+def _ref_step(schedule, path):
+    """The successor of a valid path, resolving a stage at every level it tries."""
     for pos, e in enumerate(path.edges):
         if e.kind == DOWN:
             continue
@@ -519,12 +526,14 @@ def test_path_functions_raise_where_each_level_is_read(schedule, cases):
 
 
 def _ref_code_orbit(schedule, path, steps):
-    """code_orbit stepping _ref_successor, which resolves a stage at every step."""
+    """code_orbit validating the path, then stepping _ref_step, which
+    resolves a stage at every step."""
+    _ref_validate_path(schedule, path)
     out = []
     for s in range(steps):
         out.append("1" if path.root == ROOT_SPACER else "0")
         if s + 1 < steps:
-            path = _ref_successor(schedule, path)
+            path = _ref_step(schedule, path)
             if isinstance(path, Overflow):
                 return OrbitCoding("".join(out), path)
     return OrbitCoding("".join(out), None)
@@ -539,8 +548,8 @@ def _ref_code_orbit(schedule, path, steps):
     st.integers(0, 150),
 )
 def test_code_orbit_matches_stepped_successor(schedule, root, edges, n, k, steps):
-    # the orbit resolves each level once, yet reads none earlier than a
-    # successor step would: same word, overflow, or exception and text
+    # the orbit validates the path, then resolves each level once: same
+    # word, overflow, or exception and text as validating and stepping
     paths = [AdicPath(root, tuple(edges))]
     head = _result(_ref_from_tower_coordinates, schedule, n, k)
     if isinstance(head, AdicPath):  # a valid head, then arbitrary edges
@@ -580,12 +589,13 @@ def test_errors_at_the_level_read():
     bare = ParamSchedule((Stage(2, (0, 1)),))
     with pytest.raises(PathError, match="level 0: tower index 5 outside 0..1"):
         validate_path(bare, AdicPath(ROOT_NONSPACER, (Edge(TOWER, 5), Edge(TOWER, 0))))
-    # the next edge is at level 0, so the missing stage 1 is never read
-    assert successor(bare, AdicPath(ROOT_NONSPACER, (Edge(TOWER, 0), Edge(TOWER, 0)))) == (
-        AdicPath(ROOT_NONSPACER, (Edge(TOWER, 1), Edge(TOWER, 0)))
-    )
-    with pytest.raises(DepthError, match="stage 1 unresolvable"):
-        level_indices(bare, AdicPath(ROOT_NONSPACER, (Edge(TOWER, 0), Edge(TOWER, 0))))
+    # the step moves the edge at level 0, so the missing stage 1 is never
+    # read; the public functions validate the path first and refuse it there
+    path = AdicPath(ROOT_NONSPACER, (Edge(TOWER, 0), Edge(TOWER, 0)))
+    assert _successor(bare.stage, path) == AdicPath(ROOT_NONSPACER, (Edge(TOWER, 1), Edge(TOWER, 0)))
+    for fn in (successor, level_indices):
+        with pytest.raises(DepthError, match="stage 1 unresolvable"):
+            fn(bare, path)
     # level 0 is read, and refused, before the missing stage 1
     with pytest.raises(PathError, match="level 0: tower index 5 outside 0..1"):
         level_indices(bare, AdicPath(ROOT_NONSPACER, (Edge(TOWER, 5), Edge(TOWER, 0))))
@@ -602,6 +612,21 @@ def test_level_indices_checks_paths_as_validate_path_does(path, message):
     for fn in (validate_path, level_indices):
         with pytest.raises(PathError) as err:
             fn(CHACON, path)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("path, message", [
+    (AdicPath(ROOT_NONSPACER, (Edge(TOWER, 5),)), "level 0: tower index 5 outside 0..2"),
+    (AdicPath("bogus", (Edge(TOWER, 0),)), "unknown root edge 'bogus'"),
+    (AdicPath(ROOT_SPACER, (Edge(SPACER, 0, 7),)), "level 0: spacer index 7 outside 0..-1"),
+    (AdicPath(ROOT_SPACER, (Edge(TOWER, 0),)), "level 0: expected spacer or down out of column 1"),
+])
+def test_successor_and_code_orbit_validate_the_path(path, message):
+    # unchecked, the first indexes past stage 0's runs and the others step
+    # an edge the diagram lacks to a successor or word
+    for call in (lambda: successor(CHACON, path), lambda: code_orbit(CHACON, path, 4)):
+        with pytest.raises(PathError) as err:
+            call()
         assert str(err.value) == message
 
 

@@ -7,9 +7,10 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from conftest import CHACON, ODOMETER, seeded_levels, seeded_schedule
+from conftest import CHACON, ODOMETER, any_schedules, seeded_levels, seeded_schedule
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from rankone import (
     ROOT_SPACER,
     AdicPath,
     BudgetError,
+    DepthError,
     Edge,
     IsoFailure,
     IsoReport,
@@ -42,6 +44,8 @@ from rankone import (
     to_target,
     verify_isomorphism,
 )
+from rankone.diagram import _advance, _advance_indices, _step
+from rankone.isomorphism import _advance_exceptional
 
 
 @pytest.fixture(scope="module")
@@ -423,6 +427,46 @@ def test_map_is_the_floor_map(ctx, data):
     assert to_target(ctx, x) == from_tower_coordinates(ctx.target, depth, floor)
 
 
+def _check_step_rule(schedule, x, cut):
+    """J and N of the successor of x carried through the step, as the verify
+    walk carries them, against both read off the successor."""
+    move = _step(schedule.stage, x.edges)
+    if move is None:
+        return
+    nxt = _advance(x.edges, *move)
+    assert _advance_indices(level_indices(schedule, x), *move) == level_indices(schedule, nxt)
+    model = SimpleNamespace(cut=cut)  # exceptional_index reads only the cut
+    carried = _advance_exceptional(cut, exceptional_index(model, x), move[0], nxt.edges)
+    assert carried == exceptional_index(model, nxt)
+
+
+@settings(deadline=None)
+@given(any_schedules(), st.lists(st.integers(-1, 3), max_size=6), st.data())
+def test_step_rule_on_any_schedule(schedule, cut, data):
+    # the rule holds on every path with a successor, below the first bad or
+    # missing stage, and for any cut, even one that makes tower(0) exceptional
+    good = 0
+    while good < 5:
+        try:
+            heights(schedule, good + 1)
+        except (ValueError, DepthError):
+            break
+        good += 1
+    depth = data.draw(st.integers(0, good))
+    k = data.draw(st.integers(0, heights(schedule, depth)[depth] - 1))
+    _check_step_rule(schedule, from_tower_coordinates(schedule, depth, k), tuple(cut))
+
+
+@settings(deadline=None)
+@given(contexts(), st.data())
+def test_step_rule_on_seeded_models(case, data):
+    # source and target paths of clean and mutated models, under the model's cut
+    ctx, depth = case
+    for schedule in (ctx.source, ctx.target):
+        k = data.draw(st.integers(0, heights(schedule, depth)[depth] - 1))
+        _check_step_rule(schedule, from_tower_coordinates(schedule, depth, k), ctx.cut)
+
+
 @pytest.mark.parametrize("runs, witness", [
     # one slot more in the top run: H'_1 = 5, so target floor 4 has no preimage
     ((0, 3), AdicPath(ROOT_SPACER, (Edge(SPACER, 1, 2),))),
@@ -506,7 +550,7 @@ def test_failing_report_serializes_its_witnesses(chacon_ctx):
 def test_verify_maps_each_floor_through_the_shared_bodies(monkeypatch):
     # the walk calls the one body of each rule; a private copy of one in
     # the walk would leave its counter short
-    from rankone import diagram, isomorphism
+    from rankone import isomorphism
 
     calls = Counter()
 
@@ -519,22 +563,33 @@ def test_verify_maps_each_floor_through_the_shared_bodies(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_to_target", "_level_indices", "_from_tower_coordinates", "_validate_path"):
+    for name in (
+        "_to_target", "_level_indices", "_from_tower_coordinates", "_validate_path",
+        "_step", "_advance", "_advance_indices", "_last_exceptional",
+    ):
         counted(isomorphism, name)
-    counted(diagram, "_step")
     assert verify_isomorphism(build_expansive(CHACON, 4), 4).paths_tested == 9841
     # an image equal to the successor of a valid image is valid, so only the
-    # first floor's image is validated
+    # first floor's image is validated; J(x) and J(y) are read off the tables
+    # for the first floor only, and every successor's follow from the moves.
+    # N is scanned for the first floor and for each successor moved at or
+    # above the last exceptional level
     assert calls == {
         "_to_target": 9841,
-        "_level_indices": 19682,
+        "_level_indices": 2,
         "_from_tower_coordinates": 6514,
         "_step": 19681,
+        "_advance": 19680,
+        "_advance_indices": 19680,
+        "_last_exceptional": 7840,
         "_validate_path": 1,
     }
     # no successor of a sampled floor is the next one drawn: each floor's image
-    # is validated, and each successor's image is the successor of that image
+    # is validated and its J read, and each successor's image is the successor
+    # of that image
     calls.clear()
     report = verify_isomorphism(build_expansive(CHACON, 6), 6, samples=1000, seed=0)
     assert report.passed and report.paths_tested == 1000
     assert calls["_validate_path"] == 1000
+    assert calls["_level_indices"] == 2000
+    assert calls["_last_exceptional"] == 1786
