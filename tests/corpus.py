@@ -43,6 +43,12 @@ FROZEN_TAIL_DOC = {
     "stages": [{"q": 2, "a": [0, 0]}, {"q": 1, "a": [0]}],
     "tail": {"kind": "periodic", "period": 1},
 }
+# q = 1 throughout: one run of 2^300 spacers, then one spacer per level, so
+# the kept heights h_0..h_k pass the byte budget near level 1.78 million
+HUGE_TAIL_DOC = {
+    "stages": [{"q": 1, "a": [2**300]}, {"q": 1, "a": [1]}],
+    "tail": {"kind": "periodic", "period": 1},
+}
 
 
 def _seeded_spec(index: int) -> dict:
@@ -77,6 +83,7 @@ def spec_documents() -> dict[str, dict]:
     docs = {f"seeded{i:02d}.json": _seeded_spec(i) for i in range(30)}
     docs["linear.json"] = {"schedule": LINEAR_TAIL_DOC}
     docs["frozen.json"] = {"schedule": FROZEN_TAIL_DOC}
+    docs["huge.json"] = {"schedule": HUGE_TAIL_DOC}
     return docs
 
 
@@ -132,9 +139,16 @@ def invocations() -> list[list[str]]:
     for stages in (2, 3, 4, 5, 6, 7):
         out.append(["telescope", *linear, "--stages", str(stages)])
     out += [["block", *linear, "--depth", "2097152"],
-            ["measure", *linear, "--stages", "1", "--depth", "2097152"]]
+            ["measure", *linear, "--stages", "1", "--depth", "2097152"],
+            ["heights", *linear, "--depth", "100000"]]
+    frozen = ["--spec", f"{PLACEHOLDER}/frozen.json"]
     for stages in range(2, 8):
-        out.append(["telescope", "--spec", f"{PLACEHOLDER}/frozen.json", "--stages", str(stages)])
+        out.append(["telescope", *frozen, "--stages", str(stages)])
+    out.append(["heights", *frozen, "--depth", "100000"])
+    # the height list of the 2^300 tail is refused at level 1,783,624, below the level cap
+    huge = ["--spec", f"{PLACEHOLDER}/huge.json"]
+    out += [["heights", *huge, "--depth", "2097152"], ["telescope", *huge, "--stages", "2"],
+            ["block", *huge, "--depth", "2097152"]]
     # 400 symbols pass the end of the short towers, whose orbits overflow
     for name in spec_documents():
         argv = ["vershik", "--spec", f"{PLACEHOLDER}/{name}", "--depth", "6"]
