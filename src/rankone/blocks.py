@@ -16,10 +16,10 @@ is 1, the levels come as one folded q = 1 stage whose run is their
 spacer total, read in closed form, so B_n is B_c followed by that many
 1s and no stage past the prefix is resolved; on a frozen tail the run
 is empty and B_n = B_c.  Construction is also guarded by a symbol
-budget: before any string is materialized, the lengths h_{k+1} = q_k h_k
-+ sum a[k] are checked against it level by level, and the first one over
-it is refused, so a refusal never walks the heights past that level; in
-a folded stage that level is read in closed form.
+budget: before any string is materialized, the first level up to n whose
+height passes it is found by the greedy level walk's search and refused,
+so a refusal never walks the heights past that level; past c on such a
+tail that level is read in closed form.
 """
 
 from __future__ import annotations
@@ -28,27 +28,20 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .schedules import (DEFAULT_SYMBOL_BUDGET, UNKNOWN_AT_DEPTH, ParamSchedule, Stage, _check_budget,
-                        _closed_tail, _folded_stages, _stages)
+                        _first_level_at_least, _folded_stages, _heights_at, _stages)
 
 KALIKOW_BOUNDED = "bounded"
 KALIKOW_UNBOUNDED = "unbounded"
 
 
 def build_block(schedule: ParamSchedule, n: int) -> str:
-    """The stage-n block B_n; the lengths h_1..h_n are checked against the
-    budget, stopping at the first one over it, before any level is built.
-
-    The stages are ``_folded_stages``'s: a folded stage starts at c and
-    covers levels c..n-1, so the first level over the budget inside it is
-    the tail's first level past it, read in closed form from h_c.
-    """
-    tail, h = _closed_tail(schedule), 1
-    for k, st in enumerate(_folded_stages(schedule, 0, n), 1):
-        h_c, h = h, st.q * h + st.spacer_sum
-        if h > DEFAULT_SYMBOL_BUDGET and tail is not None and k > tail.start:
-            k = tail.first_level(h_c, DEFAULT_SYMBOL_BUDGET + 1)
-            h = h_c + tail.spacers(tail.start, k)
-        _check_budget("block", h, "symbols", DEFAULT_SYMBOL_BUDGET, k)
+    """The stage-n block B_n; its length h_n is checked against the budget,
+    at the first level up to n over it, before any level is built."""
+    _stages(schedule, n, n)  # the depth rule, before any height is read
+    over = _first_level_at_least(schedule, 1, n + 1, DEFAULT_SYMBOL_BUDGET + 1)
+    k = n if over is None else min(n, over)  # None: a frozen tail never passes it
+    h = _heights_at(schedule, [k])[0]
+    _check_budget("block", h, "symbols", DEFAULT_SYMBOL_BUDGET, k)
     return _block_prefix(_folded_stages(schedule, 0, n), h)
 
 

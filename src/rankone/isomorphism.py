@@ -88,9 +88,10 @@ The move keeps every edge above pos, so N(x') = N(x) when N(x) > pos,
 and otherwise N(x') is the last exceptional level at or below pos,
 scanned from pos down; neither case assumes anything of the cut.  J of
 the image is carried from J(y) and the target move only when the image
-equals step_y, whose validation is skipped on the same condition; any
-other image is read off its path, so every failure keeps its text and
-its place.
+equals step_y, whose validation is skipped on the same condition, and
+the equivariance check only asks whether the record kept that J object;
+any other image is read off its path, so every failure keeps its text
+and its place.
 """
 
 from __future__ import annotations
@@ -390,8 +391,8 @@ def verify_isomorphism(
     ) -> _Floor:
         """Map a valid source path with N(x) and J(x) through the target.
         An image equal to step_y, the successor of a valid target path, is
-        valid and has J = step_jy (see the module docstring); any other
-        image is validated and its J read off the tables."""
+        valid and keeps jy = step_jy itself (see the module docstring); any
+        other image is validated and gets a new J read off the tables."""
         try:
             y = _to_target(cut, top_run, hs, x, n_exc, jx)
             if y == step_y:
@@ -467,11 +468,11 @@ def verify_isomorphism(
         n_next = _advance_exceptional(cut, n_exc, pos, step_x.edges)
         jx_next = _advance_indices(jx, pos, new)
         pos, new = move_y
-        step_y = _advance(y.edges, pos, new)
-        ahead = floor(step_x, n_next, jx_next, step_y, _advance_indices(jy, pos, new))
+        step_jy = _advance_indices(jy, pos, new)
+        ahead = floor(step_x, n_next, jx_next, _advance(y.edges, pos, new), step_jy)
         if ahead.y is None:
             failures.append(IsoFailure("equivariance", ahead.error, x))
-        elif ahead.y != step_y:
+        elif ahead.jy is not step_jy:  # the image is not the successor of y
             failures.append(
                 IsoFailure(
                     "equivariance",

@@ -17,7 +17,8 @@ spacer total of a level range and the first level at or above a height
 are read in closed form, and the walks that build a word, a window or a
 copy count get those levels as one folded q = 1 stage, so none of them
 resolves a stage past the first period.  A frozen tail is a closed one
-without spacers.
+without spacers.  One search, ``_first_level_at_least``, finds the first
+level at or above a height for the greedy level walk and the block budget.
 
 All arithmetic here is exact: heights are Python ints, ratios are
 ``fractions.Fraction``.  Floats never enter.
@@ -57,8 +58,8 @@ DEFAULT_SYMBOL_BUDGET = 1 << 26
 # the most floors one verify walk maps: chacon's depth-5 fiber, 797,161 floors in 30 s, fits
 VERIFY_WALK_BUDGET = 1 << 20
 # the deepest level a walk reads: a spec's levels or a --depth may name any level, and
-# the height walk, which has no last level, stops here; the greedy walk steps a q = 1
-# tail a period at a time and refuses a level past it as the height walk would
+# the height walk, which has no last level, stops here; the greedy walk reads a closed
+# tail's levels in closed form and refuses a level past it as the height walk would
 MAX_WALK_LEVELS = 1 << 21
 # MAX_WALK_LEVELS + 1 heights, each below this one, fit DEFAULT_SYMBOL_BUDGET bytes: the
 # height walk sizes only larger heights, since a budget check on every level costs time
@@ -345,19 +346,14 @@ def _stages(schedule: ParamSchedule, start: int, stop: int) -> Iterator[Stage]:
 def heights(schedule: ParamSchedule, n: int) -> list[int]:
     """Tower heights h_0..h_n from the stage recursion, exact.
 
-    Past the depth rule of ``_stages``, the height walk is advanced to
-    level n, so the first level at which the kept heights could pass the
-    size budget is refused.  The caller gets a fresh list it may change.
-    Every reader of the heights calls this or ``_heights_at``, but the
-    greedy walk and the partial-sum check, which read them level by level
-    from the walk.
+    Past the depth rule of ``_stages`` they are ``_heights_at``'s, so the
+    first level at which the kept heights could pass the size budget is
+    refused.  The caller gets a fresh list it may change.  Every reader of
+    the heights calls this, ``_heights_at`` or ``_first_level_at_least``,
+    but the partial-sum check, which reads them level by level from the walk.
     """
-    _stages(schedule, n, n)  # the depth rule, kept heights or not
-    hs = schedule._heights
-    k = len(hs)
-    if k <= n:
-        next(islice(_height_walk(schedule, k), n - k, None))
-    return hs[: n + 1]
+    _stages(schedule, n, n)  # the depth rule, before levels[-1] is read
+    return _heights_at(schedule, range(n + 1))
 
 
 def _closed_tail(schedule: ParamSchedule) -> _Tail | None:
@@ -370,21 +366,42 @@ def _closed_tail(schedule: ParamSchedule) -> _Tail | None:
 
 
 def _heights_at(schedule: ParamSchedule, levels: Sequence[int]) -> list[int]:
-    """h_m for each of the increasing levels, with the refusals of
-    ``heights(schedule, levels[-1])``.
+    """h_m for each of the increasing levels, with the refusals of the
+    height walk to levels[-1].
 
-    On a closed tail the height walk stops at c and the heights past it are
-    read in closed form; the first level over the height budget up to the
-    last level is then found by bisection, since its cost grows with the
-    level.
+    The height walk is advanced to the last level, or on a closed tail to
+    c, and the heights past c are read in closed form; the first level over
+    the height budget up to the last level is then found by bisection,
+    since its cost grows with the level.
     """
     n = levels[-1]
     tail = _closed_tail(schedule)
     c = n if tail is None else min(n, tail.start)
     _stages(schedule, n, n)
-    hs = heights(schedule, c)
+    hs = schedule._heights
+    kept = len(hs)
+    if kept <= c:
+        next(islice(_height_walk(schedule, kept), c - kept, None))
     _refuse_first_over(c + 1, n + 1, lambda k: (_height_bytes(k, hs[c] + tail.spacers(c, k)),))
     return [hs[m] if m <= c else hs[c] + tail.spacers(c, m) for m in levels]
+
+
+def _first_level_at_least(schedule: ParamSchedule, lo: int, hi: int, x: int) -> int | None:
+    """The least level k >= lo with h_k >= x, for h_{lo-1} < x.
+
+    The height walk is read through level hi - 1, and hi is returned when
+    no level below it reaches x.  On a closed tail the walk stops at c,
+    and a level past it is the tail's first level at or above x, read in
+    closed form: it may lie at or past hi, and it is None on a frozen tail
+    that never reaches x.
+    """
+    tail = _closed_tail(schedule)
+    closed = tail is not None and tail.start < hi
+    stop = max(lo, tail.start + 1) if closed else hi
+    for k, h in enumerate(islice(_height_walk(schedule, lo), stop - lo), lo):
+        if h >= x:
+            return k
+    return tail.first_level(schedule._heights[tail.start], x) if closed else hi
 
 
 def _folded_stages(schedule: ParamSchedule, start: int, stop: int) -> Iterator[Stage]:
@@ -674,39 +691,27 @@ def choose_telescoping_levels(schedule: ParamSchedule, count: int) -> list[int]:
 def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     """m_1, m_2, ... of the greedy selection, each as soon as it is found.
 
-    A bad tail stage raises at once.  Otherwise h is read level by level
-    from the height walk, which reads the kept heights first and checks
-    each level past them against the size budget before keeping it, so
-    a refusal names the first level over the budget, as ``heights`` does.
-    That walk fails only on reaching a bad or missing stage, or the level
-    past MAX_WALK_LEVELS.
-
-    On a closed tail the walk stops at c, and every next level is the
-    tail's first level at or above the target, read in closed form, so no
-    stage past c is read.  Such a level is refused as the height walk
-    would refuse it: past MAX_WALK_LEVELS, or at the first level up to it
-    over the height budget, which only a height of 2^255 or more can pass,
-    found by bisection.  On a frozen tail no level reaches the target, so
+    A bad tail stage raises at once.  Each level is the first one at or
+    above its target, found by ``_first_level_at_least``.  That search
+    reads the height walk, which checks each level past the kept heights
+    against the size budget before keeping it, so a refusal names the
+    first level over the budget, as ``heights`` does; the walk also fails
+    on reaching a bad or missing stage.  A level past c on a closed tail
+    is read in closed form and refused as the height walk would refuse it:
+    at the first level up to it over the height budget, which only a
+    height of 2^255 or more can pass, found by bisection, or past
+    MAX_WALK_LEVELS.  On a frozen tail no level reaches the target, so
     DepthError is raised instead.
     """
-    closed = schedule._tail and _closed_tail(schedule)  # a bad tail stage raises at once
-    c = None if closed is None else closed.start
+    schedule._tail  # a bad tail stage raises at once
 
     def walk() -> Iterator[int]:
-        target = scale = growth_base  # times h_0 = 1
-        for level, h in enumerate(islice(_height_walk(schedule, 1), c), 1):
-            if h >= target:
-                yield level
-                scale *= growth_base
-                target = scale * h
-        # only a closed tail gets here, and no level up to c reaches target
-        h_c = schedule._heights[c]
+        level, target, scale = 0, growth_base, growth_base  # times h_0 = 1
         while True:
-            level = closed.first_level(h_c, target)
+            level = _first_level_at_least(schedule, level + 1, MAX_WALK_LEVELS + 1, target)
             if level is None:
                 raise DepthError(f"periodic tail adds no height growth; cannot reach h >= {target}")
-            # the height walk would refuse the first level over the height budget up
-            # to this one or the cap
+            # the height walk's refusals of a level past c; a level it walked passes both
             h = _heights_at(schedule, [min(level, MAX_WALK_LEVELS)])[0]
             _check_budget("stage walk", min(level, MAX_WALK_LEVELS + 1), "levels", MAX_WALK_LEVELS)
             yield level

@@ -152,8 +152,9 @@ def test_block_on_a_frozen_tail_reads_only_the_prefix():
 
 
 def test_linear_tail_walks_resolve_only_the_prefix_and_one_period(monkeypatch):
-    # past c = prefix_len - period the linear tail's levels are one folded
-    # stage, so no walk to the level cap resolves a stage past the first period
+    # past c = prefix_len - period the linear tail's levels are read in closed
+    # form, as heights or as one folded stage, so no walk to the level cap
+    # resolves a stage past the first period
     resolved = []
     original = ParamSchedule.stage
 
@@ -166,6 +167,7 @@ def test_linear_tail_walks_resolve_only_the_prefix_and_one_period(monkeypatch):
     monkeypatch.setattr(ParamSchedule, "stage", counted)
     depth = MAX_WALK_LEVELS
     for walk in (
+        lambda schedule: heights(schedule, depth),
         lambda schedule: build_block(schedule, depth),
         lambda schedule: code_minimal_orbit(schedule, depth, 10**7),
         lambda schedule: telescope(schedule, levels),

@@ -658,8 +658,8 @@ def test_linear_tail_fails_fast(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ab004a6f8a358055a63166c6b08ba08d31cc117cb01f77598edcfb106b3c1d94"
     )
-    # the greedy walk steps the q = 1 tail a period at a time, and refuses
-    # the seventh level, past MAX_WALK_LEVELS, as the height walk would
+    # the greedy walk reads the q = 1 tail's levels in closed form, and
+    # refuses the seventh level, past MAX_WALK_LEVELS, as the height walk would
     t0 = time.perf_counter()
     assert main(["telescope", "--spec", str(spec), "--stages", "7"]) == 2
     assert time.perf_counter() - t0 < 0.5

@@ -34,6 +34,7 @@ from rankone.schedules import (
     PARTIAL_SUM_ENTRY_BYTES,
     _check_partial_sums,
     _closed_tail,
+    _first_level_at_least,
     _folded_stages,
     _greedy_levels,
     _heights_at,
@@ -402,7 +403,7 @@ def test_choose_levels_frozen_tail():
 def test_choose_levels_walk_budget():
     # heights grow by 3 per level past level 1, so each window is about
     # 2^j times further up; the seventh lies past MAX_WALK_LEVELS.  The
-    # walk steps the q = 1 tail a period at a time, so it reads no tail stage
+    # walk reads the q = 1 tail's levels in closed form, so it reads no tail stage
     t0 = time.perf_counter()
     linear = ParamSchedule(
         (Stage(2, (0, 2)), Stage(4, (1, 3, 0, 0)), Stage(1, (2,)), Stage(1, (3,))),
@@ -433,9 +434,9 @@ def test_height_walk_stops_at_the_level_cap(monkeypatch):
 ], ids=["below-the-cap", "past-the-cap", "unpatched"])
 def test_q1_tail_step_refuses_over_the_height_budget(monkeypatch, budget, tail_spacers, levels,
                                                       refusal):
-    # heights past 2^255 are sized against the height budget; the period step
-    # refuses the level the level-by-level height walk refuses first, found
-    # by bisection, not by walking to it
+    # heights past 2^255 are sized against the height budget; the greedy walk
+    # and heights refuse the level the level-by-level height walk refuses
+    # first, found by bisection, not by walking to it
     monkeypatch.setattr("rankone.schedules.DEFAULT_SYMBOL_BUDGET", budget)
     schedule = ParamSchedule((Stage(1, (2**300,)), Stage(1, (tail_spacers,))), tail_period=1)
     message = f"^height list {refusal}, over the budget of {budget}$"
@@ -443,10 +444,9 @@ def test_q1_tail_step_refuses_over_the_height_budget(monkeypatch, budget, tail_s
     assert choose_telescoping_levels(schedule, len(levels) - 1) == levels
     with pytest.raises(BudgetError, match=message):
         choose_telescoping_levels(schedule, len(levels))
+    with pytest.raises(BudgetError, match=message):
+        heights(schedule, MAX_WALK_LEVELS)
     assert time.perf_counter() - t0 < 0.5
-    if budget < DEFAULT_SYMBOL_BUDGET:  # the full budget's walk keeps 1.78 million heights
-        with pytest.raises(BudgetError, match=message):
-            heights(schedule, MAX_WALK_LEVELS)
 
 
 def test_choose_levels_bad_args():
@@ -679,8 +679,9 @@ def _reference_window(schedule, lo, hi):
        st.integers(1, 2000))
 def test_closed_tail_matches_the_stage_walk(schedule, lo, span, x):
     # past c a tail whose q product is 1 is read in closed form: heights, the
-    # first level at or above a height, and the folded run of a level range
-    # agree with a walk that reads one stage per level
+    # first level at or above a height, the one search for it from a level
+    # below it, and the folded run of a level range agree with a walk that
+    # reads one stage per level
     top = schedule.prefix_len + 200
     hi = min(lo + span, top)
     lo = min(lo, hi)
@@ -692,6 +693,14 @@ def test_closed_tail_matches_the_stage_walk(schedule, lo, span, x):
     tail = _closed_tail(schedule)
     folded = list(_folded_stages(schedule, lo, hi))
     assert _heights_at(schedule, list(range(top + 1))) == hs
+    first = next((k for k, h in enumerate(hs) if h >= x), None)
+    if first != 0:  # the search starts at a level past h_0 = 1 below x
+        start = max(1, min(lo, top) if first is None else min(lo, first))
+        closed = tail is not None and tail.start <= hi
+        want = hi + 1 if first is None or first > hi else first
+        if closed:
+            want = tail.first_level(hs[tail.start], x) if first is None else first
+        assert _first_level_at_least(schedule, start, hi + 1, x) == want
     if tail is None:
         assert folded == stages
         return
@@ -718,6 +727,7 @@ def test_q1_tail_walks_match_the_reference(schedule, extra, n, data):
     # past c; each equals what one reference stage per level gives, and a
     # block over a small budget is refused at the first level over it
     depth = schedule.prefix_len + extra
+    assert heights(schedule, depth) == _reference_heights(schedule, depth)
     assert build_block(schedule, depth) == _reference_block(schedule, depth)
     budget = data.draw(st.integers(1, 400))
     over = [(k, h) for k, h in enumerate(_reference_heights(schedule, depth)) if h > budget]
