@@ -188,7 +188,18 @@ def test_block_budget_checked_before_building():
     assert heights(CHACON, 16)[16] <= DEFAULT_SYMBOL_BUDGET < heights(CHACON, 17)[17]
 
 
-_LEVEL_17 = "^block needs 193710244 symbols by level 17, over the budget of 67108864$"
+def test_block_budget_reads_the_height_walk():
+    # 39,000 levels of height 1, then one of about 10^4200: the block's length
+    # is read from the kept heights, which pass their own byte budget at that
+    # level first, so build_block refuses it as heights does
+    schedule = ParamSchedule((Stage(1, (0,)),) * 39_000 + (Stage(1, (10**4200,)),))
+    over = "^height list needs up to 68024363 bytes by level 39001, over the budget of 67108864$"
+    for read in (heights, build_block):
+        with pytest.raises(BudgetError, match=over):
+            read(schedule, 39_001)
+
+
+_LEVEL_17 ="^block needs 193710244 symbols by level 17, over the budget of 67108864$"
 
 
 def test_block_budget_stops_at_the_first_level_over_it():
