@@ -695,7 +695,7 @@ def test_closed_tail_matches_the_stage_walk(schedule, lo, span, x):
     assert _heights_at(schedule, list(range(top + 1))) == hs
     first = next((k for k, h in enumerate(hs) if h >= x), None)
     if first != 0:  # the search starts at a level past h_0 = 1 below x
-        start = max(1, min(lo, top) if first is None else min(lo, first))
+        start = max(1, lo if first is None else min(lo, first))
         closed = tail is not None and tail.start <= hi
         want = hi + 1 if first is None or first > hi else first
         if closed:
