@@ -4,7 +4,12 @@ The package turns a stage schedule (cut counts and spacer runs) into
 symbolic blocks, an adic path space with a successor map, telescoped and
 spacer-replaced models, and a finite-depth isomorphism verifier between
 a system and its expansive rebuild.
+
+It exports ``__version__`` and every public name that its imports bind,
+the submodules aside.
 """
+
+from types import ModuleType as _ModuleType
 
 from .blocks import (
     KALIKOW_BOUNDED,
@@ -79,64 +84,7 @@ from .telescoping import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdicPath",
-    "BudgetError",
-    "DEFAULT_SYMBOL_BUDGET",
-    "DOWN",
-    "DepthError",
-    "Edge",
-    "ExpansiveModel",
-    "IsoFailure",
-    "IsoReport",
-    "KALIKOW_BOUNDED",
-    "KALIKOW_UNBOUNDED",
-    "KalikowReport",
-    "LevelIndices",
-    "MeasureBracket",
-    "Occurrences",
-    "OrbitCoding",
-    "Overflow",
-    "PROVED_CONVERGENT",
-    "PROVED_DIVERGENT",
-    "ParamSchedule",
-    "PathError",
-    "RatioSumReport",
-    "ROOT_NONSPACER",
-    "ROOT_SPACER",
-    "SPACER",
-    "ScheduleError",
-    "SpacerReplacementError",
-    "Stage",
-    "TOWER",
-    "TelescopedSchedule",
-    "UNKNOWN_AT_DEPTH",
-    "ValidityReport",
-    "build_block",
-    "build_expansive",
-    "choose_telescoping_levels",
-    "code_minimal_orbit",
-    "code_orbit",
-    "cylinder_measure_bounds",
-    "digit_decomposition",
-    "exceptional_index",
-    "expansive_replace",
-    "export_dot",
-    "from_tower_coordinates",
-    "heights",
-    "kalikow_sup_condition",
-    "level_indices",
-    "minimal_path",
-    "path_from_json_dict",
-    "path_to_json_dict",
-    "period_doubling_occurrences",
-    "spacer_ratio_sum",
-    "successor",
-    "tail_mass_bound",
-    "telescope",
-    "to_source",
-    "to_target",
-    "validate",
-    "validate_path",
-    "verify_isomorphism",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -27,6 +27,8 @@ still exceeds max_i A[n][i], and overwrite everything above copy `cut`
 with that many spacers.  Heights are unchanged and the total spacer
 mass at most doubles plus H_n, so summability survives.  The result is
 one ExpansiveModel, the object that ``expand`` prints and ``verify`` checks.
+``expand``'s document is ``telescope``'s, each stage row extended by its
+replacement, then the warnings and the replaced schedule.
 """
 
 from __future__ import annotations
@@ -171,27 +173,19 @@ class ExpansiveModel:
         return tuple(n for n, st in enumerate(self.target.stages) if st.q == 1)
 
     def to_json_dict(self) -> dict:
-        tele = self.telescoped
-        rows = zip(tele.stages, self.target.stages, self.cut, self.top_run)
-        return {
-            "base": tele.base.to_json_dict(),
-            "m": list(tele.levels),
-            "H": list(tele.heights),
-            "stages": [
-                {
-                    "Q": st.q,
-                    "A": list(st.a),
-                    "A_max": max(st.a),
-                    "cut": cut,
-                    "top_run": top_run,
-                    "Q_new": new.q,
-                    "A_new": list(new.a),
-                }
-                for st, new, cut, top_run in rows
-            ],
-            "warnings": list(self.warnings),
-            "replaced_schedule": self.target.to_json_dict(),
-        }
+        doc = self.telescoped.to_json_dict()
+        rows = zip(doc["stages"], self.target.stages, self.cut, self.top_run)
+        for row, new, cut, top_run in rows:
+            row.update(
+                A_max=max(row["A"]),
+                cut=cut,
+                top_run=top_run,
+                Q_new=new.q,
+                A_new=list(new.a),
+            )
+        doc["warnings"] = list(self.warnings)
+        doc["replaced_schedule"] = self.target.to_json_dict()
+        return doc
 
 
 def expansive_replace(telescoped: TelescopedSchedule) -> ExpansiveModel:

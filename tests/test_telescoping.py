@@ -185,6 +185,20 @@ def test_replace_invariants(schedule):
         assert new.spacer_sum <= 2 * old.spacer_sum + low
 
 
+def test_expand_document_extends_the_telescoped_one():
+    # the presets by the greedy levels, and a seeded schedule with given
+    # levels, the path a spec's telescope_levels take
+    rng = random.Random(20240817)
+    sched = seeded_schedule(rng, 10**5)
+    models = [build_expansive(s, n) for s in (CHACON, ODOMETER) for n in range(1, 5)]
+    models.append(expansive_replace(telescope(sched, seeded_levels(rng, sched))))
+    for model in models:
+        doc, tele = model.to_json_dict(), model.telescoped.to_json_dict()
+        keys = ("base", "m", "H")
+        assert [doc[key] for key in keys] == [tele[key] for key in keys]
+        assert [{"Q": row["Q"], "A": row["A"]} for row in doc["stages"]] == tele["stages"]
+
+
 def test_build_expansive_known_models():
     model = build_expansive(ODOMETER, 3)
     assert model.telescoped.levels == (0, 1, 3, 6)
