@@ -49,6 +49,11 @@ HUGE_TAIL_DOC = {
     "stages": [{"q": 1, "a": [2**300]}, {"q": 1, "a": [1]}],
     "tail": {"kind": "periodic", "period": 1},
 }
+# the same run of 2^300 spacers, then a frozen tail: every height past level 0 is 2^300 + 1
+FROZEN_HUGE_TAIL_DOC = {
+    "stages": [{"q": 1, "a": [2**300]}, {"q": 1, "a": [0]}],
+    "tail": {"kind": "periodic", "period": 1},
+}
 
 
 def _seeded_spec(index: int) -> dict:
@@ -84,6 +89,7 @@ def spec_documents() -> dict[str, dict]:
     docs["linear.json"] = {"schedule": LINEAR_TAIL_DOC}
     docs["frozen.json"] = {"schedule": FROZEN_TAIL_DOC}
     docs["huge.json"] = {"schedule": HUGE_TAIL_DOC}
+    docs["frozenhuge.json"] = {"schedule": FROZEN_HUGE_TAIL_DOC}
     return docs
 
 
@@ -149,6 +155,11 @@ def invocations() -> list[list[str]]:
     huge = ["--spec", f"{PLACEHOLDER}/huge.json"]
     out += [["heights", *huge, "--depth", "2097152"], ["telescope", *huge, "--stages", "2"],
             ["block", *huge, "--depth", "2097152"]]
+    # the same prefix frozen: the greedy walk's refusal comes before any height refusal,
+    # the height list is refused at the same level, and the block at level 1
+    frozenhuge = ["--spec", f"{PLACEHOLDER}/frozenhuge.json"]
+    out += [["telescope", *frozenhuge, "--stages", "2"], ["heights", *frozenhuge, "--depth", "2097152"],
+            ["block", *frozenhuge, "--depth", "2097152"]]
     # 400 symbols pass the end of the short towers, whose orbits overflow
     for name in spec_documents():
         argv = ["vershik", "--spec", f"{PLACEHOLDER}/{name}", "--depth", "6"]
