@@ -19,7 +19,7 @@ is empty and B_n = B_c.  Construction is also guarded by a symbol
 budget: before any string is materialized, the first level up to n whose
 height passes it is found by the greedy level walk's search and refused,
 so a refusal never walks the heights past that level; past c on such a
-tail that level is read in closed form.
+tail that level is found by bisection over the closed-form heights.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ def build_block(schedule: ParamSchedule, n: int) -> str:
     """The stage-n block B_n; its length h_n is checked against the budget,
     at the first level up to n over it, before any level is built."""
     _stages(schedule, n, n)  # the depth rule, before any height is read
-    over = _first_level_at_least(schedule, 1, n + 1, DEFAULT_SYMBOL_BUDGET + 1)
-    k = n if over is None else min(n, over)  # None: a frozen tail never passes it
+    k = min(n, _first_level_at_least(schedule, 1, n + 1, DEFAULT_SYMBOL_BUDGET + 1))
     h = _heights_at(schedule, [k])[0]
     _check_budget("block", h, "symbols", DEFAULT_SYMBOL_BUDGET, k)
     return _block_prefix(_folded_stages(schedule, 0, n), h)

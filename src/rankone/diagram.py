@@ -202,17 +202,10 @@ def successor(schedule: ParamSchedule, path: AdicPath) -> AdicPath | Overflow:
     """Vershik successor within the truncation, or Overflow; raises what
     validate_path raises."""
     validate_path(schedule, path)
-    return _successor(schedule.stage, path)
-
-
-def _successor(stage: Callable[[int], Stage], path: AdicPath) -> AdicPath | Overflow:
-    """successor of a valid path, resolving stage n through stage(n) only
-    where it tries an edge."""
-    step = _step(stage, path.edges)
+    step = _step(schedule.stage, path.edges)
     if step is None:
         return Overflow(len(path.edges))
-    pos, new = step
-    return _advance(path.edges, pos, new)
+    return _advance(path.edges, *step)
 
 
 def _step(stage: Callable[[int], Stage], edges: Sequence[Edge]) -> tuple[int, Edge] | None:

@@ -12,13 +12,14 @@ stages forever.  That encoding keeps tail questions decidable: eventual
 height growth, whether q > 1 occurs infinitely often, and convergence
 of the spacer-ratio series sum_n (sum_i a[n][i]) / h_{n+1}.  One private
 tail object, cached on the schedule, answers them all.  A tail whose q
-product is 1 is closed: past its start c = prefix - p, its heights, the
-spacer total of a level range and the first level at or above a height
-are read in closed form, and the walks that build a word, a window or a
-copy count get those levels as one folded q = 1 stage, so none of them
-resolves a stage past the first period.  A frozen tail is a closed one
-without spacers.  One search, ``_first_level_at_least``, finds the first
-level at or above a height for the greedy level walk and the block budget.
+product is 1 is closed: past its start c = prefix - p, its heights and
+the spacer total of a level range are read in closed form, and the walks
+that build a word, a window or a copy count get those levels as one
+folded q = 1 stage, so none of them resolves a stage past the first
+period.  A frozen tail is a closed one without spacers.  One search,
+``_first_level_at_least``, finds the first level in a range at or above
+a height for the greedy level walk and the block budget: past c it
+bisects the closed-form heights, as the height refusals do.
 
 All arithmetic here is exact: heights are Python ints, ratios are
 ``fractions.Fraction``.  Floats never enter.
@@ -58,8 +59,8 @@ DEFAULT_SYMBOL_BUDGET = 1 << 26
 # the most floors one verify walk maps: chacon's depth-5 fiber, 797,161 floors in 30 s, fits
 VERIFY_WALK_BUDGET = 1 << 20
 # the deepest level a walk reads: a spec's levels or a --depth may name any level, and
-# the height walk, which has no last level, stops here; the greedy walk reads a closed
-# tail's levels in closed form and refuses a level past it as the height walk would
+# the height walk, which has no last level, stops here; the greedy walk finds a closed
+# tail's levels by bisection and refuses a level past it as the height walk would
 MAX_WALK_LEVELS = 1 << 21
 # MAX_WALK_LEVELS + 1 heights, each below this one, fit DEFAULT_SYMBOL_BUDGET bytes: the
 # height walk sizes only larger heights, since a budget check on every level costs time
@@ -105,9 +106,8 @@ class _Tail:
     ``runs[r]`` is the spacer total of levels c..c+r-1, so ``runs[p]`` is
     S, the period's.  A tail whose q product Q is 1 cuts nothing, so past
     c it is closed: its heights are read in closed form, h_{c+r+jp} =
-    h_{c+r} + jS, and so are the spacer total of a level range and the
-    first level at or above a height.  A frozen tail is a closed one with
-    S = 0.
+    h_{c+r} + jS, through the spacer total of a level range, and the
+    searches past c bisect them.  A frozen tail is a closed one with S = 0.
     """
 
     start: int                  # c
@@ -132,16 +132,6 @@ class _Tail:
         j, r = divmod(hi - self.start, self.period)
         i, s = divmod(lo - self.start, self.period)
         return (j - i) * self.runs[-1] + self.runs[r] - self.runs[s]
-
-    def first_level(self, h_c: int, x: int) -> int | None:
-        """The least level k >= c with h_k >= x on a closed tail, from h_c:
-        the least over the p residues r of c + r + jp, with j the fewest
-        periods that lift h_{c+r} to x; None when no level reaches x."""
-        total = self.runs[-1]
-        if not total:
-            return self.start if h_c >= x else None
-        return min(self.start + r + max(0, (x - h_c - run + total - 1) // total) * self.period
-                   for r, run in enumerate(self.runs[:-1]))
 
     def mass_past(self, h: int) -> Fraction | None:
         """A bound on sum_{k >= t} spacers_k / h_{k+1} for t >= prefix_len,
@@ -350,7 +340,9 @@ def heights(schedule: ParamSchedule, n: int) -> list[int]:
     first level at which the kept heights could pass the size budget is
     refused.  The caller gets a fresh list it may change.  Every reader of
     the heights calls this, ``_heights_at`` or ``_first_level_at_least``,
-    but the partial-sum check, which reads them level by level from the walk.
+    but two: the partial-sum check reads them level by level from the walk,
+    and ``_floor_tables`` reads the kept list itself, walked through its
+    level once ``_heights_at`` has refused that level.
     """
     _stages(schedule, n, n)  # the depth rule, before levels[-1] is read
     return _heights_at(schedule, range(n + 1))
@@ -386,22 +378,22 @@ def _heights_at(schedule: ParamSchedule, levels: Sequence[int]) -> list[int]:
     return [hs[m] if m <= c else hs[c] + tail.spacers(c, m) for m in levels]
 
 
-def _first_level_at_least(schedule: ParamSchedule, lo: int, hi: int, x: int) -> int | None:
-    """The least level k >= lo with h_k >= x, for h_{lo-1} < x.
+def _first_level_at_least(schedule: ParamSchedule, lo: int, hi: int, x: int) -> int:
+    """The least level k in lo..hi-1 with h_k >= x, else hi; lo is at most
+    the number of heights kept.
 
-    The height walk is read through level hi - 1, and hi is returned when
-    no level below it reaches x.  On a closed tail the walk stops at c,
-    and a level past it is the tail's first level at or above x, read in
-    closed form: it may lie at or past hi, and it is None on a frozen tail
-    that never reaches x.
+    The height walk is read from lo through level hi - 1, and on a closed
+    tail with c < hi only through c: past it the heights h_c + spacers(c,
+    k) are read in closed form and never decrease, so the level is found
+    by bisection, as ``_refuse_first_over`` finds its own.
     """
     tail = _closed_tail(schedule)
-    closed = tail is not None and tail.start < hi
-    stop = max(lo, tail.start + 1) if closed else hi
+    stop = max(lo, tail.start + 1) if tail is not None and tail.start < hi else hi
     for k, h in enumerate(islice(_height_walk(schedule, lo), stop - lo), lo):
         if h >= x:
             return k
-    return tail.first_level(schedule._heights[tail.start], x) if closed else hi
+    return bisect_left(range(hi), x, stop,
+                       key=lambda k: schedule._heights[tail.start] + tail.spacers(tail.start, k))
 
 
 def _folded_stages(schedule: ParamSchedule, start: int, stop: int) -> Iterator[Stage]:
@@ -468,17 +460,24 @@ def _refuse_first_over(lo: int, hi: int, costs) -> None:
 
 
 def _floor_tables(schedule: ParamSchedule, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """(hs, table): the heights h_0..h_n from ``heights``, and table[k],
-    the copy starts of level k, for k < n at least.
+    """(hs, table): the kept heights, h_0..h_n at least, and table[k], the
+    copy starts of level k, for k < n at least.  Both are the schedule's
+    own lists, which the callers only read.
 
-    starts[i] = i h_k + a[0] + ... + a[i-1] is the floor of tower k+1 where
-    copy i begins, so starts[q] = h_{k+1}, and the spacer run above copy i
-    fills the floors starts[i] + h_k up to starts[i + 1].  The table is
-    kept on the schedule and extended in place, each row written at its
-    index from h_k and stage k, so a walker in another thread at the same
-    row rewrites the same value.
+    ``_heights_at`` refuses level n first, with the depth rule and the
+    height budget; the height walk then keeps the heights through n, since
+    the table reads each stage below n anyway.  starts[i] = i h_k + a[0] +
+    ... + a[i-1] is the floor of tower k+1 where copy i begins, so
+    starts[q] = h_{k+1}, and the spacer run above copy i fills the floors
+    starts[i] + h_k up to starts[i + 1].  The table is kept on the
+    schedule and extended in place, each row written at its index from h_k
+    and stage k, so a walker in another thread at the same row rewrites
+    the same value.
     """
-    hs = heights(schedule, n)
+    _heights_at(schedule, [n])
+    hs = schedule._heights
+    if len(hs) <= n:
+        next(islice(_height_walk(schedule, len(hs)), n - len(hs), None))
     table = schedule._levels
     for k in range(len(table), n):
         table[k:k + 1] = [tuple(accumulate((hs[k] + x for x in schedule.stage(k).a), initial=0))]
@@ -691,29 +690,31 @@ def choose_telescoping_levels(schedule: ParamSchedule, count: int) -> list[int]:
 def _greedy_levels(schedule: ParamSchedule, growth_base: int) -> Iterator[int]:
     """m_1, m_2, ... of the greedy selection, each as soon as it is found.
 
-    A bad tail stage raises at once.  Each level is the first one at or
-    above its target, found by ``_first_level_at_least``.  That search
-    reads the height walk, which checks each level past the kept heights
-    against the size budget before keeping it, so a refusal names the
-    first level over the budget, as ``heights`` does; the walk also fails
-    on reaching a bad or missing stage.  A level past c on a closed tail
-    is read in closed form and refused as the height walk would refuse it:
-    at the first level up to it over the height budget, which only a
-    height of 2^255 or more can pass, found by bisection, or past
-    MAX_WALK_LEVELS.  On a frozen tail no level reaches the target, so
-    DepthError is raised instead.
+    A bad tail stage raises at once.  Each level is the first one up to
+    MAX_WALK_LEVELS at or above its target, found by
+    ``_first_level_at_least``.  That search reads the height walk, which
+    checks each level past the kept heights against the size budget before
+    keeping it, so a refusal names the first level over the budget, as
+    ``heights`` does; the walk also fails on reaching a bad or missing
+    stage.  Past c on a closed tail the level is found by bisection over
+    the closed-form heights, and refused as the height walk would refuse
+    it: at the first level up to it over the height budget, which only a
+    height of 2^255 or more can pass, or past MAX_WALK_LEVELS.  When the
+    search finds no level on a frozen tail whose c is at most
+    MAX_WALK_LEVELS, no level ever reaches the target, so DepthError is
+    raised instead, before any height past c is read.
     """
-    schedule._tail  # a bad tail stage raises at once
+    tail = schedule._tail  # a bad tail stage raises at once
 
     def walk() -> Iterator[int]:
         level, target, scale = 0, growth_base, growth_base  # times h_0 = 1
         while True:
             level = _first_level_at_least(schedule, level + 1, MAX_WALK_LEVELS + 1, target)
-            if level is None:
+            if tail is not None and tail.frozen and tail.start <= MAX_WALK_LEVELS < level:
                 raise DepthError(f"periodic tail adds no height growth; cannot reach h >= {target}")
             # the height walk's refusals of a level past c; a level it walked passes both
             h = _heights_at(schedule, [min(level, MAX_WALK_LEVELS)])[0]
-            _check_budget("stage walk", min(level, MAX_WALK_LEVELS + 1), "levels", MAX_WALK_LEVELS)
+            _check_budget("stage walk", level, "levels", MAX_WALK_LEVELS)
             yield level
             scale *= growth_base
             target = scale * h

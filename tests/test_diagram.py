@@ -40,7 +40,7 @@ from rankone import (
     telescope,
     validate_path,
 )
-from rankone.diagram import _successor
+from rankone.diagram import _step
 from rankone.schedules import _floor_tables
 
 
@@ -592,7 +592,7 @@ def test_errors_at_the_level_read():
     # the step moves the edge at level 0, so the missing stage 1 is never
     # read; the public functions validate the path first and refuse it there
     path = AdicPath(ROOT_NONSPACER, (Edge(TOWER, 0), Edge(TOWER, 0)))
-    assert _successor(bare.stage, path) == AdicPath(ROOT_NONSPACER, (Edge(TOWER, 1), Edge(TOWER, 0)))
+    assert _step(bare.stage, path.edges) == (0, Edge(TOWER, 1))
     for fn in (successor, level_indices):
         with pytest.raises(DepthError, match="stage 1 unresolvable"):
             fn(bare, path)

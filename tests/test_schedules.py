@@ -679,9 +679,8 @@ def _reference_window(schedule, lo, hi):
        st.integers(1, 2000))
 def test_closed_tail_matches_the_stage_walk(schedule, lo, span, x):
     # past c a tail whose q product is 1 is read in closed form: heights, the
-    # first level at or above a height, the one search for it from a level
-    # below it, and the folded run of a level range agree with a walk that
-    # reads one stage per level
+    # one search for the first level at or above a height, and the folded run
+    # of a level range agree with a walk that reads one stage per level
     top = schedule.prefix_len + 200
     hi = min(lo + span, top)
     lo = min(lo, hi)
@@ -693,14 +692,8 @@ def test_closed_tail_matches_the_stage_walk(schedule, lo, span, x):
     tail = _closed_tail(schedule)
     folded = list(_folded_stages(schedule, lo, hi))
     assert _heights_at(schedule, list(range(top + 1))) == hs
-    first = next((k for k, h in enumerate(hs) if h >= x), None)
-    if first != 0:  # the search starts at a level past h_0 = 1 below x
-        start = max(1, lo if first is None else min(lo, first))
-        closed = tail is not None and tail.start <= hi
-        want = hi + 1 if first is None or first > hi else first
-        if closed:
-            want = tail.first_level(hs[tail.start], x) if first is None else first
-        assert _first_level_at_least(schedule, start, hi + 1, x) == want
+    want = next((k for k in range(lo, hi + 1) if hs[k] >= x), hi + 1)
+    assert _first_level_at_least(schedule, lo, hi + 1, x) == want
     if tail is None:
         assert folded == stages
         return
@@ -710,15 +703,6 @@ def test_closed_tail_matches_the_stage_walk(schedule, lo, span, x):
     assert folded[:mid - lo] == stages[:mid - lo]
     assert folded[mid - lo:] == ([Stage(1, (sum(st.spacer_sum for st in stages[mid - lo:]),))]
                                  if mid < hi else [])
-    level = tail.first_level(hs[c], x)
-    reached = [k for k in range(c, top + 1) if hs[k] >= x]
-    if reached:
-        assert level == reached[0]
-    elif tail.runs[-1]:  # past the levels walked here
-        assert hs[c] + tail.spacers(c, level - 1) < x <= hs[c] + tail.spacers(c, level)
-        assert level > top
-    else:
-        assert level is None
 
 
 @given(q1_tail_schedules(), st.integers(0, 200), st.integers(0, 3), st.data())
